@@ -10,8 +10,6 @@ alpha(0) = 4 pi eps0 a^3, and the mean-square dipole.
 Run:  python3 demos/01_species_and_polarizability.py
 """
 
-import numpy as np
-
 from casq import (
     AtomSpecies,
     Transition,
@@ -31,7 +29,7 @@ print(f"<d^2>              = {mean_square_dipole(atom):.6e} C^2 m^2")
 
 # alpha(omega) grows monotonically toward the first resonance
 print("\n  omega / omega_0     alpha(omega) / alpha(0)")
-for frac in np.linspace(0.0, 0.9, 7):
+for frac in (0.9 * i / 6 for i in range(7)):
     val = alpha_of_omega(atom, frac * 2.0e15)
     print(f"  {frac:15.2f}     {val / a0:12.6f}")
 

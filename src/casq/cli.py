@@ -14,12 +14,18 @@ non-convergence, 4 I/O errors. The species database resolves from
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from .errors import NumericalError, ParseError, ValidationError
-from .scenarios import emit, format_float, parse_scenario_dict, run_scenario, sweep
+from .errors import NumericalError, ValidationError
+from .scenarios import (
+    emit,
+    format_float,
+    load_scenario_data,
+    parse_scenario_dict,
+    run_scenario,
+    sweep,
+)
 from .species import (
     alpha_static,
     equivalent_radius,
@@ -33,16 +39,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _load_scenario_data(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-
-
 def _cmd_run(args) -> int:
-    data = _load_scenario_data(args.scenario)
+    data = load_scenario_data(args.scenario)
     db = resolve_species_db(args.species_db)
     sc = parse_scenario_dict(data, db, source=args.scenario)
     report = run_scenario(sc)
@@ -80,7 +78,7 @@ def _sweep_values(args) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    data = _load_scenario_data(args.scenario)
+    data = load_scenario_data(args.scenario)
     values = _sweep_values(args)
     rows = sweep(data, args.param, values, jobs=args.jobs, species_db_path=args.species_db)
     text = emit(rows, args.format, args.out)

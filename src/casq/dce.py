@@ -43,9 +43,15 @@ cancels every dimensional factor and leaves the coefficient I / (32 pi^3),
 which the closed form pins at 23 / (5670 pi).
 
 The amplitude is linear in x by construction, so sum_pol |A|^2 is exactly
-quadratic in x: the angular integral is evaluated by nested quadrature at
-a few x nodes and fitted with a quadratic (the fit residual is folded into
-the error estimate), after which the radial integral runs adaptively.
+quadratic in x, and exchanging the photons maps x to 1 - x, so A_ang is
+even about x = 1/2. Two nested angular quadratures, at x = 0 and x = 1/2,
+therefore fix it exactly:
+
+    A_ang(x) = A_ang(0) (1-2x)^2 + A_ang(1/2) 4x(1-x),
+    I = [A_ang(0) + 8 A_ang(1/2)] / 1260,
+
+with the Beta integrals int x^3(1-x)^3 (1-2x)^2 dx = 1/1260 and
+int x^3(1-x)^3 4x(1-x) dx = 2/315; no radial quadrature remains.
 """
 
 from __future__ import annotations
@@ -53,11 +59,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .errors import RWAViolation
-from .quadrature import QuadratureSpec, integrate_adaptive, integrate_iterated
+from .quadrature import QuadratureSpec, integrate_iterated
 from .vec3 import Vec3, cross3, dot3, norm3, normalize3, perp_basis, scale3, sub3
 
 __all__ = [
@@ -117,8 +121,8 @@ class EmissionResult:
 
     gamma_total: float
     coefficient: float
-    spectrum_omega: np.ndarray
-    spectrum_density: np.ndarray
+    spectrum_omega: tuple[float, ...]
+    spectrum_density: tuple[float, ...]
     error_estimate: float
     evaluations: int
     converged: bool
@@ -241,10 +245,6 @@ def _angular_factor(
     return scale * res.value, scale * res.error_estimate, res.evaluations, res.converged
 
 
-#: x nodes for the quadratic fit of the angular factor, symmetric about 1/2.
-_FIT_NODES = (0.1, 0.3, 0.5, 0.7, 0.9)
-
-
 def dce_rate_numeric(
     params: OscillationParams,
     spec: QuadratureSpec | None = None,
@@ -252,45 +252,25 @@ def dce_rate_numeric(
 ) -> EmissionResult:
     """Golden-rule rate by mode integration; see the module docstring.
 
-    ``spec`` controls the angular quadrature tolerance (the radial weight
-    x^3 (1-x)^3 times a quadratic is integrated far below it). Defaults
-    resolve the coefficient to ~1e-7 relative; the acceptance target is 5%.
+    ``spec`` controls the angular quadrature tolerance; the radial integral
+    is exact. Defaults resolve the coefficient to ~1e-7 relative; the
+    acceptance target is 5%.
     """
     spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-300, max_subdivisions=400)
     u = params.direction
     ex, ey = perp_basis(u)
     triad = (ex, ey, u)
 
-    a_vals = []
-    a_errs = []
-    evals = 0
-    converged = True
-    for x in _FIT_NODES:
-        val, err, n, ok = _angular_factor(x, triad, spec)
-        a_vals.append(val)
-        a_errs.append(err)
-        evals += n
-        converged = converged and ok
+    q_edge, err_edge, n_edge, ok_edge = _angular_factor(0.0, triad, spec)
+    q_mid, err_mid, n_mid, ok_mid = _angular_factor(0.5, triad, spec)
 
-    # |A|^2 summed over polarizations is exactly quadratic in x (the
-    # amplitude is linear in x), so a degree-2 fit only smooths quadrature
-    # noise; its residual is part of the error budget.
-    coeffs = np.polynomial.polynomial.polyfit(_FIT_NODES, a_vals, 2)
-    fit = np.polynomial.polynomial.Polynomial(coeffs)
-    residual = float(np.max(np.abs(fit(np.asarray(_FIT_NODES)) - np.asarray(a_vals))))
-    angular_err = max(a_errs) + residual
+    def angular(x: float) -> float:
+        return q_edge * (1.0 - 2.0 * x) ** 2 + q_mid * 4.0 * x * (1.0 - x)
 
-    radial_spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=100)
-    radial = integrate_adaptive(
-        lambda x: x**3 * (1.0 - x) ** 3 * float(fit(x)), 0.0, 1.0, radial_spec
-    )
-    evals += radial.evaluations
-    converged = converged and radial.converged
-    reduced = radial.value  # I = int x^3 (1-x)^3 A_ang(x) dx
-
-    # weight integral int x^3(1-x)^3 dx = 1/140 bounds the angular error's
-    # leakage into the reduced integral
-    reduced_err = radial.error_estimate + angular_err / 140.0
+    # I = int x^3 (1-x)^3 A_ang(x) dx; both weights are nonnegative, so the
+    # angular errors bound the error of I
+    reduced = (q_edge + 8.0 * q_mid) / 1260.0
+    reduced_err = err_edge / 1260.0 + 2.0 * err_mid / 315.0
 
     coefficient = reduced / (32.0 * math.pi**3)
     coefficient_err = reduced_err / (32.0 * math.pi**3)
@@ -308,17 +288,17 @@ def dce_rate_numeric(
         )
     gamma_total = coefficient * scale
 
-    xs = np.arange(1, n_spectrum + 1) / (n_spectrum + 1.0)
-    spectrum_omega = xs * params.omega_cm
-    density_reduced = xs**3 * (1.0 - xs) ** 3 * fit(xs) / (32.0 * math.pi**3)
-    spectrum_density = density_reduced * (scale / params.omega_cm)
+    xs = [i / (n_spectrum + 1) for i in range(1, n_spectrum + 1)]
+    density_scale = scale / params.omega_cm / (32.0 * math.pi**3)
 
     return EmissionResult(
         gamma_total=gamma_total,
         coefficient=coefficient,
-        spectrum_omega=spectrum_omega,
-        spectrum_density=spectrum_density,
+        spectrum_omega=tuple(x * params.omega_cm for x in xs),
+        spectrum_density=tuple(
+            x**3 * (1.0 - x) ** 3 * angular(x) * density_scale for x in xs
+        ),
         error_estimate=coefficient_err * scale,
-        evaluations=evals,
-        converged=converged,
+        evaluations=n_edge + n_mid,
+        converged=ok_edge and ok_mid,
     )

@@ -41,6 +41,7 @@ from .constants import C_LIGHT, FOUR_PI_EPS0, HBAR
 from .errors import (
     NearFieldValidityWarning,
     NegativeRadicand,
+    NonPositiveDistance,
     PoleProximity,
     ZeroImpactParameter,
 )
@@ -240,7 +241,7 @@ def sagnac_total_symmetric(
     """
     two_level_transition(species)
     if not y1 > 0.0:
-        raise ValueError(f"sagnac_total_symmetric: y1 must be > 0, got {y1!r}")
+        raise NonPositiveDistance(f"sagnac_total_symmetric: y1 must be > 0, got {y1!r}")
     ell = ell_omega(species, particle)
     base = (ell / y1) ** 6
     local = (30.0 * math.pi / 16.0) * base

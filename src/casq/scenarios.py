@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -67,6 +68,7 @@ __all__ = [
     "Report",
     "SweepRow",
     "SCENARIO_KINDS",
+    "load_scenario_data",
     "parse_scenario",
     "parse_scenario_dict",
     "scenario_to_dict",
@@ -113,15 +115,27 @@ def _check_keys(obj: dict, required: set[str], optional: set[str], ctx: str) -> 
             raise ParseError(f"{ctx}.{key}: missing required key")
 
 
+def _finite(v, where: str) -> float:
+    """A JSON number as a finite float; Python's json admits NaN and Infinity."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"{where}: expected a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:  # exact for ints too; false for NaN
+        raise ParseError(f"{where}: expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _as_vector3(v, where: str):
+    if not isinstance(v, list) or len(v) != 3:
+        raise ParseError(f"{where}: expected a list of three numbers, got {v!r}")
+    return tuple(_finite(x, where) for x in v)
+
+
 def _number(obj: dict, key: str, ctx: str, default=None) -> float:
     if key not in obj:
         if default is not None:
             return default
         raise ParseError(f"{ctx}.{key}: missing required key")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{ctx}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _finite(obj[key], f"{ctx}.{key}")
 
 
 def _vector3(obj: dict, key: str, ctx: str, default=None):
@@ -129,14 +143,7 @@ def _vector3(obj: dict, key: str, ctx: str, default=None):
         if default is not None:
             return default
         raise ParseError(f"{ctx}.{key}: missing required key")
-    v = obj[key]
-    if (
-        not isinstance(v, list)
-        or len(v) != 3
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in v)
-    ):
-        raise ParseError(f"{ctx}.{key}: expected a list of three numbers, got {v!r}")
-    return tuple(float(x) for x in v)
+    return _as_vector3(obj[key], f"{ctx}.{key}")
 
 
 def _parse_window(obj, ctx: str) -> TimeWindow:
@@ -189,9 +196,10 @@ def _parse_traj1d(obj, ctx: str):
                 not isinstance(p, list) or len(p) != 2 for p in pts
             ):
                 raise ParseError(f"{ctx}.points_t_s_z_m: expected a list of [t, z] pairs")
+            where = f"{ctx}.points_t_s_z_m"
             return SampledPolyline1D(
-                tuple(float(p[0]) for p in pts),
-                tuple(float(p[1]) for p in pts),
+                tuple(_finite(p[0], where) for p in pts),
+                tuple(_finite(p[1], where) for p in pts),
                 v_parallel=obj.get("v_parallel_m_per_s"),
             )
     except ValueError as exc:
@@ -216,9 +224,10 @@ def _parse_traj3d(obj, ctx: str):
                 not isinstance(p, list) or len(p) != 2 for p in pts
             ):
                 raise ParseError(f"{ctx}.points_t_s_r_m: expected a list of [t, [x,y,z]] pairs")
+            where = f"{ctx}.points_t_s_r_m"
             return SampledPolyline3D(
-                tuple(float(p[0]) for p in pts),
-                tuple(tuple(float(x) for x in p[1]) for p in pts),
+                tuple(_finite(p[0], where) for p in pts),
+                tuple(_as_vector3(p[1], where) for p in pts),
             )
     except ValueError as exc:
         raise ParseError(f"{ctx}: {exc}") from exc
@@ -378,16 +387,22 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
     )
 
 
+def load_scenario_data(path: str):
+    """Read a scenario file's JSON; syntax errors become :class:`ParseError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
 def parse_scenario(path: str, species_db: list[AtomSpecies] | None = None) -> Scenario:
     """Parse and validate a scenario file against the species database."""
     if species_db is None:
         species_db = resolve_species_db()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    return parse_scenario_dict(data, species_db, source=path)
+    return parse_scenario_dict(load_scenario_data(path), species_db, source=path)
 
 
 def _window_to_dict(w: TimeWindow) -> dict:
@@ -568,8 +583,8 @@ def run_scenario(sc: Scenario) -> Report:
         if closed > 0.0:
             breakdown["ratio_to_closed"] = res.gamma_total / closed
         series = {
-            "omega_rad_per_s": [float(w) for w in res.spectrum_omega],
-            "dgamma_domega": [float(s) for s in res.spectrum_density],
+            "omega_rad_per_s": list(res.spectrum_omega),
+            "dgamma_domega": list(res.spectrum_density),
         }
     return Report(
         scenario_kind=sc.kind,

@@ -194,6 +194,8 @@ def load_species_db(path: str) -> list[AtomSpecies]:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return parse_species_db(data, source=path)
 
 

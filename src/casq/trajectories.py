@@ -149,14 +149,38 @@ def _check_sampled_times(times) -> None:
             raise ValueError("sampled trajectory times must be strictly increasing")
 
 
+def _bracket(times: tuple[float, ...], t: float) -> int:
+    """Index i of the sample interval [t_i, t_i+1] holding t."""
+    if t < times[0] or t > times[-1]:
+        raise OutOfWindow(f"t = {t!r} outside sample range [{times[0]!r}, {times[-1]!r}]")
+    i = bisect_right(times, t) - 1
+    return min(max(i, 0), len(times) - 2)
+
+
+def _fd_stencil(times: tuple[float, ...], t: float) -> tuple[float, float, float]:
+    """Nodes (t_minus, t_plus) and divisor of the velocity difference at t.
+
+    Central with step dt = max(1e-6 * span, spacing / 2); one-sided with
+    step dt where a central node would leave the sample range.
+    """
+    span = times[-1] - times[0]
+    dt = max(1e-6 * span, 0.5 * (span / (len(times) - 1)))
+    if t - dt < times[0]:
+        return t, t + dt, dt
+    if t + dt > times[-1]:
+        return t - dt, t, dt
+    return t - dt, t + dt, 2.0 * dt
+
+
 @dataclass(frozen=True)
 class SampledPolyline1D:
     """Piecewise-linear z(t) through strictly increasing sample times.
 
     Velocity is a central finite difference of the interpolant with step
     max(1e-6 * span, spacing / 2), which balances truncation against
-    cancellation without per-call tuning. Evaluation outside the sample
-    range raises :class:`OutOfWindow`.
+    cancellation without per-call tuning; within one step of either end
+    the difference is one-sided, so it never leaves the samples.
+    Evaluation outside the sample range raises :class:`OutOfWindow`.
     """
 
     times: tuple[float, ...]
@@ -170,29 +194,15 @@ class SampledPolyline1D:
         if len(self.times) != len(self.values):
             raise ValueError("times and values must have equal length")
 
-    def _bracket(self, t: float) -> int:
-        if t < self.times[0] or t > self.times[-1]:
-            raise OutOfWindow(
-                f"t = {t!r} outside sample range [{self.times[0]!r}, {self.times[-1]!r}]"
-            )
-        i = bisect_right(self.times, t) - 1
-        return min(max(i, 0), len(self.times) - 2)
-
     def position(self, t: float) -> float:
-        i = self._bracket(t)
+        i = _bracket(self.times, t)
         t0, t1 = self.times[i], self.times[i + 1]
         z0, z1 = self.values[i], self.values[i + 1]
         return z0 + (z1 - z0) * (t - t0) / (t1 - t0)
 
-    @property
-    def _fd_step(self) -> float:
-        span = self.times[-1] - self.times[0]
-        spacing = span / (len(self.times) - 1)
-        return max(1e-6 * span, 0.5 * spacing)
-
     def velocity(self, t: float) -> float:
-        dt = self._fd_step
-        return (self.position(t + dt) - self.position(t - dt)) / (2.0 * dt)
+        lo, hi, width = _fd_stencil(self.times, t)
+        return (self.position(hi) - self.position(lo)) / width
 
 
 Trajectory1D = Constant1D | Linear1D | Harmonic1D | SampledPolyline1D
@@ -236,16 +246,8 @@ class SampledPolyline3D:
         if len(self.times) != len(self.points):
             raise ValueError("times and points must have equal length")
 
-    def _bracket(self, t: float) -> int:
-        if t < self.times[0] or t > self.times[-1]:
-            raise OutOfWindow(
-                f"t = {t!r} outside sample range [{self.times[0]!r}, {self.times[-1]!r}]"
-            )
-        i = bisect_right(self.times, t) - 1
-        return min(max(i, 0), len(self.times) - 2)
-
     def position(self, t: float) -> Vec3:
-        i = self._bracket(t)
+        i = _bracket(self.times, t)
         t0, t1 = self.times[i], self.times[i + 1]
         w = (t - t0) / (t1 - t0)
         p0, p1 = self.points[i], self.points[i + 1]
@@ -255,20 +257,14 @@ class SampledPolyline3D:
             p0[2] + (p1[2] - p0[2]) * w,
         )
 
-    @property
-    def _fd_step(self) -> float:
-        span = self.times[-1] - self.times[0]
-        spacing = span / (len(self.times) - 1)
-        return max(1e-6 * span, 0.5 * spacing)
-
     def velocity(self, t: float) -> Vec3:
-        dt = self._fd_step
-        pp = self.position(t + dt)
-        pm = self.position(t - dt)
+        lo, hi, width = _fd_stencil(self.times, t)
+        pp = self.position(hi)
+        pm = self.position(lo)
         return (
-            (pp[0] - pm[0]) / (2.0 * dt),
-            (pp[1] - pm[1]) / (2.0 * dt),
-            (pp[2] - pm[2]) / (2.0 * dt),
+            (pp[0] - pm[0]) / width,
+            (pp[1] - pm[1]) / width,
+            (pp[2] - pm[2]) / width,
         )
 
 
@@ -440,5 +436,6 @@ def validate_positive_over_window(
     if not window.improper:
         t0, t1 = window.t_start, window.t_end
         for i in range(samples + 1):
-            t = t0 + (t1 - t0) * i / samples
+            # rounding can carry the last sample one ulp past t1
+            t = min(t0 + (t1 - t0) * i / samples, t1)
             check(traj.position(t), f"t = {t!r}")

@@ -1,8 +1,7 @@
 """Small 3-vector helpers on plain float tuples.
 
-Quadrature integrands evaluate these millions of times; numpy's per-call
-overhead on length-3 arrays dominates there, so the hot paths use plain
-tuples. Anything array-shaped (spectra, sweep tables) still uses numpy.
+Quadrature integrands evaluate these millions of times; plain tuples keep
+the per-call cost low and the package free of array libraries.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ def cross3(a: Vec3, b: Vec3) -> Vec3:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def add3(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def sub3(a: Vec3, b: Vec3) -> Vec3:

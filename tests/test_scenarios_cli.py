@@ -9,6 +9,7 @@ from importlib.resources import files
 
 import pytest
 
+from casq.constants import EPSILON_0, HBAR
 from casq.errors import BadParameterPath, ParseError, UnitMismatch, UnknownSpecies
 from casq.sagnac import SpinningParticle, ell_omega
 from casq.scenarios import (
@@ -19,7 +20,7 @@ from casq.scenarios import (
     sweep,
     to_canonical_json,
 )
-from casq.species import default_species_db
+from casq.species import default_species_db, mean_square_dipole
 
 DB = default_species_db()
 
@@ -109,6 +110,34 @@ def test_unknown_species():
     data = minimal_quasi_static()
     data["species"] = "unobtainium"
     with pytest.raises(UnknownSpecies):
+        parse_scenario_dict(data, DB)
+
+
+def _sampled_sagnac(points):
+    return {
+        "kind": "Sagnac",
+        "species": "two-level-demo",
+        "particle": dict(PARTICLE_JSON),
+        "trajectory": {"kind": "sampled", "points_t_s_r_m": points},
+        "window": {"t_start_s": 0.0, "t_end_s": 1e-9},
+    }
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**straightline_scenario(3e-7), "y_m": math.nan},
+        {**straightline_scenario(3e-7),
+         "particle": {**PARTICLE_JSON, "omega_rad_per_s": [0.0, 0.0, math.inf]}},
+        {**minimal_quasi_static(),
+         "path": {"kind": "sampled", "points_t_s_z_m": [[0.0, 1e-6], [math.inf, 1e-6]]}},
+        _sampled_sagnac([[0.0, [0.0, 3e-7, 0.0]], [1e-9, [math.nan, 3e-7, 0.0]]]),
+        _sampled_sagnac([[0.0, [0.0, 3e-7]], [1e-9, [1e-7, 3e-7]]]),
+    ],
+    ids=["number", "vector", "sampled-1d", "sampled-3d", "sampled-3d-length"],
+)
+def test_non_finite_and_malformed_numbers_rejected(data):
+    with pytest.raises(ParseError):
         parse_scenario_dict(data, DB)
 
 
@@ -255,6 +284,14 @@ def test_cli_parse_error_exit_2(tmp_path):
     assert "error" in proc.stderr
 
 
+def test_cli_non_utf8_file_exit_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"kind": "QuasiStatic", "species": "two-level-demo\xff"}')
+    proc = _casq("run", str(bad))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_validation_error_exit_2(tmp_path):
     data = minimal_quasi_static()
     data["species"] = "unobtainium"
@@ -340,3 +377,87 @@ def test_cli_sweep_log_spacing(tmp_path):
     lines = out.read_text().strip().split("\n")[1:]
     values = [float(line.split(",")[3]) for line in lines]
     assert values == pytest.approx([1e-9, 1e-8, 1e-7], rel=1e-12)
+
+
+def _write_json(tmp_path, data):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(data))
+    return str(p)
+
+
+def test_cli_symmetric_nonpositive_y1_exit_2(tmp_path):
+    data = json.loads(files("casq.data").joinpath("scenarios/sagnac_symmetric.json").read_text())
+    data["y1_m"] = -1e-7
+    proc = _casq("run", _write_json(tmp_path, data))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_sweep_records_nonpositive_y1():
+    proc = _casq("sweep", _scenario_path("sagnac_symmetric.json"),
+                 "--param", "y1_m", "--values=1e-7,-1e-7,2e-7")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.strip().split("\n")[1:]
+    assert len(rows) == 3
+    failed = [row for row in rows if "NonPositiveDistance" in row]
+    assert len(failed) == 1 and ",-9.9999999999999995e-08," in failed[0]
+
+
+def test_cli_non_finite_number_exit_2(tmp_path):
+    proc = _casq("run", _write_json(tmp_path, straightline_scenario(math.nan)))
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr
+
+
+def test_cli_sampled_window_equal_to_samples(tmp_path):
+    # the window ends exactly on the last sample, so the positivity sweep
+    # must not round past it
+    points = [[0.0, 1e-6], [1e-9, 1.2e-6], [2e-9, 1e-6]]
+    data = {
+        "kind": "QuasiStatic",
+        "species": "two-level-demo",
+        "path": {"kind": "sampled", "points_t_s_z_m": points},
+        "window": {"t_start_s": 0.0, "t_end_s": 2e-9},
+    }
+    proc = _casq("run", _write_json(tmp_path, data))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    # int dt / z^3 over a linear segment z = z0 + s t is (1/2s)(1/z0^2 - 1/z1^2)
+    species = next(s for s in DB if s.name == "two-level-demo")
+    c3 = mean_square_dipole(species) / (48.0 * math.pi * EPSILON_0)
+    exact = c3 / HBAR * sum(
+        (1.0 / z0**2 - 1.0 / z1**2) * (t1 - t0) / (2.0 * (z1 - z0))
+        for (t0, z0), (t1, z1) in zip(points, points[1:])
+    )
+    assert abs(payload["value"] - exact) <= payload["error_estimate"]
+
+
+def test_cli_sampled_velocity_stays_inside_samples(tmp_path):
+    # quadrature nodes within half a sample spacing of either end
+    data = {
+        "kind": "Nonlocal",
+        "species": "two-level-demo",
+        "paths": [
+            {"kind": "sampled",
+             "points_t_s_z_m": [[0.0, 1e-6], [5e-11, 1.1e-6], [1e-10, 1e-6]]},
+            {"kind": "constant", "h_m": 1e-6},
+        ],
+        "window": {"t_start_s": 0.0, "t_end_s": 1e-10},
+    }
+    proc = _casq("run", _write_json(tmp_path, data))
+    assert proc.returncode == 0, proc.stderr
+    # the first path returns to its start: the exact phase is zero
+    payload = json.loads(proc.stdout)
+    assert abs(payload["value"]) <= payload["error_estimate"]
+
+
+def test_cli_import_loads_only_stdlib():
+    # multiprocessing registers __main__ again as __mp_main__
+    code = (
+        "import sys; before = set(sys.modules); import casq.cli; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'casq', '__mp_main__'}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -176,3 +176,10 @@ def test_default_db_and_env_resolution(tmp_path, monkeypatch):
     assert [s.name for s in resolve_species_db()] == ["envy"]
     monkeypatch.delenv("CASQ_SPECIES_DB")
     assert resolve_species_db()[0].name == "two-level-demo"
+
+
+def test_non_utf8_file_is_parse_error(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"species": [{"name": "caf\xe9"}]}')
+    with pytest.raises(ParseError):
+        load_species_db(str(path))
