@@ -36,7 +36,6 @@ from .quadrature import (
     integrate_iterated,
     line_integral,
 )
-from .results import PhaseResult
 from .sagnac import (
     SpinningParticle,
     alpha_s,

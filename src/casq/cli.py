@@ -6,8 +6,8 @@
     casq species list | show NAME
     casq selftest
 
-Exit codes: 0 success, 2 parse/validation errors, 3 numerical
-non-convergence, 4 I/O errors. The species database resolves from
+Exit codes: 0 success, 2 parse/validation errors, 3 numerical failure
+(non-convergence, a non-finite result or an overflow), 4 I/O errors. The species database resolves from
 --species-db, then $CASQ_SPECIES_DB, then the bundled demo database.
 """
 

@@ -4,8 +4,9 @@ Two error families matter for the CLI exit-code contract:
 
 * ``ValidationError`` and subclasses: bad inputs, schema violations and
   domain-guard trips. Mapped to exit code 2.
-* ``NumericalError`` and subclasses: the quadrature engine could not
-  deliver a trustworthy number. Mapped to exit code 3.
+* ``NumericalError`` and subclasses: a computation could not deliver a
+  trustworthy number (non-convergence, a non-finite result or an
+  overflow). Mapped to exit code 3.
 
 I/O failures are plain ``OSError`` (exit code 4).
 """

@@ -34,8 +34,13 @@ from .errors import (
     NonPositiveDistance,
     ParallelVelocityMismatchWarning,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_adaptive, integrate_improper
-from .results import PhaseResult
+from .quadrature import (
+    DEFAULT_SPEC,
+    IntegralResult,
+    QuadratureSpec,
+    integrate_adaptive,
+    integrate_improper,
+)
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
 from .trajectories import TimeWindow, light_delay, validate_positive_over_window
 
@@ -111,7 +116,7 @@ def quasi_static_phase(
     scenario: MirrorScenario,
     path_index: int = 0,
     spec: QuadratureSpec | None = None,
-) -> PhaseResult:
+) -> IntegralResult:
     """phi_qs = -(1/hbar) int U(z(t)) dt along one path."""
     spec = spec or DEFAULT_SPEC
     traj = scenario.paths[path_index]
@@ -122,13 +127,33 @@ def quasi_static_phase(
         return c3 / (HBAR * z**3)  # = -U/hbar
 
     res = _integrate_window(integrand, scenario.window, spec)
-    return PhaseResult(
+    return IntegralResult(
         value=res.value,
         error_estimate=res.error_estimate,
         evaluations=res.evaluations,
         converged=res.converged,
         breakdown={"quasi_static": res.value},
     )
+
+
+def _delay_average(c3: float, traj, t: float, z_min: float, spec: QuadratureSpec):
+    """U(t), its average Ubar(t) over [t, t + tau(t)] and the evaluations
+    the average took; Ubar is None when the delay window is below float
+    resolution at t."""
+
+    def u(tp: float) -> float:
+        z = _guarded_z(traj, tp, z_min)
+        return -c3 / z**3
+
+    tau = light_delay(_guarded_z(traj, t, z_min))
+    # normalize by the realized float width of [t, t + tau]: dividing by the
+    # exact tau instead would inject a spurious eps*t/tau relative offset
+    t_hi = t + tau
+    tau_eff = t_hi - t
+    if tau_eff <= 0.0:
+        return u(t), None, 0
+    avg = integrate_adaptive(u, t, t_hi, spec)
+    return u(t), avg.value / tau_eff, avg.evaluations
 
 
 def coarse_grained_potential(
@@ -144,23 +169,8 @@ def coarse_grained_potential(
     cannot cover t + tau raises :class:`OutOfWindow` rather than clamping,
     because clamping would bias the motional phase near window edges.
     """
-    spec = spec or _INNER_SPEC
-    z_t = _guarded_z(traj, t, z_min)
-    tau = light_delay(z_t)
-    c3 = _c3(species)
-
-    def u(tp: float) -> float:
-        z = _guarded_z(traj, tp, z_min)
-        return -c3 / z**3
-
-    # normalize by the realized float width of [t, t + tau]: dividing by the
-    # exact tau instead would inject a spurious eps*t/tau relative offset
-    t_hi = t + tau
-    tau_eff = t_hi - t
-    if tau_eff <= 0.0:
-        return u(t)
-    res = integrate_adaptive(u, t, t_hi, spec)
-    return res.value / tau_eff
+    u_t, ubar, _ = _delay_average(_c3(species), traj, t, z_min, spec or _INNER_SPEC)
+    return u_t if ubar is None else ubar
 
 
 def motional_phase_mirror(
@@ -168,7 +178,7 @@ def motional_phase_mirror(
     path_index: int = 0,
     spec: QuadratureSpec | None = None,
     inner_spec: QuadratureSpec | None = None,
-) -> PhaseResult:
+) -> IntegralResult:
     """phi_mot = -(1/hbar) int (Ubar - U) dt along one path.
 
     The breakdown also reports the first-order-in-velocity local form
@@ -183,21 +193,11 @@ def motional_phase_mirror(
     inner_evals = [0]
 
     def integrand(t: float) -> float:
-        z_t = _guarded_z(traj, t, scenario.z_min)
-        tau = light_delay(z_t)
-
-        def u(tp: float) -> float:
-            z = _guarded_z(traj, tp, scenario.z_min)
-            return -c3 / z**3
-
-        t_hi = t + tau
-        tau_eff = t_hi - t  # realized float width, see coarse_grained_potential
-        if tau_eff <= 0.0:
+        u_t, ubar, evals = _delay_average(c3, traj, t, scenario.z_min, inner)
+        inner_evals[0] += evals
+        if ubar is None:
             return 0.0
-        avg = integrate_adaptive(u, t, t_hi, inner)
-        inner_evals[0] += avg.evaluations
-        ubar = avg.value / tau_eff
-        return -(ubar - u(t)) / HBAR
+        return -(ubar - u_t) / HBAR
 
     res = _integrate_window(integrand, scenario.window, spec)
 
@@ -210,7 +210,7 @@ def motional_phase_mirror(
     breakdown = {"motional": res.value, "leading_order_local": lead.value}
     if lead.value != 0.0:
         breakdown["ratio_to_leading"] = res.value / lead.value
-    return PhaseResult(
+    return IntegralResult(
         value=res.value,
         error_estimate=res.error_estimate,
         evaluations=res.evaluations + inner_evals[0] + lead.evaluations,
@@ -222,7 +222,7 @@ def motional_phase_mirror(
 def nonlocal_phase(
     scenario: MirrorScenario,
     spec: QuadratureSpec | None = None,
-) -> PhaseResult:
+) -> IntegralResult:
     """Two-path phase phi_12 for a two-level atom near a perfect mirror.
 
     phi_12 = [3 w0 alpha(0) / (4 pi eps0 c)] int (zdot1 - zdot2)/(z1+z2)^3 dt.
@@ -250,7 +250,7 @@ def nonlocal_phase(
         return k * (p1.velocity(t) - p2.velocity(t)) / (z1 + z2) ** 3
 
     res = _integrate_window(integrand, scenario.window, spec)
-    return PhaseResult(
+    return IntegralResult(
         value=res.value,
         error_estimate=res.error_estimate,
         evaluations=res.evaluations,
@@ -262,7 +262,7 @@ def nonlocal_phase(
 def total_phase_difference(
     scenario: MirrorScenario,
     spec: QuadratureSpec | None = None,
-) -> PhaseResult:
+) -> IntegralResult:
     """Total two-path observable: (phi1_qs + phi1_mot) - (phi2_qs + phi2_mot) + phi_12."""
     spec = spec or DEFAULT_SPEC
     if len(scenario.paths) != 2:
@@ -274,7 +274,7 @@ def total_phase_difference(
     nl = nonlocal_phase(scenario, spec)
     parts = (qs1, qs2, mot1, mot2, nl)
     value = (qs1.value + mot1.value) - (qs2.value + mot2.value) + nl.value
-    return PhaseResult(
+    return IntegralResult(
         value=value,
         error_estimate=math.fsum(p.error_estimate for p in parts),
         evaluations=sum(p.evaluations for p in parts),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .errors import CollisionGuard, NonConvergent, NonFiniteEvaluation
@@ -27,6 +27,7 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "DEFAULT_SPEC",
+    "improper_time_scale",
     "integrate_adaptive",
     "integrate_improper",
     "integrate_iterated",
@@ -94,10 +95,18 @@ DEFAULT_SPEC = QuadratureSpec()
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """An integral, or a phase or rate built from integrals, with its error budget.
+
+    ``breakdown`` carries the named per-term contributions (all in rad
+    unless the key says otherwise) so that composite phases stay auditable;
+    closed forms report no evaluations and are converged by construction.
+    """
+
     value: float
     error_estimate: float
-    evaluations: int
-    converged: bool
+    evaluations: int = 0
+    converged: bool = True
+    breakdown: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -287,12 +296,12 @@ def line_integral(
         return dot3(traj.velocity(t), field(r))
 
     if window.improper:
-        center, scale = _improper_time_scale(traj)
+        center, scale = improper_time_scale(traj)
         return integrate_improper(integrand, spec, center=center, scale=scale)
     return integrate_adaptive(integrand, window.t_start, window.t_end, spec)
 
 
-def _improper_time_scale(traj) -> tuple[float, float]:
+def improper_time_scale(traj) -> tuple[float, float]:
     """Characteristic (center, width) in time for an all-time line integral.
 
     Fields here decay in |r|, so the integrand lives around the closest

@@ -45,8 +45,13 @@ from .errors import (
     PoleProximity,
     ZeroImpactParameter,
 )
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, _improper_time_scale, line_integral
-from .results import PhaseResult
+from .quadrature import (
+    DEFAULT_SPEC,
+    IntegralResult,
+    QuadratureSpec,
+    improper_time_scale,
+    line_integral,
+)
 from .species import AtomSpecies, two_level_transition
 from .trajectories import TimeWindow
 from .vec3 import Vec3, cross3, norm3
@@ -156,7 +161,7 @@ def _closest_approach(traj, window: TimeWindow, samples: int = 256) -> float:
         # sweep the tangent-mapped axis with the same centering and time
         # scale the improper line integral uses, so the sweep actually
         # resolves the region where the path passes the particle
-        center, scale = _improper_time_scale(traj)
+        center, scale = improper_time_scale(traj)
         ts = [
             center + scale * math.tan(-0.5 * math.pi + math.pi * (i + 0.5) / samples)
             for i in range(samples)
@@ -175,7 +180,7 @@ def sagnac_phase(
     window: TimeWindow,
     spec: QuadratureSpec | None = None,
     near_field_warning: bool = True,
-) -> PhaseResult:
+) -> IntegralResult:
     """Line integral of (Omega x r) / r^8 along the path, times the prefactor.
 
     Improper windows are admitted because the integrand decays like r^-7
@@ -205,7 +210,7 @@ def sagnac_phase(
         return (c[0] * w, c[1] * w, c[2] * w)
 
     res = line_integral(field, traj, window, spec, r_min_guard=particle.radius)
-    return PhaseResult(
+    return IntegralResult(
         value=pref * res.value,
         error_estimate=abs(pref) * res.error_estimate,
         evaluations=res.evaluations,
@@ -231,7 +236,7 @@ def sagnac_phase_straightline(
 
 def sagnac_total_symmetric(
     species: AtomSpecies, particle: SpinningParticle, y1: float
-) -> PhaseResult:
+) -> IntegralResult:
     """Two-path total for symmetric straight paths y2 = -y1 (two-level atom).
 
     Delta phi = (21 pi / 16) (ell / y1)^6. The local difference
@@ -246,7 +251,7 @@ def sagnac_total_symmetric(
     base = (ell / y1) ** 6
     local = (30.0 * math.pi / 16.0) * base
     total = (21.0 * math.pi / 16.0) * base
-    return PhaseResult(
+    return IntegralResult(
         value=total,
         error_estimate=0.0,
         evaluations=0,

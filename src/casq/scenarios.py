@@ -6,6 +6,10 @@ convention exists because silent unit errors are the dominant failure mode
 in mixed SI computations, so a key with the right stem but the wrong
 suffix is rejected with :class:`UnitMismatch` rather than guessed at.
 
+Each scenario kind is one entry of ``_KINDS`` (its JSON keys, the operation
+it names and how it runs), and each JSON object one field list that
+``_read`` parses and ``_write`` turns back into canonical form.
+
 Reports are deterministic: floats are emitted with 17 significant digits,
 keys are sorted, and wall time is kept off the serialized form so repeated
 runs of one scenario file are byte-identical.
@@ -32,9 +36,12 @@ from .dce import (
 from .errors import (
     BadParameterPath,
     CasqError,
+    NonConvergent,
+    NonFiniteEvaluation,
     ParseError,
     UnitMismatch,
     UnknownSpecies,
+    ValidationError,
 )
 from .mirror_phases import (
     MirrorScenario,
@@ -44,7 +51,7 @@ from .mirror_phases import (
     quasi_static_phase,
     total_phase_difference,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import IntegralResult, QuadratureSpec
 from .sagnac import (
     SpinningParticle,
     ell_omega,
@@ -79,20 +86,8 @@ __all__ = [
     "to_canonical_json",
 ]
 
-SCENARIO_KINDS = (
-    "QuasiStatic",
-    "MotionalMirror",
-    "Nonlocal",
-    "TotalMirror",
-    "Sagnac",
-    "SagnacStraightLine",
-    "SagnacSymmetric",
-    "DceClosed",
-    "DceNumeric",
-)
 
-
-# -- schema helpers ------------------------------------------------------------
+# -- object schemas ------------------------------------------------------------
 
 def _stem(key: str) -> str:
     return key.split("_", 1)[0]
@@ -124,151 +119,191 @@ def _finite(v, where: str) -> float:
     return float(v)
 
 
-def _as_vector3(v, where: str):
+def _count(v, where: str) -> int:
+    return int(_finite(v, where))
+
+
+def _vector3(v, where: str):
     if not isinstance(v, list) or len(v) != 3:
         raise ParseError(f"{where}: expected a list of three numbers, got {v!r}")
     return tuple(_finite(x, where) for x in v)
 
 
-def _number(obj: dict, key: str, ctx: str, default=None) -> float:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ParseError(f"{ctx}.{key}: missing required key")
-    return _finite(obj[key], f"{ctx}.{key}")
+def _samples(read_value, shape: str):
+    """Reader of a sampled path's [t, value] list, returned as two columns."""
+
+    def read(v, where: str):
+        if not isinstance(v, list) or any(not isinstance(p, list) or len(p) != 2 for p in v):
+            raise ParseError(f"{where}: expected a list of {shape} pairs")
+        return tuple(_finite(p[0], where) for p in v), tuple(read_value(p[1], where) for p in v)
+
+    return read
 
 
-def _vector3(obj: dict, key: str, ctx: str, default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ParseError(f"{ctx}.{key}: missing required key")
-    return _as_vector3(obj[key], f"{ctx}.{key}")
+# A JSON object's schema is one field list of (JSON key, attribute and
+# constructor keyword, reader, required). An absent optional key takes the
+# constructor's default. A field whose attribute is a tuple holds the columns
+# of a list of rows (a sampled path's times and values).
+
+_H = ("h_m", "h", _finite, True)
+_V_PARALLEL = ("v_parallel_m_per_s", "v_parallel", _finite, False)
+
+#: Path "kind" tag -> (class, fields), for 1D mirror paths and 3D trajectories.
+_PATHS_1D = {
+    "constant": (Constant1D, (_H, _V_PARALLEL)),
+    "linear": (Linear1D, (_H, ("v_m_per_s", "v", _finite, True), _V_PARALLEL)),
+    "harmonic": (Harmonic1D, (
+        _H,
+        ("amplitude_m", "amplitude", _finite, True),
+        ("omega_cm_rad_per_s", "omega_cm", _finite, True),
+        ("phase0_rad", "phase0", _finite, False),
+        _V_PARALLEL,
+    )),
+    "sampled": (SampledPolyline1D, (
+        ("points_t_s_z_m", ("times", "values"), _samples(_finite, "[t, z]"), True),
+        _V_PARALLEL,
+    )),
+}
+_PATHS_3D = {
+    "straight_line": (StraightLine3D, (
+        ("r0_m", "r0", _vector3, True),
+        ("v_m_per_s", "v", _vector3, True),
+    )),
+    "sampled": (SampledPolyline3D, (
+        ("points_t_s_r_m", ("times", "points"), _samples(_vector3, "[t, [x,y,z]]"), True),
+    )),
+}
+_PATH_TAGS = {cls: (tag, fields) for table in (_PATHS_1D, _PATHS_3D)
+              for tag, (cls, fields) in table.items()}
+
+_WINDOW = (("t_start_s", "t_start", _finite, True), ("t_end_s", "t_end", _finite, True))
+_PARTICLE = (
+    ("alpha0_F_m2", "alpha0", _finite, True),
+    ("omega_s_rad_per_s", "omega_s", _finite, True),
+    ("omega_rad_per_s", "omega", _vector3, True),
+    ("gamma_rad_per_s", "gamma", _finite, False),
+    ("radius_m", "radius", _finite, False),
+)
+_OSCILLATION = (
+    ("r_max_m", "r_max", _finite, True),
+    ("omega_cm_rad_per_s", "omega_cm", _finite, True),
+    ("direction", "direction", _vector3, False),
+)
+_QUADRATURE = (
+    ("rel_tol", "rel_tol", _finite, False),
+    ("abs_tol", "abs_tol", _finite, False),
+    ("max_subdivisions", "max_subdivisions", _count, False),
+)
 
 
-def _parse_window(obj, ctx: str) -> TimeWindow:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{ctx}: expected an object")
-    if obj.get("improper"):
-        _check_keys(obj, set(), {"improper"}, ctx)
-        return TimeWindow.all_time()
-    _check_keys(obj, {"t_start_s", "t_end_s"}, {"improper"}, ctx)
-    try:
-        return TimeWindow(_number(obj, "t_start_s", ctx), _number(obj, "t_end_s", ctx))
-    except ValueError as exc:
-        raise ParseError(f"{ctx}: {exc}") from exc
+def _read(obj, fields, ctx: str, cls, known=(), **extra):
+    """Build ``cls`` from the JSON object ``obj`` by its field list.
 
-
-def _parse_traj1d(obj, ctx: str):
-    if not isinstance(obj, dict):
-        raise ParseError(f"{ctx}: expected an object")
-    kind = obj.get("kind")
-    meta = {"v_parallel_m_per_s"}
-    try:
-        if kind == "constant":
-            _check_keys(obj, {"kind", "h_m"}, meta, ctx)
-            return Constant1D(_number(obj, "h_m", ctx), v_parallel=obj.get("v_parallel_m_per_s"))
-        if kind == "linear":
-            _check_keys(obj, {"kind", "h_m", "v_m_per_s"}, meta, ctx)
-            return Linear1D(
-                _number(obj, "h_m", ctx),
-                _number(obj, "v_m_per_s", ctx),
-                v_parallel=obj.get("v_parallel_m_per_s"),
-            )
-        if kind == "harmonic":
-            _check_keys(
-                obj,
-                {"kind", "h_m", "amplitude_m", "omega_cm_rad_per_s"},
-                meta | {"phase0_rad"},
-                ctx,
-            )
-            return Harmonic1D(
-                _number(obj, "h_m", ctx),
-                _number(obj, "amplitude_m", ctx),
-                _number(obj, "omega_cm_rad_per_s", ctx),
-                _number(obj, "phase0_rad", ctx, default=0.0),
-                v_parallel=obj.get("v_parallel_m_per_s"),
-            )
-        if kind == "sampled":
-            _check_keys(obj, {"kind", "points_t_s_z_m"}, meta, ctx)
-            pts = obj["points_t_s_z_m"]
-            if not isinstance(pts, list) or any(
-                not isinstance(p, list) or len(p) != 2 for p in pts
-            ):
-                raise ParseError(f"{ctx}.points_t_s_z_m: expected a list of [t, z] pairs")
-            where = f"{ctx}.points_t_s_z_m"
-            return SampledPolyline1D(
-                tuple(_finite(p[0], where) for p in pts),
-                tuple(_finite(p[1], where) for p in pts),
-                v_parallel=obj.get("v_parallel_m_per_s"),
-            )
-    except ValueError as exc:
-        raise ParseError(f"{ctx}: {exc}") from exc
-    raise ParseError(
-        f"{ctx}.kind: expected one of constant/linear/harmonic/sampled, got {kind!r}"
-    )
-
-
-def _parse_traj3d(obj, ctx: str):
-    if not isinstance(obj, dict):
-        raise ParseError(f"{ctx}: expected an object")
-    kind = obj.get("kind")
-    try:
-        if kind == "straight_line":
-            _check_keys(obj, {"kind", "r0_m", "v_m_per_s"}, set(), ctx)
-            return StraightLine3D(_vector3(obj, "r0_m", ctx), _vector3(obj, "v_m_per_s", ctx))
-        if kind == "sampled":
-            _check_keys(obj, {"kind", "points_t_s_r_m"}, set(), ctx)
-            pts = obj["points_t_s_r_m"]
-            if not isinstance(pts, list) or any(
-                not isinstance(p, list) or len(p) != 2 for p in pts
-            ):
-                raise ParseError(f"{ctx}.points_t_s_r_m: expected a list of [t, [x,y,z]] pairs")
-            where = f"{ctx}.points_t_s_r_m"
-            return SampledPolyline3D(
-                tuple(_finite(p[0], where) for p in pts),
-                tuple(_as_vector3(p[1], where) for p in pts),
-            )
-    except ValueError as exc:
-        raise ParseError(f"{ctx}: {exc}") from exc
-    raise ParseError(f"{ctx}.kind: expected straight_line or sampled, got {kind!r}")
-
-
-def _parse_particle(obj, ctx: str) -> SpinningParticle:
+    ``known`` names further keys the caller reads itself; ``extra`` are
+    constructor arguments that do not come from the object.
+    """
     if not isinstance(obj, dict):
         raise ParseError(f"{ctx}: expected an object")
     _check_keys(
         obj,
-        {"alpha0_F_m2", "omega_s_rad_per_s", "omega_rad_per_s"},
-        {"gamma_rad_per_s", "radius_m"},
+        {key for key, _, _, required in fields if required},
+        {key for key, _, _, required in fields if not required} | set(known),
         ctx,
     )
+    kwargs = dict(extra)
     try:
-        return SpinningParticle(
-            alpha0=_number(obj, "alpha0_F_m2", ctx),
-            omega_s=_number(obj, "omega_s_rad_per_s", ctx),
-            omega=_vector3(obj, "omega_rad_per_s", ctx),
-            gamma=_number(obj, "gamma_rad_per_s", ctx, default=0.0),
-            radius=_number(obj, "radius_m", ctx, default=0.0),
-        )
+        for key, attr, reader, _ in fields:
+            if key not in obj:
+                continue
+            value = reader(obj[key], f"{ctx}.{key}")
+            if isinstance(attr, tuple):
+                kwargs.update(zip(attr, value))
+            else:
+                kwargs[attr] = value
+        return cls(**kwargs)
     except ValueError as exc:
         raise ParseError(f"{ctx}: {exc}") from exc
 
 
-def _parse_quadrature(obj, ctx: str) -> QuadratureSpec | None:
-    if obj is None:
-        return None
+def _plain(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _write(obj, fields) -> dict:
+    """Canonical JSON form of ``obj`` by its field list; None is left out."""
+    out = {}
+    for key, attr, _, _ in fields:
+        if isinstance(attr, tuple):
+            out[key] = [[t, _plain(v)] for t, v in zip(*(getattr(obj, a) for a in attr))]
+        elif getattr(obj, attr) is not None:
+            out[key] = _plain(getattr(obj, attr))
+    return out
+
+
+def _read_path(obj, ctx: str, table: dict):
     if not isinstance(obj, dict):
         raise ParseError(f"{ctx}: expected an object")
-    _check_keys(obj, set(), {"rel_tol", "abs_tol", "max_subdivisions"}, ctx)
-    try:
-        return QuadratureSpec(
-            rel_tol=_number(obj, "rel_tol", ctx, default=1e-10),
-            abs_tol=_number(obj, "abs_tol", ctx, default=1e-300),
-            max_subdivisions=int(_number(obj, "max_subdivisions", ctx, default=2000)),
-        )
-    except ValueError as exc:
-        raise ParseError(f"{ctx}: {exc}") from exc
+    tag = obj.get("kind")
+    if not isinstance(tag, str) or tag not in table:
+        raise ParseError(f"{ctx}.kind: expected one of {'/'.join(table)}, got {tag!r}")
+    cls, fields = table[tag]
+    return _read(obj, fields, ctx, cls, known=("kind",))
+
+
+def _write_path(path) -> dict:
+    tag, fields = _PATH_TAGS[type(path)]
+    return {"kind": tag, **_write(path, fields)}
+
+
+def _read_two_paths(v, where: str) -> tuple:
+    if not isinstance(v, list) or len(v) != 2:
+        raise ParseError(f"{where}: expected a list of exactly two paths")
+    return tuple(_read_path(p, f"{where}[{i}]", _PATHS_1D) for i, p in enumerate(v))
+
+
+def _read_window(obj, ctx: str) -> TimeWindow:
+    if isinstance(obj, dict) and obj.get("improper"):
+        _check_keys(obj, set(), {"improper"}, ctx)
+        return TimeWindow.all_time()
+    return _read(obj, _WINDOW, ctx, TimeWindow, known=("improper",))
+
+
+def _n_spectrum(v, where: str) -> int:
+    n = _count(v, where)
+    if n < 1:
+        raise ParseError(f"{where}: must be >= 1")
+    return n
+
+
+def _same(value):
+    return value
+
+
+#: Scenario key -> (Scenario attribute, reader(value, where, species), writer).
+#: Keys with a default in :class:`Scenario` are optional.
+_FIELDS = {
+    "path": ("paths", lambda v, where, _: (_read_path(v, where, _PATHS_1D),),
+             lambda paths: _write_path(paths[0])),
+    "paths": ("paths", lambda v, where, _: _read_two_paths(v, where),
+              lambda paths: [_write_path(p) for p in paths]),
+    "window": ("window", lambda v, where, _: _read_window(v, where),
+               lambda w: {"improper": True} if w.improper else _write(w, _WINDOW)),
+    "z_min_m": ("z_min", lambda v, where, _: _finite(v, where), _same),
+    "particle": ("particle", lambda v, where, _: _read(v, _PARTICLE, where, SpinningParticle),
+                 lambda p: _write(p, _PARTICLE)),
+    "trajectory": ("traj3d", lambda v, where, _: _read_path(v, where, _PATHS_3D), _write_path),
+    "y_m": ("y_m", lambda v, where, _: _finite(v, where), _same),
+    "y1_m": ("y1_m", lambda v, where, _: _finite(v, where), _same),
+    "oscillation": ("oscillation",
+                    lambda v, where, species: _read(v, _OSCILLATION, where, OscillationParams,
+                                                    alpha0=alpha_static(species)),
+                    lambda o: _write(o, _OSCILLATION)),
+    "n_spectrum": ("n_spectrum", lambda v, where, _: _n_spectrum(v, where), _same),
+    "quadrature": ("quadrature",
+                   lambda v, where, _: None if v is None else _read(v, _QUADRATURE, where, QuadratureSpec),
+                   lambda q: _write(q, _QUADRATURE)),
+}
+_OPTIONAL = {"z_min_m", "n_spectrum", "quadrature"}
 
 
 @dataclass(frozen=True)
@@ -289,6 +324,71 @@ class Scenario:
     quadrature: QuadratureSpec | None = None
 
 
+# -- kinds ---------------------------------------------------------------------
+# Each run reaches its compute function through this module's globals at call
+# time, so the function can be replaced (wrapped) on the module.
+
+def _mirror(sc: Scenario) -> MirrorScenario:
+    return MirrorScenario(sc.species, sc.paths, sc.window, z_min=sc.z_min)
+
+
+def _sagnac_straightline(sc: Scenario):
+    value = sagnac_phase_straightline(sc.species, sc.particle, sc.y_m)
+    breakdown = {"ell_omega_m": ell_omega(sc.species, sc.particle)}
+    return IntegralResult(value, 0.0, breakdown=breakdown), None
+
+
+def _dce_closed(sc: Scenario):
+    breakdown = {"coefficient": CLOSED_FORM_COEFFICIENT}
+    return IntegralResult(dce_rate_closed(sc.oscillation), 0.0, breakdown=breakdown), None
+
+
+def _dce_numeric(sc: Scenario):
+    res = dce_rate_numeric(sc.oscillation, sc.quadrature, n_spectrum=sc.n_spectrum)
+    closed = dce_rate_closed(sc.oscillation)
+    breakdown = {
+        "coefficient": res.coefficient,
+        "closed_form_coefficient": CLOSED_FORM_COEFFICIENT,
+        "closed_form_rate_per_s": closed,
+    }
+    if closed > 0.0:
+        breakdown["ratio_to_closed"] = res.gamma_total / closed
+    series = {
+        "omega_rad_per_s": list(res.spectrum_omega),
+        "dgamma_domega": list(res.spectrum_density),
+    }
+    result = IntegralResult(
+        res.gamma_total, res.error_estimate, res.evaluations, res.converged, breakdown
+    )
+    return result, series
+
+
+_MIRROR_1 = ("path", "window", "z_min_m")
+_MIRROR_2 = ("paths", "window", "z_min_m")
+
+#: Scenario kind -> (JSON keys, operation name, run(scenario) -> (result, series)).
+_KINDS = {
+    "QuasiStatic": (_MIRROR_1, "mirror_phases.quasi_static_phase",
+                    lambda sc: (quasi_static_phase(_mirror(sc), 0, sc.quadrature), None)),
+    "MotionalMirror": (_MIRROR_1, "mirror_phases.motional_phase_mirror",
+                       lambda sc: (motional_phase_mirror(_mirror(sc), 0, sc.quadrature), None)),
+    "Nonlocal": (_MIRROR_2, "mirror_phases.nonlocal_phase",
+                 lambda sc: (nonlocal_phase(_mirror(sc), sc.quadrature), None)),
+    "TotalMirror": (_MIRROR_2, "mirror_phases.total_phase_difference",
+                    lambda sc: (total_phase_difference(_mirror(sc), sc.quadrature), None)),
+    "Sagnac": (("particle", "trajectory", "window"), "sagnac.sagnac_phase",
+               lambda sc: (sagnac_phase(sc.species, sc.particle, sc.traj3d, sc.window,
+                                        sc.quadrature), None)),
+    "SagnacStraightLine": (("particle", "y_m"), "sagnac.sagnac_phase_straightline",
+                           _sagnac_straightline),
+    "SagnacSymmetric": (("particle", "y1_m"), "sagnac.sagnac_total_symmetric",
+                        lambda sc: (sagnac_total_symmetric(sc.species, sc.particle, sc.y1_m), None)),
+    "DceClosed": (("oscillation",), "dce.dce_rate_closed", _dce_closed),
+    "DceNumeric": (("oscillation", "n_spectrum"), "dce.dce_rate_numeric", _dce_numeric),
+}
+SCENARIO_KINDS = tuple(_KINDS)
+
+
 def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<scenario>") -> Scenario:
     if not isinstance(data, dict):
         raise ParseError(f"{source}: top level must be an object")
@@ -305,86 +405,19 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
         )
     species = by_name[name]
 
-    base_opt = {"kind", "species", "quadrature"}
-    quad = _parse_quadrature(data.get("quadrature"), f"{source}.quadrature")
-
-    if kind in ("QuasiStatic", "MotionalMirror"):
-        _check_keys(data, {"path", "window"}, base_opt | {"z_min_m"}, source)
-        return Scenario(
-            kind=kind,
-            species=species,
-            paths=(_parse_traj1d(data["path"], f"{source}.path"),),
-            window=_parse_window(data["window"], f"{source}.window"),
-            z_min=_number(data, "z_min_m", source, default=Z_MIN_DEFAULT),
-            quadrature=quad,
-        )
-    if kind in ("Nonlocal", "TotalMirror"):
-        _check_keys(data, {"paths", "window"}, base_opt | {"z_min_m"}, source)
-        raw = data["paths"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ParseError(f"{source}.paths: expected a list of exactly two paths")
-        return Scenario(
-            kind=kind,
-            species=species,
-            paths=tuple(
-                _parse_traj1d(p, f"{source}.paths[{i}]") for i, p in enumerate(raw)
-            ),
-            window=_parse_window(data["window"], f"{source}.window"),
-            z_min=_number(data, "z_min_m", source, default=Z_MIN_DEFAULT),
-            quadrature=quad,
-        )
-    if kind == "Sagnac":
-        _check_keys(data, {"particle", "trajectory", "window"}, base_opt, source)
-        return Scenario(
-            kind=kind,
-            species=species,
-            particle=_parse_particle(data["particle"], f"{source}.particle"),
-            traj3d=_parse_traj3d(data["trajectory"], f"{source}.trajectory"),
-            window=_parse_window(data["window"], f"{source}.window"),
-            quadrature=quad,
-        )
-    if kind == "SagnacStraightLine":
-        _check_keys(data, {"particle", "y_m"}, base_opt, source)
-        return Scenario(
-            kind=kind,
-            species=species,
-            particle=_parse_particle(data["particle"], f"{source}.particle"),
-            y_m=_number(data, "y_m", source),
-            quadrature=quad,
-        )
-    if kind == "SagnacSymmetric":
-        _check_keys(data, {"particle", "y1_m"}, base_opt, source)
-        return Scenario(
-            kind=kind,
-            species=species,
-            particle=_parse_particle(data["particle"], f"{source}.particle"),
-            y1_m=_number(data, "y1_m", source),
-            quadrature=quad,
-        )
-    # DceClosed / DceNumeric
-    opt = base_opt | ({"n_spectrum"} if kind == "DceNumeric" else set())
-    _check_keys(data, {"oscillation"}, opt, source)
-    osc = data["oscillation"]
-    if not isinstance(osc, dict):
-        raise ParseError(f"{source}.oscillation: expected an object")
+    keys = ("quadrature",) + _KINDS[kind][0]
     _check_keys(
-        osc, {"r_max_m", "omega_cm_rad_per_s"}, {"direction"}, f"{source}.oscillation"
+        data,
+        {k for k in keys if k not in _OPTIONAL},
+        {k for k in keys if k in _OPTIONAL} | {"kind", "species"},
+        source,
     )
-    try:
-        params = OscillationParams(
-            r_max=_number(osc, "r_max_m", f"{source}.oscillation"),
-            omega_cm=_number(osc, "omega_cm_rad_per_s", f"{source}.oscillation"),
-            alpha0=alpha_static(species),
-            direction=_vector3(osc, "direction", f"{source}.oscillation", default=(0.0, 0.0, 1.0)),
-        )
-    except ValueError as exc:
-        raise ParseError(f"{source}.oscillation: {exc}") from exc
-    n_spectrum = int(_number(data, "n_spectrum", source, default=33))
-    if n_spectrum < 1:
-        raise ParseError(f"{source}.n_spectrum: must be >= 1")
-    return Scenario(
-        kind=kind, species=species, oscillation=params, n_spectrum=n_spectrum, quadrature=quad
-    )
+    fields = {
+        _FIELDS[key][0]: _FIELDS[key][1](data[key], f"{source}.{key}", species)
+        for key in keys
+        if key in data
+    }
+    return Scenario(kind=kind, species=species, **fields)
 
 
 def load_scenario_data(path: str):
@@ -405,93 +438,13 @@ def parse_scenario(path: str, species_db: list[AtomSpecies] | None = None) -> Sc
     return parse_scenario_dict(load_scenario_data(path), species_db, source=path)
 
 
-def _window_to_dict(w: TimeWindow) -> dict:
-    if w.improper:
-        return {"improper": True}
-    return {"t_start_s": w.t_start, "t_end_s": w.t_end}
-
-
-def _traj1d_to_dict(tr) -> dict:
-    if isinstance(tr, Constant1D):
-        d = {"kind": "constant", "h_m": tr.h}
-    elif isinstance(tr, Linear1D):
-        d = {"kind": "linear", "h_m": tr.h, "v_m_per_s": tr.v}
-    elif isinstance(tr, Harmonic1D):
-        d = {
-            "kind": "harmonic",
-            "h_m": tr.h,
-            "amplitude_m": tr.amplitude,
-            "omega_cm_rad_per_s": tr.omega_cm,
-            "phase0_rad": tr.phase0,
-        }
-    elif isinstance(tr, SampledPolyline1D):
-        d = {
-            "kind": "sampled",
-            "points_t_s_z_m": [[t, z] for t, z in zip(tr.times, tr.values)],
-        }
-    else:
-        raise TypeError(f"not a 1D trajectory: {type(tr).__name__}")
-    if tr.v_parallel is not None:
-        d["v_parallel_m_per_s"] = tr.v_parallel
-    return d
-
-
-def _traj3d_to_dict(tr) -> dict:
-    if isinstance(tr, StraightLine3D):
-        return {"kind": "straight_line", "r0_m": list(tr.r0), "v_m_per_s": list(tr.v)}
-    if isinstance(tr, SampledPolyline3D):
-        return {
-            "kind": "sampled",
-            "points_t_s_r_m": [[t, list(p)] for t, p in zip(tr.times, tr.points)],
-        }
-    raise TypeError(f"not a 3D trajectory: {type(tr).__name__}")
-
-
-def _particle_to_dict(p: SpinningParticle) -> dict:
-    return {
-        "alpha0_F_m2": p.alpha0,
-        "omega_s_rad_per_s": p.omega_s,
-        "omega_rad_per_s": list(p.omega),
-        "gamma_rad_per_s": p.gamma,
-        "radius_m": p.radius,
-    }
-
-
 def scenario_to_dict(sc: Scenario) -> dict:
     """Canonical dict form of a scenario, defaults materialized."""
     out: dict = {"kind": sc.kind, "species": sc.species.name}
-    if sc.quadrature is not None:
-        out["quadrature"] = {
-            "rel_tol": sc.quadrature.rel_tol,
-            "abs_tol": sc.quadrature.abs_tol,
-            "max_subdivisions": sc.quadrature.max_subdivisions,
-        }
-    if sc.kind in ("QuasiStatic", "MotionalMirror"):
-        out["path"] = _traj1d_to_dict(sc.paths[0])
-        out["window"] = _window_to_dict(sc.window)
-        out["z_min_m"] = sc.z_min
-    elif sc.kind in ("Nonlocal", "TotalMirror"):
-        out["paths"] = [_traj1d_to_dict(p) for p in sc.paths]
-        out["window"] = _window_to_dict(sc.window)
-        out["z_min_m"] = sc.z_min
-    elif sc.kind == "Sagnac":
-        out["particle"] = _particle_to_dict(sc.particle)
-        out["trajectory"] = _traj3d_to_dict(sc.traj3d)
-        out["window"] = _window_to_dict(sc.window)
-    elif sc.kind == "SagnacStraightLine":
-        out["particle"] = _particle_to_dict(sc.particle)
-        out["y_m"] = sc.y_m
-    elif sc.kind == "SagnacSymmetric":
-        out["particle"] = _particle_to_dict(sc.particle)
-        out["y1_m"] = sc.y1_m
-    else:
-        out["oscillation"] = {
-            "r_max_m": sc.oscillation.r_max,
-            "omega_cm_rad_per_s": sc.oscillation.omega_cm,
-            "direction": list(sc.oscillation.direction),
-        }
-        if sc.kind == "DceNumeric":
-            out["n_spectrum"] = sc.n_spectrum
+    for key in ("quadrature",) + _KINDS[sc.kind][0]:
+        attr, _, write = _FIELDS[key]
+        if getattr(sc, attr) is not None:
+            out[key] = write(getattr(sc, attr))
     return out
 
 
@@ -536,64 +489,51 @@ class Report:
         return d
 
 
+def _non_finite(res: IntegralResult, series: dict | None) -> list[str]:
+    """The non-finite numbers of a result, named."""
+    named = {"value": res.value, "error_estimate": res.error_estimate}
+    named.update((f"breakdown.{k}", x) for k, x in res.breakdown.items())
+    bad = [f"{name} is {x!r}" for name, x in named.items() if not math.isfinite(x)]
+    return bad + [
+        f"series.{name}[{i}] is {x!r}"
+        for name, xs in (series or {}).items()
+        for i, x in enumerate(xs)
+        if not math.isfinite(x)
+    ]
+
+
 def run_scenario(sc: Scenario) -> Report:
-    """Execute a scenario; the report names the operation that produced it."""
+    """Execute a scenario; the report names the operation that produced it.
+
+    Only a finite, converged result gives a report. An overflow or a
+    non-finite number raises :class:`NonFiniteEvaluation`, a result that
+    missed its tolerance :class:`NonConvergent`, and a ``ValueError`` from
+    a compute layer :class:`ValidationError`.
+    """
     t0 = time.perf_counter()
-    spec = sc.quadrature
-    series = None
-    if sc.kind in ("QuasiStatic", "MotionalMirror", "Nonlocal", "TotalMirror"):
-        mirror = MirrorScenario(sc.species, sc.paths, sc.window, z_min=sc.z_min)
-        if sc.kind == "QuasiStatic":
-            op, res = "mirror_phases.quasi_static_phase", quasi_static_phase(mirror, 0, spec)
-        elif sc.kind == "MotionalMirror":
-            op, res = "mirror_phases.motional_phase_mirror", motional_phase_mirror(mirror, 0, spec)
-        elif sc.kind == "Nonlocal":
-            op, res = "mirror_phases.nonlocal_phase", nonlocal_phase(mirror, spec)
-        else:
-            op, res = "mirror_phases.total_phase_difference", total_phase_difference(mirror, spec)
-        value, err, conv, breakdown = res.value, res.error_estimate, res.converged, res.breakdown
-    elif sc.kind == "Sagnac":
-        op = "sagnac.sagnac_phase"
-        res = sagnac_phase(sc.species, sc.particle, sc.traj3d, sc.window, spec)
-        value, err, conv, breakdown = res.value, res.error_estimate, res.converged, res.breakdown
-    elif sc.kind == "SagnacStraightLine":
-        op = "sagnac.sagnac_phase_straightline"
-        value = sagnac_phase_straightline(sc.species, sc.particle, sc.y_m)
-        err, conv = 0.0, True
-        breakdown = {"ell_omega_m": ell_omega(sc.species, sc.particle)}
-    elif sc.kind == "SagnacSymmetric":
-        op = "sagnac.sagnac_total_symmetric"
-        res = sagnac_total_symmetric(sc.species, sc.particle, sc.y1_m)
-        value, err, conv, breakdown = res.value, res.error_estimate, res.converged, res.breakdown
-    elif sc.kind == "DceClosed":
-        op = "dce.dce_rate_closed"
-        value = dce_rate_closed(sc.oscillation)
-        err, conv = 0.0, True
-        breakdown = {"coefficient": CLOSED_FORM_COEFFICIENT}
-    else:  # DceNumeric
-        op = "dce.dce_rate_numeric"
-        res = dce_rate_numeric(sc.oscillation, spec, n_spectrum=sc.n_spectrum)
-        closed = dce_rate_closed(sc.oscillation)
-        value, err, conv = res.gamma_total, res.error_estimate, res.converged
-        breakdown = {
-            "coefficient": res.coefficient,
-            "closed_form_coefficient": CLOSED_FORM_COEFFICIENT,
-            "closed_form_rate_per_s": closed,
-        }
-        if closed > 0.0:
-            breakdown["ratio_to_closed"] = res.gamma_total / closed
-        series = {
-            "omega_rad_per_s": list(res.spectrum_omega),
-            "dgamma_domega": list(res.spectrum_density),
-        }
+    _, op, run = _KINDS[sc.kind]
+    try:
+        res, series = run(sc)
+    except ArithmeticError as exc:
+        raise NonFiniteEvaluation(f"{op}: {type(exc).__name__}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{op}: {exc}") from exc
+    bad = _non_finite(res, series)
+    if bad:
+        raise NonFiniteEvaluation(f"{op}: {bad[0]}")
+    if not res.converged:
+        raise NonConvergent(
+            f"{op}: subdivision budget exhausted before the tolerance "
+            f"(value={res.value!r}, error_estimate={res.error_estimate!r})"
+        )
     return Report(
         scenario_kind=sc.kind,
         species_name=sc.species.name,
         operation=op,
-        value=value,
-        error_estimate=err,
-        converged=conv,
-        breakdown=breakdown,
+        value=res.value,
+        error_estimate=res.error_estimate,
+        converged=res.converged,
+        breakdown=res.breakdown,
         series=series,
         constants_fingerprint=constants_hash(),
         wall_time_s=time.perf_counter() - t0,

@@ -10,6 +10,7 @@ from importlib.resources import files
 import pytest
 
 from casq.constants import EPSILON_0, HBAR
+from casq.cli import main
 from casq.errors import BadParameterPath, ParseError, UnitMismatch, UnknownSpecies
 from casq.sagnac import SpinningParticle, ell_omega
 from casq.scenarios import (
@@ -69,7 +70,8 @@ def _one_of_each_kind():
         {"kind": "MotionalMirror", "species": "two-level-demo",
          "path": harmonic, "window": window},
         {"kind": "Nonlocal", "species": "two-level-demo",
-         "paths": [harmonic, {"kind": "constant", "h_m": 2e-6}], "window": window},
+         "paths": [harmonic, {"kind": "constant", "h_m": 2e-6, "v_parallel_m_per_s": 1.0}],
+         "window": window},
         {"kind": "TotalMirror", "species": "two-level-demo",
          "paths": [harmonic, {"kind": "constant", "h_m": 2e-6}], "window": window},
         {"kind": "Sagnac", "species": "two-level-demo",
@@ -90,6 +92,26 @@ def test_parse_serialize_round_trip(data):
     canon = scenario_to_dict(sc)
     sc2 = parse_scenario_dict(canon, DB)
     assert scenario_to_dict(sc2) == canon
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {**minimal_quasi_static(),
+         "path": {"kind": "sampled", "v_parallel_m_per_s": -2.5,
+                  "points_t_s_z_m": [[0.0, 1e-6], [5e-8, 1.2e-6], [1e-7, 1e-6]]}},
+        {"kind": "Sagnac", "species": "two-level-demo", "particle": dict(PARTICLE_JSON),
+         "trajectory": {"kind": "sampled",
+                        "points_t_s_r_m": [[0.0, [0.0, 3e-7, 0.0]], [1e-9, [1e-7, 3e-7, 0.0]]]},
+         "window": {"t_start_s": 0.0, "t_end_s": 1e-9}},
+    ],
+    ids=["sampled-1d", "sampled-3d"],
+)
+def test_parse_serialize_round_trip_sampled(data):
+    canon = scenario_to_dict(parse_scenario_dict(data, DB))
+    path = canon.get("path", canon.get("trajectory"))
+    assert path == data.get("path", data.get("trajectory"))
+    assert scenario_to_dict(parse_scenario_dict(canon, DB)) == canon
 
 
 def test_missing_omega_names_key():
@@ -443,6 +465,9 @@ def test_cli_sampled_velocity_stays_inside_samples(tmp_path):
             {"kind": "constant", "h_m": 1e-6},
         ],
         "window": {"t_start_s": 0.0, "t_end_s": 1e-10},
+        # the exact phase is zero, which a relative tolerance alone cannot
+        # meet; each half of the window contributes about 5e-13 rad
+        "quadrature": {"abs_tol": 1e-24},
     }
     proc = _casq("run", _write_json(tmp_path, data))
     assert proc.returncode == 0, proc.stderr
@@ -461,3 +486,97 @@ def test_cli_import_loads_only_stdlib():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- exit-code contract at the compute layer ---------------------------------------
+
+def _bundled(name):
+    return json.loads(files("casq.data").joinpath(f"scenarios/{name}").read_text())
+
+
+def _with(name, path, value):
+    data = _bundled(name)
+    *outer, leaf = path.split(".")
+    node = data
+    for part in outer:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[int(leaf) if isinstance(node, list) else leaf] = value
+    return data
+
+
+def _main_run(tmp_path, capsys, data):
+    capsys.readouterr()
+    code = main(["run", _write_json(tmp_path, data)])
+    return code, capsys.readouterr()
+
+
+def _harmonic_quasi_static(rel_tol):
+    # 250 whole periods at a tolerance the default budget cannot reach
+    return {
+        "kind": "QuasiStatic",
+        "species": "two-level-demo",
+        "path": {"kind": "harmonic", "h_m": 1e-6, "amplitude_m": 6e-7,
+                 "omega_cm_rad_per_s": 2.0 * math.pi * 1e9},
+        "window": {"t_start_s": 0.0, "t_end_s": 2.5e-7},
+        "quadrature": {"rel_tol": rel_tol},
+    }
+
+
+@pytest.mark.parametrize("value", ["fast", math.nan])
+def test_cli_v_parallel_must_be_finite(tmp_path, capsys, value):
+    data = _with("nonlocal_counterprop.json", "paths.0.v_parallel_m_per_s", value)
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 2
+    assert "v_parallel_m_per_s" in out.err
+
+
+@pytest.mark.parametrize(
+    "name,path",
+    [
+        ("sagnac_straightline.json", "particle.alpha0_F_m2"),
+        ("sagnac_symmetric.json", "particle.omega_rad_per_s.2"),
+    ],
+)
+def test_cli_non_finite_result_exit_3(tmp_path, capsys, name, path):
+    code, out = _main_run(tmp_path, capsys, _with(name, path, 1e300))
+    assert code == 3
+    assert "value is" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize(
+    "name,path,code,message",
+    [
+        ("quasi_static_linear.json", "path.h_m", 3, "OverflowError"),
+        ("motional_harmonic.json", "window.t_end_s", 2, "math domain error"),
+        ("sagnac_numeric.json", "trajectory.v_m_per_s.0", 2, "scale must be > 0"),
+        ("dce_closed.json", "oscillation.r_max_m", 3, "math range error"),
+    ],
+)
+def test_cli_extreme_finite_input_exit_code(tmp_path, capsys, name, path, code, message):
+    got, out = _main_run(tmp_path, capsys, _with(name, path, 1e300))
+    assert got == code
+    assert message in out.err
+
+
+def test_cli_sweep_records_overflow_row(tmp_path, capsys):
+    capsys.readouterr()
+    argv = ["sweep", _scenario_path("quasi_static_linear.json"),
+            "--param", "path.h_m", "--values=1e-6,1e300"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 2
+    assert "NonFiniteEvaluation" not in rows[0] and ",true," in rows[0]
+    assert "NonFiniteEvaluation: " in rows[1] and "OverflowError" in rows[1]
+
+
+def test_cli_nonconvergent_bounded_exit_3(tmp_path):
+    proc = _casq("run", _write_json(tmp_path, _harmonic_quasi_static(1e-12)))
+    assert proc.returncode == 3, proc.stderr
+    assert "value=" in proc.stderr and "error_estimate=" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_sweep_records_nonconvergent_row():
+    rows = sweep(_harmonic_quasi_static(1e-8), "quadrature.rel_tol", [1e-12, 1e-8])
+    assert rows[0].report is None and rows[0].error.startswith("NonConvergent: ")
+    assert rows[1].report is not None and rows[1].report.converged
