@@ -70,13 +70,18 @@ _UFLOW = sys.float_info.min
 #: with rel_tol-only settings cannot spin until the subdivision cap.
 _TOL_FLOOR = 1e-300
 
+#: Round-off floor of the convergence target per unit integral of |f|:
+#: twice the floor of each panel's error estimate in :func:`_gk15`.
+_ROUNDOFF = 100.0 * _EPMACH
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and budget for one adaptive integration.
 
     Convergence target is ``max(abs_tol, rel_tol * |value|)``; at least one
-    of the two tolerances must be positive.
+    of the two tolerances must be positive. A relative tolerance is also
+    met at the round-off floor of the panels (see :func:`integrate_adaptive`).
     """
 
     rel_tol: float = 1e-10
@@ -115,6 +120,7 @@ class _Panel:
     b: float
     value: float
     error: float
+    resabs: float  # integral of |f| over the panel, by the Kronrod rule
 
 
 def _eval_f(f, x, ctx: str):
@@ -158,7 +164,7 @@ def _gk15(f, a: float, b: float, ctx: str) -> _Panel:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > _UFLOW / (50.0 * _EPMACH):
         err = max(_EPMACH * 50.0 * resabs, err)
-    return _Panel(a, b, value, err)
+    return _Panel(a, b, value, err, resabs)
 
 
 def integrate_adaptive(
@@ -172,6 +178,13 @@ def integrate_adaptive(
     Bisects the interval with the largest local error estimate until the
     summed estimate meets the tolerance or the subdivision budget runs
     out (the latter returns ``converged=False`` rather than raising).
+    Each panel's estimate is at least 50 eps times its integral of |f|,
+    so an integral whose exact value is zero, or which cancels to far
+    below its integral of |f|, could never meet a relative tolerance. A
+    relative tolerance therefore also counts as met once the estimate is
+    within twice that floor summed over the panels. A relative tolerance
+    below twice the floor (about 2.2e-14) asks for more than any panel can
+    certify, and keeps its plain target.
     Raises :class:`NonFiniteEvaluation` if the integrand returns NaN/inf.
     """
     a = float(a)
@@ -203,12 +216,16 @@ def _adaptive_core(
     panels = [
         _gk15(counted, breaks[i], breaks[i + 1], ctx) for i in range(len(breaks) - 1)
     ]
+    # integral of |f|, kept up to date per bisection: it only sets a floor
+    resabs = math.fsum(p.resabs for p in panels)
     nsub = 0
     converged = False
     while True:
         total = math.fsum(p.value for p in panels)
         toterr = math.fsum(p.error for p in panels)
         tol = max(spec.abs_tol, spec.rel_tol * abs(total), _TOL_FLOOR)
+        if spec.rel_tol >= _ROUNDOFF:
+            tol = max(tol, _ROUNDOFF * resabs)
         if toterr <= tol:
             converged = True
             break
@@ -223,8 +240,10 @@ def _adaptive_core(
             # interval at floating-point resolution: keep it, accept its error
             panels.append(worst)
             break
-        panels.append(_gk15(counted, worst.a, mid, ctx))
-        panels.append(_gk15(counted, mid, worst.b, ctx))
+        left = _gk15(counted, worst.a, mid, ctx)
+        right = _gk15(counted, mid, worst.b, ctx)
+        panels += (left, right)
+        resabs += left.resabs + right.resabs - worst.resabs
         nsub += 1
 
     panels.sort(key=lambda p: p.a)

@@ -142,8 +142,7 @@ def _samples(read_value, shape: str):
 
 # A JSON object's schema is one field list of (JSON key, attribute and
 # constructor keyword, reader, required). An absent optional key takes the
-# constructor's default. A field whose attribute is a tuple holds the columns
-# of a list of rows (a sampled path's times and values).
+# constructor's default.
 
 _H = ("h_m", "h", _finite, True)
 _V_PARALLEL = ("v_parallel_m_per_s", "v_parallel", _finite, False)
@@ -200,7 +199,9 @@ def _read(obj, fields, ctx: str, cls, known=(), **extra):
     """Build ``cls`` from the JSON object ``obj`` by its field list.
 
     ``known`` names further keys the caller reads itself; ``extra`` are
-    constructor arguments that do not come from the object.
+    constructor arguments that do not come from the object. A tuple of
+    attributes serves only the sampled paths: their one JSON list of
+    [t, value] rows fills two constructor columns (times and values).
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{ctx}: expected an object")
@@ -230,7 +231,11 @@ def _plain(value):
 
 
 def _write(obj, fields) -> dict:
-    """Canonical JSON form of ``obj`` by its field list; None is left out."""
+    """Canonical JSON form of ``obj`` by its field list; None is left out.
+
+    A tuple of attributes (sampled paths only, see :func:`_read`) is
+    written back as one list of [t, value] rows.
+    """
     out = {}
     for key, attr, _, _ in fields:
         if isinstance(attr, tuple):

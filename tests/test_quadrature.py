@@ -124,6 +124,20 @@ def test_budget_exhaustion_flags_not_converged():
     assert isinstance(r, IntegralResult)
 
 
+def test_zero_integral_meets_relative_tol_at_roundoff():
+    # exact value 0: rel_tol * |value| is below every panel's round-off floor
+    r = integrate_adaptive(math.sin, 0.0, 2.0 * math.pi)
+    assert r.converged
+    assert r.evaluations == 15
+    assert abs(r.value) <= r.error_estimate <= 1e-13
+
+
+def test_relative_tol_below_roundoff_keeps_plain_target():
+    spec = QuadratureSpec(rel_tol=1e-15, max_subdivisions=20)
+    r = integrate_adaptive(math.sin, 0.0, 2.0 * math.pi, spec)
+    assert not r.converged
+
+
 def test_improper_nonconvergence_raises():
     spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-300, max_subdivisions=1)
     with pytest.raises(NonConvergent):

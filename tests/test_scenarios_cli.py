@@ -465,9 +465,6 @@ def test_cli_sampled_velocity_stays_inside_samples(tmp_path):
             {"kind": "constant", "h_m": 1e-6},
         ],
         "window": {"t_start_s": 0.0, "t_end_s": 1e-10},
-        # the exact phase is zero, which a relative tolerance alone cannot
-        # meet; each half of the window contributes about 5e-13 rad
-        "quadrature": {"abs_tol": 1e-24},
     }
     proc = _casq("run", _write_json(tmp_path, data))
     assert proc.returncode == 0, proc.stderr
