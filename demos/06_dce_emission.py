@@ -33,14 +33,16 @@ print(f"closed-form rate    = {closed:.6e} photons/s "
       f"(about one pair per 10^{-math.log10(closed / 2) :.0f} s)")
 
 res = dce_rate_numeric(params, n_spectrum=11)
-print(f"numeric rate        = {res.gamma_total:.6e} photons/s")
-print(f"coefficient         = {res.coefficient:.10e}")
+coefficient = res.breakdown["coefficient"]
+print(f"numeric rate        = {res.value:.6e} photons/s")
+print(f"coefficient         = {coefficient:.10e}")
 print(f"closed-form value   = {CLOSED_FORM_COEFFICIENT:.10e}   "
-      f"(rel. diff {abs(res.coefficient / CLOSED_FORM_COEFFICIENT - 1.0):.2e})")
+      f"(rel. diff {abs(coefficient / CLOSED_FORM_COEFFICIENT - 1.0):.2e})")
 
 print("\nphoton spectrum dGamma/domega (normalized to its peak):")
-peak = max(res.spectrum_density)
-for w, s in zip(res.spectrum_omega, res.spectrum_density):
+density = res.series["dgamma_domega"]
+peak = max(density)
+for w, s in zip(res.series["omega_rad_per_s"], density):
     bar = "#" * int(round(40.0 * s / peak))
     print(f"  w/w_cm = {w / params.omega_cm:5.3f}  {bar}")
 

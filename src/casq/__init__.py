@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR, constants_hash
 from .dce import (
     CLOSED_FORM_COEFFICIENT,
-    EmissionResult,
     OscillationParams,
     dce_rate_closed,
     dce_rate_numeric,

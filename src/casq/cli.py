@@ -21,7 +21,6 @@ from .errors import NumericalError, ValidationError
 from .scenarios import (
     emit,
     format_float,
-    load_scenario_data,
     parse_scenario_dict,
     run_scenario,
     sweep,
@@ -29,6 +28,7 @@ from .scenarios import (
 from .species import (
     alpha_static,
     equivalent_radius,
+    load_json,
     mean_square_dipole,
     resolve_species_db,
 )
@@ -40,7 +40,7 @@ EXIT_IO = 4
 
 
 def _cmd_run(args) -> int:
-    data = load_scenario_data(args.scenario)
+    data = load_json(args.scenario)
     db = resolve_species_db(args.species_db)
     sc = parse_scenario_dict(data, db, source=args.scenario)
     report = run_scenario(sc)
@@ -78,7 +78,7 @@ def _sweep_values(args) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    data = load_scenario_data(args.scenario)
+    data = load_json(args.scenario)
     values = _sweep_values(args)
     rows = sweep(data, args.param, values, jobs=args.jobs, species_db_path=args.species_db)
     text = emit(rows, args.format, args.out)

@@ -29,7 +29,7 @@ modes becomes V int d^3k/(2 pi)^3 per polarization, the volume cancels):
 the 1/2 undoing the double count of each unordered pair. The energy delta
 is eliminated analytically against the second radial variable (no
 finite-width shell knob). Reported rates and spectra count PHOTONS, two
-per pair, so the spectral density integrates to gamma_total.
+per pair, so the spectral density integrates to the total rate.
 
 Reducing to dimensionless variables x = w1/w_cm gives
 
@@ -57,16 +57,15 @@ int x^3(1-x)^3 4x(1-x) dx = 2/315; no radial quadrature remains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .errors import RWAViolation
-from .quadrature import QuadratureSpec, integrate_iterated
+from .quadrature import IntegralResult, QuadratureSpec, integrate_iterated
 from .vec3 import Vec3, cross3, dot3, norm3, normalize3, perp_basis, scale3, sub3
 
 __all__ = [
     "OscillationParams",
-    "EmissionResult",
     "dce_rate_closed",
     "pair_emission_amplitude",
     "dce_rate_numeric",
@@ -108,24 +107,6 @@ class OscillationParams:
     def a_equiv(self) -> float:
         """Atomic length scale a with alpha0 = 4 pi eps0 a^3 (m)."""
         return (self.alpha0 / FOUR_PI_EPS0) ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class EmissionResult:
-    """Total photon rate, normalized coefficient, and spectral samples.
-
-    ``spectrum_density[i]`` is dGamma/dw at ``spectrum_omega[i]`` counting
-    each photon once (two photons per pair), so the density integrates to
-    ``gamma_total`` over (0, omega_cm) within the error budget.
-    """
-
-    gamma_total: float
-    coefficient: float
-    spectrum_omega: tuple[float, ...]
-    spectrum_density: tuple[float, ...]
-    error_estimate: float
-    evaluations: int
-    converged: bool
 
 
 def dce_rate_closed(params: OscillationParams) -> float:
@@ -213,7 +194,7 @@ def _pol_summed_square(x1: float, k1: Vec3, k2: Vec3, u: Vec3) -> float:
 
 def _angular_factor(
     x1: float, triad: tuple[Vec3, Vec3, Vec3], spec: QuadratureSpec
-):
+) -> IntegralResult:
     """A_ang(x1) = int dOmega1 dOmega2 sum_pol |A|^2 by nested quadrature.
 
     In the frame aligned with the oscillation direction the integrand
@@ -242,15 +223,20 @@ def _angular_factor(
         integrand, [(0.0, math.pi), (0.0, math.pi), (0.0, math.pi)], spec
     )
     scale = 2.0 * (2.0 * math.pi)
-    return scale * res.value, scale * res.error_estimate, res.evaluations, res.converged
+    return replace(res, value=scale * res.value, error_estimate=scale * res.error_estimate)
 
 
 def dce_rate_numeric(
     params: OscillationParams,
     spec: QuadratureSpec | None = None,
     n_spectrum: int = 33,
-) -> EmissionResult:
-    """Golden-rule rate by mode integration; see the module docstring.
+) -> IntegralResult:
+    """Golden-rule photon rate (1/s) by mode integration; see the module docstring.
+
+    The breakdown holds the normalized ``coefficient``. The series sample
+    the spectrum: ``dgamma_domega[i]`` is dGamma/dw at ``omega_rad_per_s[i]``
+    counting each photon once (two photons per pair), so the density
+    integrates to the rate over (0, omega_cm) within the error budget.
 
     ``spec`` controls the angular quadrature tolerance; the radial integral
     is exact. Defaults resolve the coefficient to ~1e-7 relative; the
@@ -261,16 +247,16 @@ def dce_rate_numeric(
     ex, ey = perp_basis(u)
     triad = (ex, ey, u)
 
-    q_edge, err_edge, n_edge, ok_edge = _angular_factor(0.0, triad, spec)
-    q_mid, err_mid, n_mid, ok_mid = _angular_factor(0.5, triad, spec)
+    edge = _angular_factor(0.0, triad, spec)
+    mid = _angular_factor(0.5, triad, spec)
 
     def angular(x: float) -> float:
-        return q_edge * (1.0 - 2.0 * x) ** 2 + q_mid * 4.0 * x * (1.0 - x)
+        return edge.value * (1.0 - 2.0 * x) ** 2 + mid.value * 4.0 * x * (1.0 - x)
 
     # I = int x^3 (1-x)^3 A_ang(x) dx; both weights are nonnegative, so the
     # angular errors bound the error of I
-    reduced = (q_edge + 8.0 * q_mid) / 1260.0
-    reduced_err = err_edge / 1260.0 + 2.0 * err_mid / 315.0
+    reduced = (edge.value + 8.0 * mid.value) / 1260.0
+    reduced_err = edge.error_estimate / 1260.0 + 2.0 * mid.error_estimate / 315.0
 
     coefficient = reduced / (32.0 * math.pi**3)
     coefficient_err = reduced_err / (32.0 * math.pi**3)
@@ -286,19 +272,20 @@ def dce_rate_numeric(
             + 7.0 * math.log(params.omega_cm)
             - 8.0 * math.log(C_LIGHT)
         )
-    gamma_total = coefficient * scale
 
     xs = [i / (n_spectrum + 1) for i in range(1, n_spectrum + 1)]
     density_scale = scale / params.omega_cm / (32.0 * math.pi**3)
 
-    return EmissionResult(
-        gamma_total=gamma_total,
-        coefficient=coefficient,
-        spectrum_omega=tuple(x * params.omega_cm for x in xs),
-        spectrum_density=tuple(
-            x**3 * (1.0 - x) ** 3 * angular(x) * density_scale for x in xs
-        ),
+    return IntegralResult(
+        value=coefficient * scale,
         error_estimate=coefficient_err * scale,
-        evaluations=n_edge + n_mid,
-        converged=ok_edge and ok_mid,
+        evaluations=edge.evaluations + mid.evaluations,
+        converged=edge.converged and mid.converged,
+        breakdown={"coefficient": coefficient},
+        series={
+            "omega_rad_per_s": tuple(x * params.omega_cm for x in xs),
+            "dgamma_domega": tuple(
+                x**3 * (1.0 - x) ** 3 * angular(x) * density_scale for x in xs
+            ),
+        },
     )

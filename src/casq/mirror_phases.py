@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .errors import (
@@ -127,13 +127,7 @@ def quasi_static_phase(
         return c3 / (HBAR * z**3)  # = -U/hbar
 
     res = _integrate_window(integrand, scenario.window, spec)
-    return IntegralResult(
-        value=res.value,
-        error_estimate=res.error_estimate,
-        evaluations=res.evaluations,
-        converged=res.converged,
-        breakdown={"quasi_static": res.value},
-    )
+    return replace(res, breakdown={"quasi_static": res.value})
 
 
 def _delay_average(c3: float, traj, t: float, z_min: float, spec: QuadratureSpec):
@@ -210,9 +204,8 @@ def motional_phase_mirror(
     breakdown = {"motional": res.value, "leading_order_local": lead.value}
     if lead.value != 0.0:
         breakdown["ratio_to_leading"] = res.value / lead.value
-    return IntegralResult(
-        value=res.value,
-        error_estimate=res.error_estimate,
+    return replace(
+        res,
         evaluations=res.evaluations + inner_evals[0] + lead.evaluations,
         converged=res.converged and lead.converged,
         breakdown=breakdown,
@@ -250,13 +243,7 @@ def nonlocal_phase(
         return k * (p1.velocity(t) - p2.velocity(t)) / (z1 + z2) ** 3
 
     res = _integrate_window(integrand, scenario.window, spec)
-    return IntegralResult(
-        value=res.value,
-        error_estimate=res.error_estimate,
-        evaluations=res.evaluations,
-        converged=res.converged,
-        breakdown={"nonlocal": res.value},
-    )
+    return replace(res, breakdown={"nonlocal": res.value})
 
 
 def total_phase_difference(

@@ -105,6 +105,7 @@ class IntegralResult:
     ``breakdown`` carries the named per-term contributions (all in rad
     unless the key says otherwise) so that composite phases stay auditable;
     closed forms report no evaluations and are converged by construction.
+    ``series`` holds named sampled curves, such as an emission spectrum.
     """
 
     value: float
@@ -112,6 +113,7 @@ class IntegralResult:
     evaluations: int = 0
     converged: bool = True
     breakdown: dict[str, float] = field(default_factory=dict)
+    series: dict[str, tuple[float, ...]] | None = None
 
 
 @dataclass

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT, FOUR_PI_EPS0, HBAR
 from .errors import (
@@ -210,11 +210,10 @@ def sagnac_phase(
         return (c[0] * w, c[1] * w, c[2] * w)
 
     res = line_integral(field, traj, window, spec, r_min_guard=particle.radius)
-    return IntegralResult(
+    return replace(
+        res,
         value=pref * res.value,
         error_estimate=abs(pref) * res.error_estimate,
-        evaluations=res.evaluations,
-        converged=res.converged,
         breakdown={"line_integral": res.value, "prefactor": pref},
     )
 
@@ -251,13 +250,5 @@ def sagnac_total_symmetric(
     base = (ell / y1) ** 6
     local = (30.0 * math.pi / 16.0) * base
     total = (21.0 * math.pi / 16.0) * base
-    return IntegralResult(
-        value=total,
-        error_estimate=0.0,
-        evaluations=0,
-        converged=True,
-        breakdown={
-            "local_difference": local,
-            "implied_nonlocal": total - local,
-        },
-    )
+    breakdown = {"local_difference": local, "implied_nonlocal": total - local}
+    return IntegralResult(total, 0.0, breakdown=breakdown)

@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 from . import __version__
@@ -59,7 +59,7 @@ from .sagnac import (
     sagnac_phase_straightline,
     sagnac_total_symmetric,
 )
-from .species import AtomSpecies, alpha_static, resolve_species_db
+from .species import AtomSpecies, alpha_static, load_json, resolve_species_db
 from .trajectories import (
     Constant1D,
     Harmonic1D,
@@ -75,7 +75,6 @@ __all__ = [
     "Report",
     "SweepRow",
     "SCENARIO_KINDS",
-    "load_scenario_data",
     "parse_scenario",
     "parse_scenario_dict",
     "scenario_to_dict",
@@ -93,8 +92,7 @@ def _stem(key: str) -> str:
     return key.split("_", 1)[0]
 
 
-def _check_keys(obj: dict, required: set[str], optional: set[str], ctx: str) -> None:
-    allowed = required | optional
+def _check_keys(obj: dict, required, allowed, ctx: str) -> None:
     for key in obj:
         if key in allowed:
             continue
@@ -144,11 +142,25 @@ def _samples(read_value, shape: str):
 # constructor keyword, reader, required). An absent optional key takes the
 # constructor's default.
 
+def _schema(*fields, known=()):
+    """A field list with its required and allowed key sets, built once.
+
+    ``known`` names further keys that the caller reads itself.
+    """
+    required = frozenset(key for key, _, _, req in fields if req)
+    return fields, required, frozenset(key for key, _, _, _ in fields).union(known)
+
+
+def _path_schemas(table: dict) -> dict:
+    """Path "kind" tag -> (class, schema); a path object also holds its "kind"."""
+    return {tag: (cls, _schema(*fields, known=("kind",))) for tag, (cls, fields) in table.items()}
+
+
 _H = ("h_m", "h", _finite, True)
 _V_PARALLEL = ("v_parallel_m_per_s", "v_parallel", _finite, False)
 
-#: Path "kind" tag -> (class, fields), for 1D mirror paths and 3D trajectories.
-_PATHS_1D = {
+#: Path "kind" tag -> (class, schema), for 1D mirror paths and 3D trajectories.
+_PATHS_1D = _path_schemas({
     "constant": (Constant1D, (_H, _V_PARALLEL)),
     "linear": (Linear1D, (_H, ("v_m_per_s", "v", _finite, True), _V_PARALLEL)),
     "harmonic": (Harmonic1D, (
@@ -162,8 +174,8 @@ _PATHS_1D = {
         ("points_t_s_z_m", ("times", "values"), _samples(_finite, "[t, z]"), True),
         _V_PARALLEL,
     )),
-}
-_PATHS_3D = {
+})
+_PATHS_3D = _path_schemas({
     "straight_line": (StraightLine3D, (
         ("r0_m", "r0", _vector3, True),
         ("v_m_per_s", "v", _vector3, True),
@@ -171,46 +183,42 @@ _PATHS_3D = {
     "sampled": (SampledPolyline3D, (
         ("points_t_s_r_m", ("times", "points"), _samples(_vector3, "[t, [x,y,z]]"), True),
     )),
-}
-_PATH_TAGS = {cls: (tag, fields) for table in (_PATHS_1D, _PATHS_3D)
-              for tag, (cls, fields) in table.items()}
+})
+_PATH_TAGS = {cls: (tag, schema) for table in (_PATHS_1D, _PATHS_3D)
+              for tag, (cls, schema) in table.items()}
 
-_WINDOW = (("t_start_s", "t_start", _finite, True), ("t_end_s", "t_end", _finite, True))
-_PARTICLE = (
+_WINDOW = _schema(("t_start_s", "t_start", _finite, True), ("t_end_s", "t_end", _finite, True),
+                  known=("improper",))
+_PARTICLE = _schema(
     ("alpha0_F_m2", "alpha0", _finite, True),
     ("omega_s_rad_per_s", "omega_s", _finite, True),
     ("omega_rad_per_s", "omega", _vector3, True),
     ("gamma_rad_per_s", "gamma", _finite, False),
     ("radius_m", "radius", _finite, False),
 )
-_OSCILLATION = (
+_OSCILLATION = _schema(
     ("r_max_m", "r_max", _finite, True),
     ("omega_cm_rad_per_s", "omega_cm", _finite, True),
     ("direction", "direction", _vector3, False),
 )
-_QUADRATURE = (
+_QUADRATURE = _schema(
     ("rel_tol", "rel_tol", _finite, False),
     ("abs_tol", "abs_tol", _finite, False),
     ("max_subdivisions", "max_subdivisions", _count, False),
 )
 
 
-def _read(obj, fields, ctx: str, cls, known=(), **extra):
-    """Build ``cls`` from the JSON object ``obj`` by its field list.
+def _read(obj, schema, ctx: str, cls, **extra):
+    """Build ``cls`` from the JSON object ``obj`` by its schema.
 
-    ``known`` names further keys the caller reads itself; ``extra`` are
-    constructor arguments that do not come from the object. A tuple of
-    attributes serves only the sampled paths: their one JSON list of
-    [t, value] rows fills two constructor columns (times and values).
+    ``extra`` are constructor arguments that do not come from the object.
+    A tuple of attributes serves only the sampled paths: their one JSON
+    list of [t, value] rows fills two constructor columns (times and values).
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{ctx}: expected an object")
-    _check_keys(
-        obj,
-        {key for key, _, _, required in fields if required},
-        {key for key, _, _, required in fields if not required} | set(known),
-        ctx,
-    )
+    fields, required, allowed = schema
+    _check_keys(obj, required, allowed, ctx)
     kwargs = dict(extra)
     try:
         for key, attr, reader, _ in fields:
@@ -230,14 +238,14 @@ def _plain(value):
     return list(value) if isinstance(value, tuple) else value
 
 
-def _write(obj, fields) -> dict:
-    """Canonical JSON form of ``obj`` by its field list; None is left out.
+def _write(obj, schema) -> dict:
+    """Canonical JSON form of ``obj`` by its schema; None is left out.
 
     A tuple of attributes (sampled paths only, see :func:`_read`) is
     written back as one list of [t, value] rows.
     """
     out = {}
-    for key, attr, _, _ in fields:
+    for key, attr, _, _ in schema[0]:
         if isinstance(attr, tuple):
             out[key] = [[t, _plain(v)] for t, v in zip(*(getattr(obj, a) for a in attr))]
         elif getattr(obj, attr) is not None:
@@ -251,13 +259,13 @@ def _read_path(obj, ctx: str, table: dict):
     tag = obj.get("kind")
     if not isinstance(tag, str) or tag not in table:
         raise ParseError(f"{ctx}.kind: expected one of {'/'.join(table)}, got {tag!r}")
-    cls, fields = table[tag]
-    return _read(obj, fields, ctx, cls, known=("kind",))
+    cls, schema = table[tag]
+    return _read(obj, schema, ctx, cls)
 
 
 def _write_path(path) -> dict:
-    tag, fields = _PATH_TAGS[type(path)]
-    return {"kind": tag, **_write(path, fields)}
+    tag, schema = _PATH_TAGS[type(path)]
+    return {"kind": tag, **_write(path, schema)}
 
 
 def _read_two_paths(v, where: str) -> tuple:
@@ -268,15 +276,21 @@ def _read_two_paths(v, where: str) -> tuple:
 
 def _read_window(obj, ctx: str) -> TimeWindow:
     if isinstance(obj, dict) and obj.get("improper"):
-        _check_keys(obj, set(), {"improper"}, ctx)
+        _check_keys(obj, (), ("improper",), ctx)
         return TimeWindow.all_time()
-    return _read(obj, _WINDOW, ctx, TimeWindow, known=("improper",))
+    return _read(obj, _WINDOW, ctx, TimeWindow)
+
+
+#: Largest accepted ``n_spectrum``; the spectrum is built as Python lists.
+_N_SPECTRUM_MAX = 10_000
 
 
 def _n_spectrum(v, where: str) -> int:
     n = _count(v, where)
     if n < 1:
         raise ParseError(f"{where}: must be >= 1")
+    if n > _N_SPECTRUM_MAX:
+        raise ParseError(f"{where}: must be <= {_N_SPECTRUM_MAX}")
     return n
 
 
@@ -337,61 +351,62 @@ def _mirror(sc: Scenario) -> MirrorScenario:
     return MirrorScenario(sc.species, sc.paths, sc.window, z_min=sc.z_min)
 
 
-def _sagnac_straightline(sc: Scenario):
+def _sagnac_straightline(sc: Scenario) -> IntegralResult:
     value = sagnac_phase_straightline(sc.species, sc.particle, sc.y_m)
     breakdown = {"ell_omega_m": ell_omega(sc.species, sc.particle)}
-    return IntegralResult(value, 0.0, breakdown=breakdown), None
+    return IntegralResult(value, 0.0, breakdown=breakdown)
 
 
-def _dce_closed(sc: Scenario):
+def _dce_closed(sc: Scenario) -> IntegralResult:
     breakdown = {"coefficient": CLOSED_FORM_COEFFICIENT}
-    return IntegralResult(dce_rate_closed(sc.oscillation), 0.0, breakdown=breakdown), None
+    return IntegralResult(dce_rate_closed(sc.oscillation), 0.0, breakdown=breakdown)
 
 
-def _dce_numeric(sc: Scenario):
+def _dce_numeric(sc: Scenario) -> IntegralResult:
     res = dce_rate_numeric(sc.oscillation, sc.quadrature, n_spectrum=sc.n_spectrum)
     closed = dce_rate_closed(sc.oscillation)
     breakdown = {
-        "coefficient": res.coefficient,
+        **res.breakdown,
         "closed_form_coefficient": CLOSED_FORM_COEFFICIENT,
         "closed_form_rate_per_s": closed,
     }
     if closed > 0.0:
-        breakdown["ratio_to_closed"] = res.gamma_total / closed
-    series = {
-        "omega_rad_per_s": list(res.spectrum_omega),
-        "dgamma_domega": list(res.spectrum_density),
-    }
-    result = IntegralResult(
-        res.gamma_total, res.error_estimate, res.evaluations, res.converged, breakdown
-    )
-    return result, series
+        breakdown["ratio_to_closed"] = res.value / closed
+    return replace(res, breakdown=breakdown)
 
 
 _MIRROR_1 = ("path", "window", "z_min_m")
 _MIRROR_2 = ("paths", "window", "z_min_m")
 
-#: Scenario kind -> (JSON keys, operation name, run(scenario) -> (result, series)).
+#: Scenario kind -> (JSON keys, operation name, run(scenario) -> IntegralResult).
 _KINDS = {
     "QuasiStatic": (_MIRROR_1, "mirror_phases.quasi_static_phase",
-                    lambda sc: (quasi_static_phase(_mirror(sc), 0, sc.quadrature), None)),
+                    lambda sc: quasi_static_phase(_mirror(sc), 0, sc.quadrature)),
     "MotionalMirror": (_MIRROR_1, "mirror_phases.motional_phase_mirror",
-                       lambda sc: (motional_phase_mirror(_mirror(sc), 0, sc.quadrature), None)),
+                       lambda sc: motional_phase_mirror(_mirror(sc), 0, sc.quadrature)),
     "Nonlocal": (_MIRROR_2, "mirror_phases.nonlocal_phase",
-                 lambda sc: (nonlocal_phase(_mirror(sc), sc.quadrature), None)),
+                 lambda sc: nonlocal_phase(_mirror(sc), sc.quadrature)),
     "TotalMirror": (_MIRROR_2, "mirror_phases.total_phase_difference",
-                    lambda sc: (total_phase_difference(_mirror(sc), sc.quadrature), None)),
+                    lambda sc: total_phase_difference(_mirror(sc), sc.quadrature)),
     "Sagnac": (("particle", "trajectory", "window"), "sagnac.sagnac_phase",
-               lambda sc: (sagnac_phase(sc.species, sc.particle, sc.traj3d, sc.window,
-                                        sc.quadrature), None)),
+               lambda sc: sagnac_phase(sc.species, sc.particle, sc.traj3d, sc.window,
+                                       sc.quadrature)),
     "SagnacStraightLine": (("particle", "y_m"), "sagnac.sagnac_phase_straightline",
                            _sagnac_straightline),
     "SagnacSymmetric": (("particle", "y1_m"), "sagnac.sagnac_total_symmetric",
-                        lambda sc: (sagnac_total_symmetric(sc.species, sc.particle, sc.y1_m), None)),
+                        lambda sc: sagnac_total_symmetric(sc.species, sc.particle, sc.y1_m)),
     "DceClosed": (("oscillation",), "dce.dce_rate_closed", _dce_closed),
     "DceNumeric": (("oscillation", "n_spectrum"), "dce.dce_rate_numeric", _dce_numeric),
 }
 SCENARIO_KINDS = tuple(_KINDS)
+
+#: Scenario kind -> (its keys, required keys, allowed keys); every kind
+#: also takes "kind", "species" and an optional "quadrature".
+_KIND_KEYS = {
+    kind: (("quadrature",) + keys, frozenset(keys) - _OPTIONAL,
+           frozenset(keys) | {"quadrature", "kind", "species"})
+    for kind, (keys, _, _) in _KINDS.items()
+}
 
 
 def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<scenario>") -> Scenario:
@@ -410,13 +425,8 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
         )
     species = by_name[name]
 
-    keys = ("quadrature",) + _KINDS[kind][0]
-    _check_keys(
-        data,
-        {k for k in keys if k not in _OPTIONAL},
-        {k for k in keys if k in _OPTIONAL} | {"kind", "species"},
-        source,
-    )
+    keys, required, allowed = _KIND_KEYS[kind]
+    _check_keys(data, required, allowed, source)
     fields = {
         _FIELDS[key][0]: _FIELDS[key][1](data[key], f"{source}.{key}", species)
         for key in keys
@@ -425,28 +435,17 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
     return Scenario(kind=kind, species=species, **fields)
 
 
-def load_scenario_data(path: str):
-    """Read a scenario file's JSON; syntax errors become :class:`ParseError`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-
-
 def parse_scenario(path: str, species_db: list[AtomSpecies] | None = None) -> Scenario:
     """Parse and validate a scenario file against the species database."""
     if species_db is None:
         species_db = resolve_species_db()
-    return parse_scenario_dict(load_scenario_data(path), species_db, source=path)
+    return parse_scenario_dict(load_json(path), species_db, source=path)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Canonical dict form of a scenario, defaults materialized."""
     out: dict = {"kind": sc.kind, "species": sc.species.name}
-    for key in ("quadrature",) + _KINDS[sc.kind][0]:
+    for key in _KIND_KEYS[sc.kind][0]:
         attr, _, write = _FIELDS[key]
         if getattr(sc, attr) is not None:
             out[key] = write(getattr(sc, attr))
@@ -455,9 +454,12 @@ def scenario_to_dict(sc: Scenario) -> dict:
 
 # -- execution -----------------------------------------------------------------
 
+_CONSTANTS_HASH = constants_hash()
+
+
 @dataclass
 class Report:
-    """One scenario's outcome: a value traceable to one compute operation.
+    """One scenario's result, traceable to the compute operation that made it.
 
     ``wall_time_s`` is informational and deliberately excluded from
     serialized forms so identical runs emit identical bytes.
@@ -466,42 +468,37 @@ class Report:
     scenario_kind: str
     species_name: str
     operation: str
-    value: float
-    error_estimate: float
-    converged: bool
-    breakdown: dict
-    series: dict | None = None
-    toolkit_version: str = __version__
-    constants_fingerprint: str = ""
+    result: IntegralResult
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
+        res = self.result
         d = {
             "scenario_kind": self.scenario_kind,
             "species": self.species_name,
-            "value": self.value,
-            "error_estimate": self.error_estimate,
-            "converged": self.converged,
-            "breakdown": dict(self.breakdown),
+            "value": res.value,
+            "error_estimate": res.error_estimate,
+            "converged": res.converged,
+            "breakdown": dict(res.breakdown),
             "metadata": {
                 "operation": self.operation,
-                "toolkit_version": self.toolkit_version,
-                "constants_hash": self.constants_fingerprint,
+                "toolkit_version": __version__,
+                "constants_hash": _CONSTANTS_HASH,
             },
         }
-        if self.series is not None:
-            d["series"] = self.series
+        if res.series is not None:
+            d["series"] = res.series
         return d
 
 
-def _non_finite(res: IntegralResult, series: dict | None) -> list[str]:
+def _non_finite(res: IntegralResult) -> list[str]:
     """The non-finite numbers of a result, named."""
     named = {"value": res.value, "error_estimate": res.error_estimate}
     named.update((f"breakdown.{k}", x) for k, x in res.breakdown.items())
     bad = [f"{name} is {x!r}" for name, x in named.items() if not math.isfinite(x)]
     return bad + [
         f"series.{name}[{i}] is {x!r}"
-        for name, xs in (series or {}).items()
+        for name, xs in (res.series or {}).items()
         for i, x in enumerate(xs)
         if not math.isfinite(x)
     ]
@@ -518,12 +515,12 @@ def run_scenario(sc: Scenario) -> Report:
     t0 = time.perf_counter()
     _, op, run = _KINDS[sc.kind]
     try:
-        res, series = run(sc)
+        res = run(sc)
     except ArithmeticError as exc:
         raise NonFiniteEvaluation(f"{op}: {type(exc).__name__}: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"{op}: {exc}") from exc
-    bad = _non_finite(res, series)
+    bad = _non_finite(res)
     if bad:
         raise NonFiniteEvaluation(f"{op}: {bad[0]}")
     if not res.converged:
@@ -531,28 +528,24 @@ def run_scenario(sc: Scenario) -> Report:
             f"{op}: subdivision budget exhausted before the tolerance "
             f"(value={res.value!r}, error_estimate={res.error_estimate!r})"
         )
-    return Report(
-        scenario_kind=sc.kind,
-        species_name=sc.species.name,
-        operation=op,
-        value=res.value,
-        error_estimate=res.error_estimate,
-        converged=res.converged,
-        breakdown=res.breakdown,
-        series=series,
-        constants_fingerprint=constants_hash(),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return Report(sc.kind, sc.species.name, op, res, time.perf_counter() - t0)
 
 
 # -- sweeps --------------------------------------------------------------------
 
 @dataclass
 class SweepRow:
+    """One sweep point: its report, or the error that ended it. A single
+    run is emitted as the one row ``SweepRow("", None, report)``."""
+
     param_name: str
-    param_value: float
+    param_value: float | None
     report: Report | None
     error: str | None = None
+
+    def to_dict(self) -> dict:
+        outcome = {"error": self.error} if self.report is None else {"report": self.report.to_dict()}
+        return {"param_name": self.param_name, "param_value": self.param_value, **outcome}
 
 
 def _set_path(data: dict, path: str, value: float, source: str) -> None:
@@ -585,16 +578,15 @@ def _set_path(data: dict, path: str, value: float, source: str) -> None:
     node[leaf] = value
 
 
-def _sweep_one(args) -> tuple:
-    index, scenario_data, param, value, db_path = args
+def _sweep_one(args) -> SweepRow:
+    scenario_data, param, value, db_path = args
     data = copy.deepcopy(scenario_data)
     try:
         _set_path(data, param, value, "<sweep>")
         sc = parse_scenario_dict(data, resolve_species_db(db_path), source="<sweep>")
-        report = run_scenario(sc)
-        return index, report, None
+        return SweepRow(param, value, run_scenario(sc))
     except CasqError as exc:
-        return index, None, f"{type(exc).__name__}: {exc}"
+        return SweepRow(param, value, None, f"{type(exc).__name__}: {exc}")
 
 
 def sweep(
@@ -613,20 +605,11 @@ def sweep(
     _set_path(probe, param, float(values[0]), "<sweep>")
 
     order = sorted(range(len(values)), key=lambda i: (values[i], i))
-    tasks = [
-        (i, scenario_data, param, float(values[i]), species_db_path) for i in order
-    ]
+    tasks = [(scenario_data, param, float(values[i]), species_db_path) for i in order]
     if jobs <= 1:
-        outcomes = [_sweep_one(t) for t in tasks]
-    else:
-        with get_context("spawn").Pool(processes=jobs) as pool:
-            outcomes = pool.map(_sweep_one, tasks)
-    by_index = {i: (rep, err) for i, rep, err in outcomes}
-    rows = []
-    for i in order:
-        rep, err = by_index[i]
-        rows.append(SweepRow(param, float(values[i]), rep, err))
-    return rows
+        return [_sweep_one(t) for t in tasks]
+    with get_context("spawn").Pool(processes=jobs) as pool:
+        return pool.map(_sweep_one, tasks)
 
 
 # -- emission ------------------------------------------------------------------
@@ -698,80 +681,33 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _csv_row(kind, species, pname, pvalue, value, err, conv, breakdown) -> str:
-    cells = [
-        kind,
-        species,
-        pname,
-        "" if pvalue is None else format_float(pvalue),
-        "" if value is None else format_float(value),
-        "" if err is None else format_float(err),
-        "" if conv is None else ("true" if conv else "false"),
-        to_canonical_json(breakdown, compact=True),
-    ]
+def _csv_row(row: SweepRow) -> str:
+    pvalue = "" if row.param_value is None else format_float(row.param_value)
+    if row.report is None:
+        cells = ["", "", row.param_name, pvalue, "", "", "false",
+                 to_canonical_json({"error": row.error}, compact=True)]
+    else:
+        r = row.report
+        res = r.result
+        cells = [
+            r.scenario_kind,
+            r.species_name,
+            row.param_name,
+            pvalue,
+            format_float(res.value),
+            format_float(res.error_estimate),
+            "true" if res.converged else "false",
+            to_canonical_json(res.breakdown, compact=True),
+        ]
     return ",".join(_csv_cell(c) for c in cells) + "\n"
 
 
-def _to_csv(obj) -> str:
-    lines = [_CSV_HEADER]
-    if isinstance(obj, Report):
-        lines.append(
-            _csv_row(
-                obj.scenario_kind, obj.species_name, "", None,
-                obj.value, obj.error_estimate, obj.converged, obj.breakdown,
-            )
-        )
-    else:
-        for row in obj:
-            if row.report is not None:
-                r = row.report
-                lines.append(
-                    _csv_row(
-                        r.scenario_kind, r.species_name, row.param_name, row.param_value,
-                        r.value, r.error_estimate, r.converged, r.breakdown,
-                    )
-                )
-            else:
-                lines.append(
-                    _csv_row(
-                        "", "", row.param_name, row.param_value,
-                        None, None, False, {"error": row.error},
-                    )
-                )
-    return "".join(lines)
-
-
-def _to_json_payload(obj):
-    if isinstance(obj, Report):
-        return obj.to_dict()
-    return {
-        "rows": [
-            {
-                "param_name": row.param_name,
-                "param_value": row.param_value,
-                **(
-                    {"report": row.report.to_dict()}
-                    if row.report is not None
-                    else {"error": row.error}
-                ),
-            }
-            for row in obj
-        ]
-    }
-
-
-def _svg_points(obj) -> list[tuple[float, float]]:
-    if isinstance(obj, Report):
-        return [(0.0, obj.value)]
-    return [
-        (row.param_value, row.report.value)
-        for row in obj
+def _to_svg(rows: list[SweepRow]) -> str:
+    pts = [
+        (0.0 if row.param_value is None else row.param_value, row.report.result.value)
+        for row in rows
         if row.report is not None
     ]
-
-
-def _to_svg(obj) -> str:
-    pts = _svg_points(obj)
     width, height, margin = 640.0, 480.0, 60.0
     xs = [p[0] for p in pts] or [0.0]
     ys = [p[1] for p in pts] or [0.0]
@@ -809,15 +745,18 @@ def _to_svg(obj) -> str:
 def emit(obj, fmt: str, path: str | None = None) -> str:
     """Render a report or sweep table as csv / json / svg-plotdata.
 
-    Returns the rendered text; writes it to ``path`` when given ("-" means
-    return-only, the CLI prints it).
+    A single report is rendered as the one-row table of a sweep, except in
+    JSON, which prints the bare report. Returns the rendered text; writes
+    it to ``path`` when given ("-" means return-only, the CLI prints it).
     """
+    single = isinstance(obj, Report)
+    rows = [SweepRow("", None, obj)] if single else obj
     if fmt == "csv":
-        text = _to_csv(obj)
+        text = _CSV_HEADER + "".join(_csv_row(row) for row in rows)
     elif fmt == "json":
-        text = to_canonical_json(_to_json_payload(obj))
+        text = to_canonical_json(obj.to_dict() if single else {"rows": [r.to_dict() for r in rows]})
     elif fmt == "svg-plotdata":
-        text = _to_svg(obj)
+        text = _to_svg(rows)
     else:
         raise ValueError(f"unknown format {fmt!r} (expected csv, json or svg-plotdata)")
     if path is not None and path != "-":

@@ -33,6 +33,7 @@ __all__ = [
     "mean_square_dipole",
     "two_level_transition",
     "d2_for_static_polarizability",
+    "load_json",
     "load_species_db",
     "dump_species_db",
     "default_species_db",
@@ -187,16 +188,20 @@ def parse_species_db(data, source: str = "<species db>") -> list[AtomSpecies]:
     return out
 
 
-def load_species_db(path: str) -> list[AtomSpecies]:
-    """Load and validate a species database JSON file."""
+def load_json(path: str):
+    """Read a species database or scenario file; bad JSON gives :class:`ParseError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
-    return parse_species_db(data, source=path)
+
+
+def load_species_db(path: str) -> list[AtomSpecies]:
+    """Load and validate a species database JSON file."""
+    return parse_species_db(load_json(path), source=path)
 
 
 def species_db_to_dict(species: list[AtomSpecies]) -> dict:

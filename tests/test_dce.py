@@ -111,15 +111,15 @@ def test_amplitude_off_shell_raises():
 
 def test_numeric_coefficient_matches_closed_form():
     res = dce_rate_numeric(PARAMS, COARSE, n_spectrum=9)
-    assert res.coefficient == pytest.approx(CLOSED_FORM_COEFFICIENT, rel=1e-6)
+    assert res.breakdown["coefficient"] == pytest.approx(CLOSED_FORM_COEFFICIENT, rel=1e-6)
     assert res.converged
-    assert res.gamma_total == pytest.approx(dce_rate_closed(PARAMS), rel=1e-6)
+    assert res.value == pytest.approx(dce_rate_closed(PARAMS), rel=1e-6)
 
 
 def test_numeric_no_motion_zero():
     p = OscillationParams(r_max=0.0, omega_cm=OMEGA_CM, alpha0=PARAMS.alpha0)
     res = dce_rate_numeric(p, COARSE, n_spectrum=5)
-    assert res.gamma_total == 0.0
+    assert res.value == 0.0
 
 
 def test_numeric_over_closed_constant_on_grid():
@@ -128,15 +128,15 @@ def test_numeric_over_closed_constant_on_grid():
         for omega_cm in (1e5, 1e6, 1e7):
             p = OscillationParams(r_max=r_max, omega_cm=omega_cm, alpha0=PARAMS.alpha0)
             res = dce_rate_numeric(p, COARSE, n_spectrum=3)
-            ratios.append(res.gamma_total / dce_rate_closed(p))
+            ratios.append(res.value / dce_rate_closed(p))
     assert all(0.95 <= r <= 1.05 for r in ratios)
     assert max(ratios) - min(ratios) < 1e-9
 
 
 def test_spectrum_shape():
     res = dce_rate_numeric(PARAMS, COARSE, n_spectrum=33)
-    s = res.spectrum_density
-    w = res.spectrum_omega
+    s = res.series["dgamma_domega"]
+    w = res.series["omega_rad_per_s"]
     assert all(x >= 0.0 for x in s)
     assert all(0.0 < x < OMEGA_CM for x in w)
     # pair-exchange symmetry: s(w) = s(omega_cm - w)
@@ -145,14 +145,14 @@ def test_spectrum_shape():
     half = len(s) // 2 + 1
     assert all(b - a > 0.0 for a, b in zip(s[:half], s[1:half]))
     assert all(b - a < 0.0 for a, b in zip(s[half - 1:], s[half:]))
-    # photon-counting normalization: the density integrates to gamma_total
+    # photon-counting normalization: the density integrates to the rate
     wgrid = (0.0, *w, OMEGA_CM)
     sgrid = (0.0, *s, 0.0)
     trapezoid = sum(
         0.5 * (w1 - w0) * (s0 + s1)
         for w0, w1, s0, s1 in zip(wgrid, wgrid[1:], sgrid, sgrid[1:])
     )
-    assert trapezoid == pytest.approx(res.gamma_total, rel=1e-3)
+    assert trapezoid == pytest.approx(res.value, rel=1e-3)
 
 
 def test_isotropy():
@@ -162,8 +162,8 @@ def test_isotropy():
         direction=(1.0, -2.0, 0.5),
     )
     b = dce_rate_numeric(tilted, COARSE, n_spectrum=3)
-    tol = 10.0 * (a.error_estimate + b.error_estimate) + 1e-8 * a.gamma_total
-    assert abs(a.gamma_total - b.gamma_total) <= tol
+    tol = 10.0 * (a.error_estimate + b.error_estimate) + 1e-8 * a.value
+    assert abs(a.value - b.value) <= tol
 
 
 def test_params_validation():

@@ -177,7 +177,7 @@ def test_run_straightline_at_ell():
     ell = ell_omega(species, particle)
     sc = parse_scenario_dict(straightline_scenario(ell), DB)
     report = run_scenario(sc)
-    assert report.value == pytest.approx(15.0 * math.pi / 16.0, rel=1e-12)
+    assert report.result.value == pytest.approx(15.0 * math.pi / 16.0, rel=1e-12)
     assert report.operation == "sagnac.sagnac_phase_straightline"
 
 
@@ -195,7 +195,7 @@ def test_run_identical_paths_nonlocal_zero():
         "quadrature": {"rel_tol": 1e-10, "abs_tol": 1e-20},
     }
     report = run_scenario(parse_scenario_dict(data, DB))
-    assert abs(report.value) < 1e-18
+    assert abs(report.result.value) < 1e-18
 
 
 def test_run_deterministic():
@@ -213,7 +213,7 @@ def test_sweep_sixth_power_law():
     ell = ell_omega(species, particle)
     rows = sweep(straightline_scenario(ell), "y_m", [ell, 2.0 * ell])
     assert [r.param_value for r in rows] == [ell, 2.0 * ell]
-    assert rows[0].report.value == pytest.approx(64.0 * rows[1].report.value, rel=1e-11)
+    assert rows[0].report.result.value == pytest.approx(64.0 * rows[1].report.result.value, rel=1e-11)
 
 
 def test_sweep_rows_sorted_and_errors_recorded():
@@ -243,7 +243,7 @@ def test_sweep_nested_path():
     rows = sweep(
         straightline_scenario(3e-7), "particle.omega_rad_per_s.2", [1e5, 2e5]
     )
-    assert rows[1].report.value == pytest.approx(2.0 * rows[0].report.value, rel=1e-11)
+    assert rows[1].report.result.value == pytest.approx(2.0 * rows[0].report.result.value, rel=1e-11)
 
 
 # -- emission --------------------------------------------------------------------
@@ -576,4 +576,22 @@ def test_cli_nonconvergent_bounded_exit_3(tmp_path):
 def test_sweep_records_nonconvergent_row():
     rows = sweep(_harmonic_quasi_static(1e-8), "quadrature.rel_tol", [1e-12, 1e-8])
     assert rows[0].report is None and rows[0].error.startswith("NonConvergent: ")
-    assert rows[1].report is not None and rows[1].report.converged
+    assert rows[1].report is not None and rows[1].report.result.converged
+
+
+# -- n_spectrum bound -------------------------------------------------------------
+
+def test_n_spectrum_bound_accepted():
+    sc = parse_scenario_dict(_with("dce_numeric.json", "n_spectrum", 10_000), DB)
+    assert sc.n_spectrum == 10_000
+
+
+@pytest.mark.parametrize("value", [10_001, 1e9])
+def test_cli_n_spectrum_above_bound_exit_2(tmp_path, capsys, monkeypatch, value):
+    # the spectrum must never be built: reaching the compute layer fails the test
+    monkeypatch.setattr(
+        "casq.scenarios.dce_rate_numeric", lambda *a, **k: pytest.fail("spectrum computed")
+    )
+    code, out = _main_run(tmp_path, capsys, _with("dce_numeric.json", "n_spectrum", value))
+    assert code == 2
+    assert "n_spectrum: must be <= 10000" in out.err and out.out == ""
