@@ -7,11 +7,12 @@ photon pairs with c(k1 + k2) = omega_cm. The closed-form total rate is
 
 fantastically small for realistic parameters. The toolkit recomputes the
 dimensionless coefficient by golden-rule mode integration (polarization
-sums, double-sphere angular quadrature, exact radial energy-shell integral) and
-the two must agree; the script also prints the photon spectrum, symmetric
-about omega_cm / 2 because photons come in pairs.
+sums, an exact product of two icosahedral rules over the photon directions,
+exact radial energy-shell integral) and the two must agree; the script also
+prints the photon spectrum, symmetric about omega_cm / 2 because photons
+come in pairs.
 
-Run:  python3 demos/06_dce_emission.py   (a few seconds)
+Run:  python3 demos/06_dce_emission.py   (well under a second)
 """
 
 import math

@@ -44,24 +44,41 @@ which the closed form pins at 23 / (5670 pi).
 
 The amplitude is linear in x by construction, so sum_pol |A|^2 is exactly
 quadratic in x, and exchanging the photons maps x to 1 - x, so A_ang is
-even about x = 1/2. Two nested angular quadratures, at x = 0 and x = 1/2,
-therefore fix it exactly:
+even about x = 1/2. The angular factor at x = 0 and x = 1/2 therefore
+fixes it exactly:
 
     A_ang(x) = A_ang(0) (1-2x)^2 + A_ang(1/2) 4x(1-x),
     I = [A_ang(0) + 8 A_ang(1/2)] / 1260,
 
 with the Beta integrals int x^3(1-x)^3 (1-2x)^2 dx = 1/1260 and
 int x^3(1-x)^3 4x(1-x) dx = 2/315; no radial quadrature remains.
+
+Each angular factor is exact on a product of two spherical 5-designs.
+With b_i = k_i x e_i, c = x1 (k1.u) + x2 (k2.u) and [u]x w = u x w,
+
+    A = c e1.e2 + e1^T [u]x b2 - b1^T [u]x e2.
+
+Each term of |A|^2 is linear in one of e1 e1^T, e1 b1^T, b1 b1^T and in one
+of e2 e2^T, e2 b2^T, b2 b2^T. Their polarization sums are I - k k^T for
+e e^T and b b^T (degree 2 in k) and -[k]x for e b^T (degree 1, b = [k]x e).
+The factor c has degree 1 in each k_i and enters squared only next to
+e1 e1^T and e2 e2^T, so sum_pol |A|^2 has degree <= 4 in the components of
+each unit wavevector. The 12 icosahedron vertices, weighted 4 pi/12, form a
+5-design: they integrate every polynomial of degree <= 5 on S^2 exactly
+(Delsarte, Goethals & Seidel, Geom. Dedicata 6, 1977; Hardin & Sloane,
+Discrete Comput. Geom. 15, 1996). Their 144-point product rule is therefore
+exact, and only round-off remains.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .errors import RWAViolation
-from .quadrature import IntegralResult, QuadratureSpec, integrate_iterated
+from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec
 from .vec3 import Vec3, cross3, dot3, norm3, normalize3, perp_basis, scale3, sub3
 
 __all__ = [
@@ -115,16 +132,20 @@ def dce_rate_closed(params: OscillationParams) -> float:
     Gamma = (23 / 5670 pi) (a / r_max)^6 (v_max / c)^8 w_cm, equivalently
     (23 / 5670 pi) a^6 v_max^2 w_cm^7 / c^8.
     """
+    return _si_scale(params, CLOSED_FORM_COEFFICIENT)
+
+
+def _si_scale(params: OscillationParams, coefficient: float = 1.0) -> float:
+    """coefficient a^6 v_max^2 w_cm^7 / c^8, in log space to dodge under/overflow."""
     if params.r_max == 0.0:
         return 0.0
-    log_gamma = (
-        math.log(CLOSED_FORM_COEFFICIENT)
+    return math.exp(
+        math.log(coefficient)
         + 6.0 * math.log(params.a_equiv)
         + 2.0 * math.log(params.v_max)
         + 7.0 * math.log(params.omega_cm)
         - 8.0 * math.log(C_LIGHT)
     )
-    return math.exp(log_gamma)
 
 
 def _geometric_amplitude(
@@ -192,38 +213,30 @@ def _pol_summed_square(x1: float, k1: Vec3, k2: Vec3, u: Vec3) -> float:
     return total
 
 
-def _angular_factor(
-    x1: float, triad: tuple[Vec3, Vec3, Vec3], spec: QuadratureSpec
-) -> IntegralResult:
-    """A_ang(x1) = int dOmega1 dOmega2 sum_pol |A|^2 by nested quadrature.
+_PHI = 0.5 * (1.0 + math.sqrt(5.0))
 
-    In the frame aligned with the oscillation direction the integrand
-    depends on (theta1, theta2, dphi) only; the common azimuth contributes
-    2 pi, and the integrand is even in dphi about pi (it enters through
-    cos dphi only), halving the dphi range.
+#: Icosahedron vertices (0, +-1, +-phi) and their cyclic permutations, a
+#: spherical 5-design: (4 pi/12) sum_k p(k) = int dOmega p for deg p <= 5.
+_DESIGN = tuple(
+    normalize3(v)
+    for a in (1.0, -1.0)
+    for b in (_PHI, -_PHI)
+    for v in ((0.0, a, b), (a, b, 0.0), (b, 0.0, a))
+)
+
+
+def _angular_factor(x1: float, u: Vec3, spec: QuadratureSpec) -> IntegralResult:
+    """A_ang(x1) = int dOmega1 dOmega2 sum_pol |A|^2, exactly (module docstring).
+
+    The integrand is >= 0, so the round-off bound is 50 eps times the value,
+    the adaptive engine's per-panel floor; ``spec`` decides only ``converged``.
     """
-    ex, ey, u = triad
-
-    def integrand(th1: float, th2: float, dphi: float) -> float:
-        s1 = math.sin(th1)
-        c1 = math.cos(th1)
-        s2 = math.sin(th2)
-        c2 = math.cos(th2)
-        k1 = (s1 * ex[0] + c1 * u[0], s1 * ex[1] + c1 * u[1], s1 * ex[2] + c1 * u[2])
-        cb = math.cos(dphi)
-        sb = math.sin(dphi)
-        k2 = (
-            s2 * (cb * ex[0] + sb * ey[0]) + c2 * u[0],
-            s2 * (cb * ex[1] + sb * ey[1]) + c2 * u[1],
-            s2 * (cb * ex[2] + sb * ey[2]) + c2 * u[2],
-        )
-        return s1 * s2 * _pol_summed_square(x1, k1, k2, u)
-
-    res = integrate_iterated(
-        integrand, [(0.0, math.pi), (0.0, math.pi), (0.0, math.pi)], spec
+    value = (4.0 * math.pi / len(_DESIGN)) ** 2 * math.fsum(
+        _pol_summed_square(x1, k1, k2, u) for k1 in _DESIGN for k2 in _DESIGN
     )
-    scale = 2.0 * (2.0 * math.pi)
-    return replace(res, value=scale * res.value, error_estimate=scale * res.error_estimate)
+    error = 50.0 * sys.float_info.epsilon * value
+    converged = error <= max(spec.abs_tol, spec.rel_tol * value)
+    return IntegralResult(value, error, len(_DESIGN) ** 2, converged)
 
 
 def dce_rate_numeric(
@@ -238,17 +251,13 @@ def dce_rate_numeric(
     counting each photon once (two photons per pair), so the density
     integrates to the rate over (0, omega_cm) within the error budget.
 
-    ``spec`` controls the angular quadrature tolerance; the radial integral
-    is exact. Defaults resolve the coefficient to ~1e-7 relative; the
-    acceptance target is 5%.
+    Both the angular and the radial integrals are exact; ``spec`` (default
+    :data:`DEFAULT_SPEC`) only decides whether the round-off bound counts
+    as converged, and its ``max_subdivisions`` is unused.
     """
-    spec = spec or QuadratureSpec(rel_tol=1e-8, abs_tol=1e-300, max_subdivisions=400)
-    u = params.direction
-    ex, ey = perp_basis(u)
-    triad = (ex, ey, u)
-
-    edge = _angular_factor(0.0, triad, spec)
-    mid = _angular_factor(0.5, triad, spec)
+    spec = spec or DEFAULT_SPEC
+    edge = _angular_factor(0.0, params.direction, spec)
+    mid = _angular_factor(0.5, params.direction, spec)
 
     def angular(x: float) -> float:
         return edge.value * (1.0 - 2.0 * x) ** 2 + mid.value * 4.0 * x * (1.0 - x)
@@ -261,17 +270,8 @@ def dce_rate_numeric(
     coefficient = reduced / (32.0 * math.pi**3)
     coefficient_err = reduced_err / (32.0 * math.pi**3)
 
-    # SI scale (a/r_max)^6 (v_max/c)^8 w_cm = a^6 v_max^2 w_cm^7 / c^8,
-    # assembled in log space to dodge under/overflow
-    if params.r_max == 0.0:
-        scale = 0.0
-    else:
-        scale = math.exp(
-            6.0 * math.log(params.a_equiv)
-            + 2.0 * math.log(params.v_max)
-            + 7.0 * math.log(params.omega_cm)
-            - 8.0 * math.log(C_LIGHT)
-        )
+    # SI scale (a/r_max)^6 (v_max/c)^8 w_cm = a^6 v_max^2 w_cm^7 / c^8
+    scale = _si_scale(params)
 
     xs = [i / (n_spectrum + 1) for i in range(1, n_spectrum + 1)]
     density_scale = scale / params.omega_cm / (32.0 * math.pi**3)

@@ -53,8 +53,8 @@ from .quadrature import (
     line_integral,
 )
 from .species import AtomSpecies, two_level_transition
-from .trajectories import TimeWindow
-from .vec3 import Vec3, cross3, norm3
+from .trajectories import SampledPolyline3D, TimeWindow
+from .vec3 import Vec3, cross3, dot3, norm3, scale3, sub3
 
 __all__ = [
     "SpinningParticle",
@@ -156,21 +156,27 @@ def ell_omega(species: AtomSpecies, particle: SpinningParticle) -> float:
     return radicand ** (1.0 / 6.0)
 
 
-def _closest_approach(traj, window: TimeWindow, samples: int = 256) -> float:
-    if window.improper:
-        # sweep the tangent-mapped axis with the same centering and time
-        # scale the improper line integral uses, so the sweep actually
-        # resolves the region where the path passes the particle
-        center, scale = improper_time_scale(traj)
-        ts = [
-            center + scale * math.tan(-0.5 * math.pi + math.pi * (i + 0.5) / samples)
-            for i in range(samples)
-        ]
-        ts.append(center)
-    else:
+def _closest_approach(traj, window: TimeWindow) -> float:
+    """Exact closest approach to the particle over the window: a straight line
+    at t* = -(r0 . v)/|v|^2 clamped to a bounded window, a polyline on one of
+    its segments clipped to the window (beyond the samples: OutOfWindow).
+    """
+    if isinstance(traj, SampledPolyline3D):
         t0, t1 = window.t_start, window.t_end
-        ts = [t0 + (t1 - t0) * i / (samples - 1) for i in range(samples)]
-    return min(norm3(traj.position(t)) for t in ts)
+        inner = [p for t, p in zip(traj.times, traj.points) if t0 < t < t1]
+        pts = [traj.position(t0), *inner, traj.position(t1)]
+        return min(_segment_distance(p, sub3(q, p)) for p, q in zip(pts, pts[1:]))
+    t, _ = improper_time_scale(traj)
+    if not window.improper:
+        t = min(max(t, window.t_start), window.t_end)
+    return norm3(traj.position(t))
+
+
+def _segment_distance(p: Vec3, d: Vec3) -> float:
+    """Distance from the origin to the segment p + s d, 0 <= s <= 1."""
+    dd = dot3(d, d)
+    s = min(max(-dot3(p, d) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
+    return norm3(sub3(p, scale3(-s, d)))
 
 
 def sagnac_phase(

@@ -59,7 +59,7 @@ from .sagnac import (
     sagnac_phase_straightline,
     sagnac_total_symmetric,
 )
-from .species import AtomSpecies, alpha_static, load_json, resolve_species_db
+from .species import AtomSpecies, alpha_static, resolve_species_db
 from .trajectories import (
     Constant1D,
     Harmonic1D,
@@ -75,7 +75,6 @@ __all__ = [
     "Report",
     "SweepRow",
     "SCENARIO_KINDS",
-    "parse_scenario",
     "parse_scenario_dict",
     "scenario_to_dict",
     "run_scenario",
@@ -143,11 +142,11 @@ def _samples(read_value, shape: str):
 # constructor's default.
 
 def _schema(*fields, known=()):
-    """A field list with its required and allowed key sets, built once.
+    """A field list with its required keys (in field order) and allowed keys, built once.
 
     ``known`` names further keys that the caller reads itself.
     """
-    required = frozenset(key for key, _, _, req in fields if req)
+    required = tuple(key for key, _, _, req in fields if req)
     return fields, required, frozenset(key for key, _, _, _ in fields).union(known)
 
 
@@ -400,10 +399,10 @@ _KINDS = {
 }
 SCENARIO_KINDS = tuple(_KINDS)
 
-#: Scenario kind -> (its keys, required keys, allowed keys); every kind
-#: also takes "kind", "species" and an optional "quadrature".
+#: Scenario kind -> (its keys, required keys in field order, allowed keys);
+#: every kind also takes "kind", "species" and an optional "quadrature".
 _KIND_KEYS = {
-    kind: (("quadrature",) + keys, frozenset(keys) - _OPTIONAL,
+    kind: (("quadrature",) + keys, tuple(k for k in keys if k not in _OPTIONAL),
            frozenset(keys) | {"quadrature", "kind", "species"})
     for kind, (keys, _, _) in _KINDS.items()
 }
@@ -433,13 +432,6 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
         if key in data
     }
     return Scenario(kind=kind, species=species, **fields)
-
-
-def parse_scenario(path: str, species_db: list[AtomSpecies] | None = None) -> Scenario:
-    """Parse and validate a scenario file against the species database."""
-    if species_db is None:
-        species_db = resolve_species_db()
-    return parse_scenario_dict(load_json(path), species_db, source=path)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:

@@ -8,20 +8,23 @@ from casq.constants import C_LIGHT, FOUR_PI_EPS0
 from casq.dce import (
     CLOSED_FORM_COEFFICIENT,
     OscillationParams,
+    _DESIGN,
+    _angular_factor,
+    _pol_summed_square,
     dce_rate_closed,
     dce_rate_numeric,
     pair_emission_amplitude,
 )
 from casq.errors import RWAViolation
-from casq.quadrature import QuadratureSpec
+from casq.quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_iterated
+from casq.vec3 import normalize3, perp_basis
 
 A0 = 1e-10
 OMEGA_CM = 2.0 * math.pi * 1e5
 PARAMS = OscillationParams(r_max=1e-7, omega_cm=OMEGA_CM, alpha0=FOUR_PI_EPS0 * A0**3)
 
-#: coarse angular tolerance for property sweeps; the coefficient is still
-#: machine-accurate because the angular integrand is a low-order trig
-#: polynomial
+#: coarse tolerance for property sweeps; the angular rule is exact, so the
+#: spec only decides ``converged``
 COARSE = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-300, max_subdivisions=200)
 
 
@@ -174,3 +177,67 @@ def test_params_validation():
     with pytest.raises(ValueError):
         OscillationParams(r_max=1e-7, omega_cm=OMEGA_CM, alpha0=1e-40,
                           direction=(0.0, 0.0, 0.0))
+
+
+# -- exact angular rule -----------------------------------------------------------------
+
+TILTED = (1.0, -2.0, 0.5)
+
+
+def _nested_angular_factor(x1, u, spec):
+    """A_ang(x1) by adaptive quadrature over (theta1, theta2, dphi) in a u-aligned frame.
+
+    The common azimuth gives 2 pi and the integrand is even in dphi about
+    pi, so dphi runs over [0, pi] with a further factor 2.
+    """
+    ex, ey = perp_basis(u)
+
+    def integrand(th1, th2, dphi):
+        s1, c1, s2, c2 = math.sin(th1), math.cos(th1), math.sin(th2), math.cos(th2)
+        cb, sb = math.cos(dphi), math.sin(dphi)
+        k1 = tuple(s1 * a + c1 * c for a, c in zip(ex, u))
+        k2 = tuple(s2 * (cb * a + sb * b) + c2 * c for a, b, c in zip(ex, ey, u))
+        return s1 * s2 * _pol_summed_square(x1, k1, k2, u)
+
+    res = integrate_iterated(integrand, [(0.0, math.pi)] * 3, spec)
+    return 4.0 * math.pi * res.value
+
+
+@pytest.mark.parametrize("x1", [0.0, 0.5])
+def test_angular_factor_matches_nested_quadrature(x1):
+    u = normalize3(TILTED)
+    nested = _nested_angular_factor(x1, u, QuadratureSpec(rel_tol=1e-6, abs_tol=1e-300))
+    exact = _angular_factor(x1, u, DEFAULT_SPEC).value
+    assert exact == pytest.approx(nested, rel=1e-5)
+
+
+@pytest.mark.parametrize("x1", [0.5, 1.0])
+def test_design_exact_over_one_sphere(x1):
+    # at fixed k2 the integrand has degree 4 in k1, which a 3-design such as
+    # the octahedron misses; the double integral alone could hide it
+    u, k2 = normalize3(TILTED), normalize3((0.4, 0.1, -0.9))
+
+    def integrand(th, ph):
+        k1 = (math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th))
+        return math.sin(th) * _pol_summed_square(x1, k1, k2, u)
+
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-300)
+    ref = integrate_iterated(integrand, [(0.0, math.pi), (0.0, 2.0 * math.pi)], spec).value
+    rule = 4.0 * math.pi / len(_DESIGN) * sum(_pol_summed_square(x1, k1, k2, u) for k1 in _DESIGN)
+    assert rule == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("direction", [(0.0, 0.0, 1.0), TILTED, (0.3, 0.7, -0.2)])
+def test_exact_rule_coefficient_and_count(direction):
+    p = OscillationParams(r_max=PARAMS.r_max, omega_cm=OMEGA_CM, alpha0=PARAMS.alpha0,
+                          direction=direction)
+    res = dce_rate_numeric(p, n_spectrum=3)
+    assert abs(res.breakdown["coefficient"] - 23.0 / (5670.0 * math.pi)) <= 1e-13
+    assert res.evaluations == 288
+    assert res.converged
+
+
+def test_exact_rule_below_roundoff_not_converged():
+    # the round-off bound is 50 eps relative, above a 1e-15 target
+    res = dce_rate_numeric(PARAMS, QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300), n_spectrum=3)
+    assert not res.converged

@@ -2,6 +2,8 @@
 
 import math
 import random
+import warnings
+from importlib.resources import files
 
 import pytest
 
@@ -11,12 +13,14 @@ from casq.errors import (
     NearFieldValidityWarning,
     NegativeRadicand,
     NotTwoLevel,
+    OutOfWindow,
     PoleProximity,
     ZeroImpactParameter,
 )
 from casq.quadrature import QuadratureSpec
 from casq.sagnac import (
     SpinningParticle,
+    _closest_approach,
     alpha_s,
     ell_omega,
     re_alpha_second,
@@ -24,8 +28,9 @@ from casq.sagnac import (
     sagnac_phase_straightline,
     sagnac_total_symmetric,
 )
-from casq.species import AtomSpecies, Transition
-from casq.trajectories import StraightLine3D, TimeWindow
+from casq.scenarios import parse_scenario_dict, run_scenario
+from casq.species import AtomSpecies, Transition, default_species_db, load_json
+from casq.trajectories import SampledPolyline3D, StraightLine3D, TimeWindow
 from casq.vec3 import dot3
 
 TWO_LEVEL = AtomSpecies("two-level", (Transition(2.0e15, 1.0e-58),))
@@ -272,3 +277,46 @@ def test_near_field_warning():
     traj = StraightLine3D((0.0, 5e-5, 0.0), (100.0, 0.0, 0.0))
     with pytest.warns(NearFieldValidityWarning):
         sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow.all_time(), TIGHT)
+
+
+def test_near_field_check_uses_exact_closest_approach():
+    # a sampled scan of [-1 us, 1 us] steps over t = 0 and finds 3.9e-7 m
+    # (omega_eg * d / c = 2.6); the path passes at 1e-8 m (0.067)
+    traj = StraightLine3D((0.0, 1e-8, 0.0), (100.0, 0.0, 0.0))
+    window = TimeWindow(-1e-6, 1e-6)
+    assert _closest_approach(traj, window) == 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NearFieldValidityWarning)
+        sagnac_phase(TWO_LEVEL, PARTICLE, traj, window)
+
+
+def test_closest_approach_straight_line_clamped_and_at_rest():
+    traj = StraightLine3D((0.0, 3e-7, 0.0), (100.0, 0.0, 0.0))
+    # the window ends while the path is still 2e-7 m short of x = 0
+    assert _closest_approach(traj, TimeWindow(-4e-9, -2e-9)) == pytest.approx(
+        math.hypot(2e-7, 3e-7), rel=1e-15, abs=0.0)
+    at_rest = StraightLine3D((1e-7, 2e-7, 2e-7), (0.0, 0.0, 0.0))
+    assert _closest_approach(at_rest, TimeWindow.all_time()) == pytest.approx(
+        3e-7, rel=1e-15, abs=0.0)
+
+
+def test_closest_approach_polyline_inside_segment():
+    traj = SampledPolyline3D((0.0, 1e-9), ((-1e-7, 3e-7, 0.0), (1e-7, 3e-7, 0.0)))
+    assert _closest_approach(traj, TimeWindow(0.0, 1e-9)) == pytest.approx(
+        3e-7, rel=1e-15, abs=0.0)
+    # clipped to the window: the nearest point is the window end
+    assert _closest_approach(traj, TimeWindow(0.0, 2.5e-10)) == pytest.approx(
+        math.hypot(5e-8, 3e-7), rel=1e-15, abs=0.0)
+
+
+def test_closest_approach_polyline_beyond_samples():
+    traj = SampledPolyline3D((0.0, 1e-9), ((-1e-7, 3e-7, 0.0), (1e-7, 3e-7, 0.0)))
+    with pytest.raises(OutOfWindow):
+        sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow(0.0, 2e-9))
+
+
+def test_bundled_sagnac_numeric_still_warns():
+    path = str(files("casq.data").joinpath("scenarios/sagnac_numeric.json"))
+    sc = parse_scenario_dict(load_json(path), default_species_db(), path)
+    with pytest.warns(NearFieldValidityWarning):
+        run_scenario(sc)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -595,3 +596,26 @@ def test_cli_n_spectrum_above_bound_exit_2(tmp_path, capsys, monkeypatch, value)
     code, out = _main_run(tmp_path, capsys, _with("dce_numeric.json", "n_spectrum", value))
     assert code == 2
     assert "n_spectrum: must be <= 10000" in out.err and out.out == ""
+
+
+# -- message determinism and sampled paths on improper windows ---------------------
+
+def test_missing_key_message_independent_of_hash_seed(tmp_path):
+    path = _write_json(tmp_path, {"kind": "SagnacStraightLine", "species": "two-level-demo"})
+    errs = []
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "casq", "run", path], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 2
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    assert "particle: missing required key" in errs[0]
+
+
+def test_cli_sampled_sagnac_improper_window_exit_2(tmp_path, capsys):
+    data = _sampled_sagnac([[0.0, [-1e-7, 3e-7, 0.0]], [1e-9, [1e-7, 3e-7, 0.0]]])
+    data["window"] = {"improper": True}
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 2 and "outside sample range" in out.err
