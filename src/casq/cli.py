@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, show_warning
 from .scenarios import (
     emit,
     format_float,
@@ -160,17 +161,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            return args.func(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except NumericalError as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

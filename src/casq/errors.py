@@ -13,6 +13,9 @@ I/O failures are plain ``OSError`` (exit code 4).
 
 from __future__ import annotations
 
+import sys
+import warnings
+
 
 class CasqError(Exception):
     """Base class for all toolkit errors."""
@@ -104,12 +107,33 @@ class NonFiniteEvaluation(NumericalError):
 
 # -- warnings ----------------------------------------------------------------
 
-class NearFieldValidityWarning(UserWarning):
+class CasqWarning(UserWarning):
+    """Base class of the toolkit's physics-validity warnings."""
+
+
+class NearFieldValidityWarning(CasqWarning):
     """Path is far enough from the spinning particle that the short-distance
     (nonretarded) derivation of the rotation phase starts to break down."""
 
 
-class ParallelVelocityMismatchWarning(UserWarning):
+class ParallelVelocityMismatchWarning(CasqWarning):
     """The two interferometer paths declare different parallel-velocity
     metadata; the two-path phase formula assumes a common parallel
     velocity."""
+
+
+def show_warning(message, category, filename, lineno, file=None, line=None):
+    """``warnings.showwarning`` for command-line runs.
+
+    The toolkit's own warnings print as one line, ``casq: warning:
+    <Category>: <message>``: their source location lies inside casq and
+    tells a user nothing. Other warnings print as Python prints them.
+    """
+    if issubclass(category, CasqWarning):
+        text = f"casq: warning: {category.__name__}: {message}\n"
+    else:
+        text = warnings.formatwarning(message, category, filename, lineno, line)
+    try:
+        (sys.stderr if file is None else file).write(text)
+    except OSError:
+        pass  # stderr is gone: the warning is lost, as in Python's own display

@@ -42,7 +42,13 @@ from .quadrature import (
     integrate_improper,
 )
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
-from .trajectories import TimeWindow, light_delay, validate_positive_over_window
+from .trajectories import (
+    SampledPolyline1D,
+    TimeWindow,
+    breakpoints,
+    light_delay,
+    validate_positive_over_window,
+)
 
 __all__ = [
     "MirrorScenario",
@@ -106,10 +112,12 @@ def _guarded_z(traj, t: float, z_min: float) -> float:
     return z
 
 
-def _integrate_window(f, window: TimeWindow, spec: QuadratureSpec):
+def _integrate_window(f, window: TimeWindow, spec: QuadratureSpec, *paths):
+    """Integral of f over the window, with the paths' kinks on panel edges."""
     if window.improper:
         return integrate_improper(f, spec)
-    return integrate_adaptive(f, window.t_start, window.t_end, spec)
+    breaks = [t for p in paths for t in breakpoints(p, window)]
+    return integrate_adaptive(f, window.t_start, window.t_end, spec, breaks)
 
 
 def quasi_static_phase(
@@ -126,7 +134,7 @@ def quasi_static_phase(
         z = _guarded_z(traj, t, scenario.z_min)
         return c3 / (HBAR * z**3)  # = -U/hbar
 
-    res = _integrate_window(integrand, scenario.window, spec)
+    res = _integrate_window(integrand, scenario.window, spec, traj)
     return replace(res, breakdown={"quasi_static": res.value})
 
 
@@ -146,7 +154,10 @@ def _delay_average(c3: float, traj, t: float, z_min: float, spec: QuadratureSpec
     tau_eff = t_hi - t
     if tau_eff <= 0.0:
         return u(t), None, 0
-    avg = integrate_adaptive(u, t, t_hi, spec)
+    # a sample time inside the delay window is a kink of u; the isinstance
+    # test spares analytic paths a TimeWindow per call
+    kinks = traj.breakpoints(TimeWindow(t, t_hi)) if isinstance(traj, SampledPolyline1D) else ()
+    avg = integrate_adaptive(u, t, t_hi, spec, kinks)
     return u(t), avg.value / tau_eff, avg.evaluations
 
 
@@ -193,13 +204,13 @@ def motional_phase_mirror(
             return 0.0
         return -(ubar - u_t) / HBAR
 
-    res = _integrate_window(integrand, scenario.window, spec)
+    res = _integrate_window(integrand, scenario.window, spec, traj)
 
     def lead_integrand(t: float) -> float:
         z = _guarded_z(traj, t, scenario.z_min)
         return -(3.0 * c3 / (HBAR * C_LIGHT)) * traj.velocity(t) / z**3
 
-    lead = _integrate_window(lead_integrand, scenario.window, spec)
+    lead = _integrate_window(lead_integrand, scenario.window, spec, traj)
 
     breakdown = {"motional": res.value, "leading_order_local": lead.value}
     if lead.value != 0.0:
@@ -242,7 +253,7 @@ def nonlocal_phase(
         z2 = _guarded_z(p2, t, scenario.z_min)
         return k * (p1.velocity(t) - p2.velocity(t)) / (z1 + z2) ** 3
 
-    res = _integrate_window(integrand, scenario.window, spec)
+    res = _integrate_window(integrand, scenario.window, spec, p1, p2)
     return replace(res, breakdown={"nonlocal": res.value})
 
 

@@ -7,6 +7,23 @@ pair with bisection of the worst interval, QUADPACK-style error
 estimation, and a final summation in a fixed order. Identical inputs give
 bit-identical outputs; there is no randomized cubature anywhere.
 
+Each bisection costs O(log n) in the number n of live panels, so a run of
+n bisections costs O(n log n). The panels sit in a binary heap keyed by
+(-error, left end): the worst panel comes first, and of equal errors the
+leftmost, like QUADPACK's ordered error list (``dqpsrt``). The summed value
+and error estimate that the stopping test reads are exact running sums:
+Shewchuk's non-overlapping partials (1997), to which each split adds the
+two new panels and the negated old one. ``math.fsum`` of the partials then
+rounds the same exact sum that ``math.fsum`` over the live panels rounds,
+so the stopping decisions, and with them every result, are those of
+re-summing all panels on every bisection. Integrals that converge on their
+first panels build neither the heap nor the partials.
+
+Callers declare where an integrand has kinks (``breaks``), such as the
+sample times of a sampled path, and the first sweep puts a panel edge on
+each: a kink inside a panel can give an error estimate below the true
+error (QUADPACK's ``dqagp``).
+
 Improper integrals over (-inf, inf) are mapped to (-pi/2, pi/2) with
 u = tan(theta). The engine cannot verify integrand decay, so callers
 certify it (the ``improper`` flag on a time window) and non-convergence
@@ -15,12 +32,14 @@ of an improper integral raises instead of returning quietly.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .errors import CollisionGuard, NonConvergent, NonFiniteEvaluation
+from .trajectories import breakpoints
 from .vec3 import Vec3, dot3, norm3
 
 __all__ = [
@@ -169,17 +188,54 @@ def _gk15(f, a: float, b: float, ctx: str) -> _Panel:
     return _Panel(a, b, value, err, resabs)
 
 
+def _grow_exact(partials: list[float], xs) -> list[float]:
+    """Add each of ``xs`` to the running sum ``partials`` without rounding.
+
+    ``partials`` holds the sum as non-overlapping floats (Shewchuk's
+    expansion, which ``math.fsum`` uses internally), so ``math.fsum(partials)``
+    is the correctly rounded sum of every number added: the same bits as a
+    fresh ``math.fsum`` over the numbers still counted. A sum that leaves
+    the float range raises ``OverflowError``, as ``math.fsum`` does.
+    """
+    for x in xs:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        if not math.isfinite(x):
+            raise OverflowError("integrate_adaptive: running panel sum overflows")
+        partials[i:] = [x]
+    return partials
+
+
 def integrate_adaptive(
     f: Callable[[float], float],
     a: float,
     b: float,
     spec: QuadratureSpec | None = None,
+    breaks: Sequence[float] = (),
 ) -> IntegralResult:
     """Adaptive Gauss-Kronrod integration of ``f`` on [a, b].
+
+    The first sweep has one panel, or one per stretch between the points
+    of ``breaks`` that lie strictly inside the interval (others are
+    ignored). Declare the points where ``f`` has a kink or a jump: a panel
+    with one inside can report an error estimate below its true error.
 
     Bisects the interval with the largest local error estimate until the
     summed estimate meets the tolerance or the subdivision budget runs
     out (the latter returns ``converged=False`` rather than raising).
+    The panels sit in a heap keyed by (-error, left end), so the worst
+    one, the leftmost among equals, is found in O(log n). The summed value
+    and estimate are exact running sums (each split adds two panels and
+    takes one away), read with ``math.fsum``: the same bits as summing the
+    live panels afresh, at a cost that does not grow with their number.
     Each panel's estimate is at least 50 eps times its integral of |f|,
     so an integral whose exact value is zero, or which cancels to far
     below its integral of |f|, could never meet a relative tolerance. A
@@ -197,7 +253,10 @@ def integrate_adaptive(
     if a > b:
         a, b = b, a
         sign = -1.0
-    return _adaptive_core(f, (a, b), sign, spec)
+    edges = (a, b)
+    if breaks:
+        edges = (a, *sorted({float(x) for x in breaks if a < x < b}), b)
+    return _adaptive_core(f, edges, sign, spec)
 
 
 def _adaptive_core(
@@ -220,11 +279,14 @@ def _adaptive_core(
     ]
     # integral of |f|, kept up to date per bisection: it only sets a floor
     resabs = math.fsum(p.resabs for p in panels)
+    total = math.fsum(p.value for p in panels)
+    toterr = math.fsum(p.error for p in panels)
+    # built at the first bisection, so integrals that converge on their
+    # first panels pay nothing for them
+    heap = None
     nsub = 0
     converged = False
     while True:
-        total = math.fsum(p.value for p in panels)
-        toterr = math.fsum(p.error for p in panels)
         tol = max(spec.abs_tol, spec.rel_tol * abs(total), _TOL_FLOOR)
         if spec.rel_tol >= _ROUNDOFF:
             tol = max(tol, _ROUNDOFF * resabs)
@@ -233,21 +295,31 @@ def _adaptive_core(
             break
         if nsub >= spec.max_subdivisions:
             break
-        # worst interval first; ties broken by the left endpoint so the
-        # subdivision sequence is reproducible
-        worst_i = max(range(len(panels)), key=lambda i: (panels[i].error, -panels[i].a))
-        worst = panels.pop(worst_i)
+        if heap is None:
+            # worst interval first; ties broken by the left endpoint so the
+            # subdivision sequence is reproducible (live panels never share one)
+            heap = [(-p.error, p.a, p) for p in panels]
+            heapq.heapify(heap)
+            values = _grow_exact([], [p.value for p in panels])
+            errors = _grow_exact([], [p.error for p in panels])
+        worst = heap[0][2]
         mid = 0.5 * (worst.a + worst.b)
         if mid <= worst.a or mid >= worst.b:
             # interval at floating-point resolution: keep it, accept its error
-            panels.append(worst)
             break
         left = _gk15(counted, worst.a, mid, ctx)
         right = _gk15(counted, mid, worst.b, ctx)
-        panels += (left, right)
+        heapq.heapreplace(heap, (-left.error, left.a, left))
+        heapq.heappush(heap, (-right.error, right.a, right))
+        _grow_exact(values, (left.value, right.value, -worst.value))
+        _grow_exact(errors, (left.error, right.error, -worst.error))
+        total = math.fsum(values)
+        toterr = math.fsum(errors)
         resabs += left.resabs + right.resabs - worst.resabs
         nsub += 1
 
+    if heap is not None:
+        panels = [entry[2] for entry in heap]
     panels.sort(key=lambda p: p.a)
     value = sign * math.fsum(p.value for p in panels)
     toterr = math.fsum(p.error for p in panels)
@@ -303,7 +375,8 @@ def line_integral(
 
     Evaluates int_P dr . F(r) as the time integral of v(t) . F(r(t)) over
     the window; improper windows go through the tangent map (the window's
-    ``improper`` flag is the caller's decay certification). Points with
+    ``improper`` flag is the caller's decay certification). A sampled
+    path's sample times inside a bounded window are panel edges. Points with
     |r(t)| < r_min_guard raise :class:`CollisionGuard`.
     """
 
@@ -319,7 +392,9 @@ def line_integral(
     if window.improper:
         center, scale = improper_time_scale(traj)
         return integrate_improper(integrand, spec, center=center, scale=scale)
-    return integrate_adaptive(integrand, window.t_start, window.t_end, spec)
+    return integrate_adaptive(
+        integrand, window.t_start, window.t_end, spec, breakpoints(traj, window)
+    )
 
 
 def improper_time_scale(traj) -> tuple[float, float]:

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
@@ -42,6 +43,7 @@ from .errors import (
     UnitMismatch,
     UnknownSpecies,
     ValidationError,
+    show_warning,
 )
 from .mirror_phases import (
     MirrorScenario,
@@ -570,6 +572,11 @@ def _set_path(data: dict, path: str, value: float, source: str) -> None:
     node[leaf] = value
 
 
+def _init_worker() -> None:
+    # a worker writes its warnings straight to the user's stderr
+    warnings.showwarning = show_warning
+
+
 def _sweep_one(args) -> SweepRow:
     scenario_data, param, value, db_path = args
     data = copy.deepcopy(scenario_data)
@@ -600,7 +607,7 @@ def sweep(
     tasks = [(scenario_data, param, float(values[i]), species_db_path) for i in order]
     if jobs <= 1:
         return [_sweep_one(t) for t in tasks]
-    with get_context("spawn").Pool(processes=jobs) as pool:
+    with get_context("spawn").Pool(processes=jobs, initializer=_init_worker) as pool:
         return pool.map(_sweep_one, tasks)
 
 

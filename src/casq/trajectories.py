@@ -27,7 +27,7 @@ geometric-phase invariance tests lean on.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT
@@ -44,6 +44,7 @@ __all__ = [
     "SampledPolyline3D",
     "position",
     "velocity",
+    "breakpoints",
     "reparametrize",
     "reparametrize_window",
     "reverse",
@@ -172,6 +173,10 @@ def _fd_stencil(times: tuple[float, ...], t: float) -> tuple[float, float, float
     return t - dt, t + dt, 2.0 * dt
 
 
+def _inside(times: tuple[float, ...], window: TimeWindow) -> tuple[float, ...]:
+    return times[bisect_right(times, window.t_start):bisect_left(times, window.t_end)]
+
+
 @dataclass(frozen=True)
 class SampledPolyline1D:
     """Piecewise-linear z(t) through strictly increasing sample times.
@@ -203,6 +208,10 @@ class SampledPolyline1D:
     def velocity(self, t: float) -> float:
         lo, hi, width = _fd_stencil(self.times, t)
         return (self.position(hi) - self.position(lo)) / width
+
+    def breakpoints(self, window: TimeWindow) -> tuple[float, ...]:
+        """Sample times strictly inside the window: the interpolant's kinks."""
+        return _inside(self.times, window)
 
 
 Trajectory1D = Constant1D | Linear1D | Harmonic1D | SampledPolyline1D
@@ -267,6 +276,10 @@ class SampledPolyline3D:
             (pp[2] - pm[2]) / width,
         )
 
+    def breakpoints(self, window: TimeWindow) -> tuple[float, ...]:
+        """Sample times strictly inside the window: the interpolant's kinks."""
+        return _inside(self.times, window)
+
 
 Trajectory3D = StraightLine3D | SampledPolyline3D
 Trajectory = Trajectory1D | Trajectory3D
@@ -282,6 +295,18 @@ def position(traj, t: float):
 def velocity(traj, t: float):
     """Velocity at time t (same shape as position)."""
     return traj.velocity(t)
+
+
+def breakpoints(traj, window: TimeWindow) -> tuple[float, ...]:
+    """Times strictly inside a bounded window where the path has a kink.
+
+    Sampled kinds declare their sample times, so quadratures over the
+    window can put them on panel edges; analytic kinds and improper
+    windows declare none.
+    """
+    if window.improper or not isinstance(traj, (SampledPolyline1D, SampledPolyline3D)):
+        return ()
+    return traj.breakpoints(window)
 
 
 def light_delay(z: float) -> float:

@@ -26,6 +26,7 @@ from casq.trajectories import (
     Constant1D,
     Harmonic1D,
     Linear1D,
+    SampledPolyline1D,
     TimeWindow,
     light_delay,
     reparametrize,
@@ -305,3 +306,35 @@ def test_total_far_field_decoupling():
     qs1 = quasi_static_phase(MirrorScenario(TWO_LEVEL, (near,), w), 0, spec)
     mot1 = motional_phase_mirror(MirrorScenario(TWO_LEVEL, (near,), w), 0, spec)
     assert total.value == pytest.approx(qs1.value + mot1.value, abs=1e-14)
+
+
+def test_sampled_paths_put_their_samples_on_panel_edges(monkeypatch):
+    import casq.mirror_phases as mp
+
+    seen = []
+    engine = mp.integrate_adaptive
+
+    def spy(f, a, b, spec=None, breaks=()):
+        seen.append(sorted(set(breaks)))
+        return engine(f, a, b, spec, breaks)
+
+    monkeypatch.setattr(mp, "integrate_adaptive", spy)
+    p1 = SampledPolyline1D((0.0, 1e-9, 2e-9, 3e-9), (1e-6, 1.2e-6, 1.1e-6, 1e-6))
+    p2 = SampledPolyline1D((0.0, 1.5e-9, 3e-9), (1.3e-6, 1.4e-6, 1.3e-6))
+    scen = MirrorScenario(TWO_LEVEL, (p1, p2), TimeWindow(0.0, 3e-9))
+    quasi_static_phase(scen, 1)
+    assert seen == [[1.5e-9]]
+    seen.clear()
+    nonlocal_phase(scen)
+    assert seen == [[1e-9, 1.5e-9, 2e-9]]
+    seen.clear()
+    motional_phase_mirror(scen, 0)
+    # the outer and the leading-order integral; the delay averages seen
+    # here are the ones whose short window holds no sample
+    assert seen.count([1e-9, 2e-9]) == 2
+    assert all(b in ([], [1e-9, 2e-9]) for b in seen)
+    # a delay window [t, t + tau] across the sample at 1 ns
+    seen.clear()
+    t = 1e-9 - 0.5 * light_delay(1.2e-6)
+    coarse_grained_potential(TWO_LEVEL, p1, t)
+    assert seen == [[1e-9]]

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from casq import quadrature
 from casq.errors import CollisionGuard, NonConvergent, NonFiniteEvaluation
 from casq.quadrature import (
     IntegralResult,
@@ -151,6 +152,134 @@ def test_spec_validation():
         QuadratureSpec(max_subdivisions=0)
 
 
+# -- the engine against its quadratic-time reference -----------------------------
+
+def _reference_core(f, breaks, sign, spec):
+    """The engine's loop as it stood before its heap and running sums: every
+    bisection rescans the panels for the worst one and re-sums them all."""
+    evals = 0
+
+    def counted(x):
+        nonlocal evals
+        evals += 1
+        return f(x)
+
+    ctx = "integrate_adaptive"
+    panels = [
+        quadrature._gk15(counted, breaks[i], breaks[i + 1], ctx)
+        for i in range(len(breaks) - 1)
+    ]
+    resabs = math.fsum(p.resabs for p in panels)
+    nsub = 0
+    converged = False
+    while True:
+        total = math.fsum(p.value for p in panels)
+        toterr = math.fsum(p.error for p in panels)
+        tol = max(spec.abs_tol, spec.rel_tol * abs(total), quadrature._TOL_FLOOR)
+        if spec.rel_tol >= quadrature._ROUNDOFF:
+            tol = max(tol, quadrature._ROUNDOFF * resabs)
+        if toterr <= tol:
+            converged = True
+            break
+        if nsub >= spec.max_subdivisions:
+            break
+        worst_i = max(range(len(panels)), key=lambda i: (panels[i].error, -panels[i].a))
+        worst = panels.pop(worst_i)
+        mid = 0.5 * (worst.a + worst.b)
+        if mid <= worst.a or mid >= worst.b:
+            panels.append(worst)
+            break
+        left = quadrature._gk15(counted, worst.a, mid, ctx)
+        right = quadrature._gk15(counted, mid, worst.b, ctx)
+        panels += (left, right)
+        resabs += left.resabs + right.resabs - worst.resabs
+        nsub += 1
+
+    panels.sort(key=lambda p: p.a)
+    value = sign * math.fsum(p.value for p in panels)
+    toterr = math.fsum(p.error for p in panels)
+    return IntegralResult(value, toterr, evals, converged)
+
+
+def _step(x):
+    return 1.0 if x > 1.0 / 3.0 else 0.0
+
+
+@pytest.mark.parametrize(
+    "f, a, b, spec, stop",
+    [
+        (lambda x: math.sin(50.0 * x) ** 2 / (1.0 + x * x), 0.0, 100.0,
+         QuadratureSpec(rel_tol=1e-12), "budget"),
+        (abs, -1.0, 1.0, QuadratureSpec(rel_tol=1e-12), "tolerance"),
+        (lambda x: abs(math.sin(x)), 0.0, 16.0 * math.pi, QuadratureSpec(rel_tol=1e-12),
+         "tolerance"),
+        (lambda x: 1.0 / math.sqrt(abs(x)) if x else 0.0, -1.0, 1.0,
+         QuadratureSpec(rel_tol=1e-10), "tolerance"),
+        (_step, 0.0, 1.0, QuadratureSpec(rel_tol=1e-14, max_subdivisions=200), "budget"),
+        # no panel can meet the target, and the jump's panel stays the worst
+        # until it is one float wide (mid <= a)
+        (_step, 1.0 / 3.0 - 1e-15, 1.0 / 3.0 + 1e-15,
+         QuadratureSpec(rel_tol=1e-300, abs_tol=1e-300), "resolution"),
+        (lambda x: math.exp(-x) * math.cos(40.0 * x), 6.0, 0.0, QuadratureSpec(rel_tol=1e-12),
+         "tolerance"),
+    ],
+    ids=["sin2-budget", "abs", "abs-sin", "inv-sqrt", "step-budget", "float-resolution",
+         "reversed"],
+)
+def test_engine_matches_quadratic_reference(f, a, b, spec, stop):
+    r = integrate_adaptive(f, a, b, spec)
+    assert r == _reference_core(f, (min(a, b), max(a, b)), 1.0 if a < b else -1.0, spec)
+    budget_evals = 15 * (1 + 2 * spec.max_subdivisions)
+    assert r.converged is (stop == "tolerance")
+    assert (r.evaluations == budget_evals) is (stop == "budget")
+
+
+def test_engine_splits_the_leftmost_of_equal_errors_first():
+    # mirrored panels of opposite sign have equal errors and opposite
+    # values, so the sign of the result shows which one the single
+    # bisection of the budget split
+    def f(x):
+        if 0.3 <= x <= 1.0:
+            return 1.0
+        if 2.0 <= x <= 2.7:
+            return -1.0
+        return 0.0
+
+    spec = QuadratureSpec(rel_tol=1e-14, max_subdivisions=1)
+    r = integrate_adaptive(f, 0.0, 3.0, spec, breaks=(1.0, 2.0))
+    assert r == _reference_core(f, (0.0, 1.0, 2.0, 3.0), 1.0, spec)
+    assert r.value != 0.0
+
+
+def test_improper_engine_matches_quadratic_reference():
+    # eight initial panels in theta, mapped as integrate_improper maps them
+    spec = QuadratureSpec(rel_tol=1e-13)
+
+    def f(u):
+        return 1.0 / (1.0 + u * u) ** 2 + math.exp(-((u - 3.0) ** 2))
+
+    def mapped(theta):
+        u = math.tan(theta)
+        return f(u) * (1.0 + u * u)
+
+    breaks = [-0.5 * math.pi + math.pi * i / 8 for i in range(9)]
+    r = integrate_improper(f, spec)
+    assert r == _reference_core(mapped, breaks, 1.0, spec)
+    assert r.evaluations > 15 * 8  # it bisected
+    assert abs(r.value - (0.5 * math.pi + math.sqrt(math.pi))) < 1e-12
+
+
+def test_declared_breaks_become_panel_edges():
+    # |x - 1/3| has its kink inside [0, 1]; declared, each panel is linear
+    f = lambda x: abs(x - 1.0 / 3.0)
+    r = integrate_adaptive(f, 0.0, 1.0, breaks=(1.0 / 3.0, 2.0, math.nan, 1.0 / 3.0, 0.0))
+    assert r.evaluations == 30
+    assert r == _reference_core(f, (0.0, 1.0 / 3.0, 1.0), 1.0, quadrature.DEFAULT_SPEC)
+    assert abs(r.value - 5.0 / 18.0) < 1e-16
+    rev = integrate_adaptive(f, 1.0, 0.0, breaks=(1.0 / 3.0,))
+    assert rev.value == -r.value
+
+
 # -- iterated integrals --------------------------------------------------------
 
 def test_iterated_separable():
@@ -211,6 +340,21 @@ def test_line_integral_conservative_closed_loop():
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12)
     r = line_integral(field, traj, TimeWindow(0.0, 3.0), spec)
     assert abs(r.value) < 1e-8
+
+
+def test_line_integral_puts_samples_on_panel_edges(monkeypatch):
+    seen = []
+    engine = quadrature.integrate_adaptive
+
+    def spy(f, a, b, spec=None, breaks=()):
+        seen.append(tuple(breaks))
+        return engine(f, a, b, spec, breaks)
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
+    traj = SampledPolyline3D((0.0, 1.0, 2.0), ((1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (2.0, 1.0, 0.0)))
+    r = line_integral(lambda r: (1.0, 2.0, 0.0), traj, TimeWindow(0.0, 2.0))
+    assert seen == [(1.0,)]
+    assert abs(r.value - 3.0) < 1e-14
 
 
 def test_line_integral_rotation_field_magnitude():

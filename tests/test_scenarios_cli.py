@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -455,6 +456,31 @@ def test_cli_sampled_window_equal_to_samples(tmp_path):
     assert abs(payload["value"] - exact) <= payload["error_estimate"]
 
 
+def test_cli_sampled_kinks_inside_the_error_estimate(tmp_path, capsys):
+    # 200 jagged samples: with kinks inside its panels the engine claimed
+    # convergence at 5.7e-13 while off by 9.6e-12
+    points = [[i * 2.0**-38, 1e-6 * (1.0 + 0.3 * math.sin(2.75 * i))] for i in range(200)]
+    data = {
+        "kind": "QuasiStatic",
+        "species": "two-level-demo",
+        "path": {"kind": "sampled", "points_t_s_z_m": points},
+        "window": {"t_start_s": points[0][0], "t_end_s": points[-1][0]},
+        "quadrature": {"rel_tol": 1e-6, "max_subdivisions": 4000},
+    }
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 0, out.err
+    payload = json.loads(out.out)
+    species = next(s for s in DB if s.name == "two-level-demo")
+    c3 = mean_square_dipole(species) / (48.0 * math.pi * EPSILON_0)
+    # int dt / z^3 over a linear segment is (t1 - t0)(z0 + z1) / (2 z0^2 z1^2)
+    exact = c3 / HBAR * math.fsum(
+        (t1 - t0) * (z0 + z1) / (2.0 * z0**2 * z1**2)
+        for (t0, z0), (t1, z1) in zip(points, points[1:])
+    )
+    assert payload["converged"] is True
+    assert abs(payload["value"] - exact) <= payload["error_estimate"]
+
+
 def test_cli_sampled_velocity_stays_inside_samples(tmp_path):
     # quadrature nodes within half a sample spacing of either end
     data = {
@@ -472,6 +498,33 @@ def test_cli_sampled_velocity_stays_inside_samples(tmp_path):
     # the first path returns to its start: the exact phase is zero
     payload = json.loads(proc.stdout)
     assert abs(payload["value"]) <= payload["error_estimate"]
+
+
+NEAR_FIELD_LINE = re.compile(
+    r"casq: warning: NearFieldValidityWarning: closest approach \S+ m gives omega_eg\*d/c = "
+)
+
+
+def test_cli_warnings_print_as_one_line(tmp_path, capsys):
+    run = _casq("run", _scenario_path("sagnac_numeric.json"))
+    assert run.returncode == 0, run.stderr
+    assert NEAR_FIELD_LINE.match(run.stderr) and run.stderr.count("\n") == 1
+    # spawned sweep workers print theirs the same way, one line per row
+    out = tmp_path / "sweep.csv"
+    sw = _casq("sweep", _scenario_path("sagnac_numeric.json"), "--param", "trajectory.r0_m.1",
+               "--values", "3e-7,4e-7,5e-7", "--jobs", "2", "--out", str(out))
+    assert sw.returncode == 0, sw.stderr
+    lines = sw.stderr.splitlines()
+    assert len(lines) == 3 and all(NEAR_FIELD_LINE.match(line) for line in lines)
+    data = _bundled("nonlocal_counterprop.json")
+    data["paths"][0]["v_parallel_m_per_s"] = 2.0
+    data["paths"][1]["v_parallel_m_per_s"] = 3.0
+    code, captured = _main_run(tmp_path, capsys, data)
+    assert code == 0
+    assert captured.err == (
+        "casq: warning: ParallelVelocityMismatchWarning: paths declare different parallel "
+        "velocities (2.0 vs 3.0); the two-path formula assumes a common parallel velocity\n"
+    )
 
 
 def test_cli_import_loads_only_stdlib():

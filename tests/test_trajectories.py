@@ -12,8 +12,10 @@ from casq.trajectories import (
     Harmonic1D,
     Linear1D,
     SampledPolyline1D,
+    SampledPolyline3D,
     StraightLine3D,
     TimeWindow,
+    breakpoints,
     light_delay,
     position,
     reparametrize,
@@ -47,6 +49,19 @@ def test_sampled_out_of_window():
     tr = SampledPolyline1D((0.0, 1.0), (1.0, 3.0))
     with pytest.raises(OutOfWindow):
         position(tr, 1.5)
+
+
+def test_breakpoints_are_sample_times_strictly_inside():
+    times = (0.0, 1.0, 2.0, 3.0, 4.0)
+    tr1 = SampledPolyline1D(times, (1.0, 2.0, 1.0, 2.0, 1.0))
+    tr3 = SampledPolyline3D(times, tuple((t, 1.0, 0.0) for t in times))
+    for tr in (tr1, tr3):
+        assert tr.breakpoints(TimeWindow(0.0, 4.0)) == (1.0, 2.0, 3.0)
+        assert breakpoints(tr, TimeWindow(1.0, 2.5)) == (2.0,)
+        assert breakpoints(tr, TimeWindow(1.0, 2.0)) == ()
+    assert breakpoints(Linear1D(1.0, 1.0), TimeWindow(0.0, 4.0)) == ()
+    assert breakpoints(StraightLine3D((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)), TimeWindow(0.0, 4.0)) == ()
+    assert breakpoints(tr1, TimeWindow.all_time()) == ()
 
 
 def test_sampled_harmonic_fd_velocity():
