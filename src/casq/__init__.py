@@ -65,9 +65,7 @@ from .trajectories import (
     StraightLine3D,
     TimeWindow,
     light_delay,
-    position,
     reparametrize,
     reparametrize_window,
     reverse,
-    velocity,
 )

@@ -26,10 +26,11 @@ from .scenarios import (
     run_scenario,
     sweep,
 )
+from .schema import load_json
 from .species import (
     alpha_static,
     equivalent_radius,
-    load_json,
+    find_species,
     mean_square_dipole,
     resolve_species_db,
 )
@@ -80,8 +81,9 @@ def _sweep_values(args) -> list[float]:
 
 def _cmd_sweep(args) -> int:
     data = load_json(args.scenario)
+    db = resolve_species_db(args.species_db)
     values = _sweep_values(args)
-    rows = sweep(data, args.param, values, jobs=args.jobs, species_db_path=args.species_db)
+    rows = sweep(data, args.param, values, db, jobs=args.jobs)
     text = emit(rows, args.format, args.out)
     if args.out in (None, "-"):
         sys.stdout.write(text)
@@ -95,10 +97,7 @@ def _cmd_species(args) -> int:
             print(f"{s.name}  ({len(s.transitions)} transition"
                   f"{'s' if len(s.transitions) != 1 else ''})")
         return EXIT_OK
-    by_name = {s.name: s for s in db}
-    if args.name not in by_name:
-        raise ValidationError(f"unknown species {args.name!r} (known: {sorted(by_name)})")
-    s = by_name[args.name]
+    s = find_species(db, args.name, "species show")
     print(f"name: {s.name}")
     print(f"alpha_static_F_m2: {format_float(alpha_static(s))}")
     print(f"equivalent_radius_m: {format_float(equivalent_radius(s))}")
@@ -170,6 +169,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_VALIDATION
         except NumericalError as exc:
             print(f"numerical error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except ArithmeticError as exc:  # a species' alpha(0), outside run_scenario
+            print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_NUMERICAL
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)

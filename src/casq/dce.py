@@ -93,6 +93,9 @@ __all__ = [
 #: Gamma = coeff * (a/r_max)^6 (v_max/c)^8 w_cm.
 CLOSED_FORM_COEFFICIENT = 23.0 / (5670.0 * math.pi)
 
+#: Relative tolerance of the energy-shell check w1 + w2 = w_cm.
+_SHELL_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OscillationParams:
@@ -165,7 +168,6 @@ def pair_emission_amplitude(
     params: OscillationParams,
     photon1: tuple[Vec3, Vec3],
     photon2: tuple[Vec3, Vec3],
-    shell_rel_tol: float = 1e-9,
 ) -> complex:
     """Volume-stripped amplitude density for one photon pair (J m^3).
 
@@ -174,7 +176,7 @@ def pair_emission_amplitude(
     own k (the mode functions are transverse; a longitudinal test vector
     yields exactly zero). Symmetric under exchanging the photons and
     proportional to v_max. Raises :class:`RWAViolation` when the pair is
-    off the energy shell |w1 + w2 - w_cm| > shell_rel_tol * w_cm.
+    off the energy shell |w1 + w2 - w_cm| > _SHELL_REL_TOL * w_cm.
     """
     (k1_vec, pol1), (k2_vec, pol2) = photon1, photon2
     k1_mag = norm3(k1_vec)
@@ -184,7 +186,7 @@ def pair_emission_amplitude(
     w1 = C_LIGHT * k1_mag
     w2 = C_LIGHT * k2_mag
     w_cm = params.omega_cm
-    if abs(w1 + w2 - w_cm) > shell_rel_tol * w_cm:
+    if abs(w1 + w2 - w_cm) > _SHELL_REL_TOL * w_cm:
         raise RWAViolation(
             f"pair off the energy shell: w1 + w2 = {w1 + w2!r} rad/s "
             f"vs omega_cm = {w_cm!r} rad/s"

@@ -182,7 +182,6 @@ def motional_phase_mirror(
     scenario: MirrorScenario,
     path_index: int = 0,
     spec: QuadratureSpec | None = None,
-    inner_spec: QuadratureSpec | None = None,
 ) -> IntegralResult:
     """phi_mot = -(1/hbar) int (Ubar - U) dt along one path.
 
@@ -192,13 +191,12 @@ def motional_phase_mirror(
     so both are reported instead of asserting equality.
     """
     spec = spec or DEFAULT_SPEC
-    inner = inner_spec or _INNER_SPEC
     traj = scenario.paths[path_index]
     c3 = _c3(scenario.species)
     inner_evals = [0]
 
     def integrand(t: float) -> float:
-        u_t, ubar, evals = _delay_average(c3, traj, t, scenario.z_min, inner)
+        u_t, ubar, evals = _delay_average(c3, traj, t, scenario.z_min, _INNER_SPEC)
         inner_evals[0] += evals
         if ubar is None:
             return 0.0

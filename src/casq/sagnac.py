@@ -52,7 +52,7 @@ from .quadrature import (
     improper_time_scale,
     line_integral,
 )
-from .species import AtomSpecies, two_level_transition
+from .species import POLE_GUARD_DEFAULT, AtomSpecies, two_level_transition
 from .trajectories import SampledPolyline3D, TimeWindow
 from .vec3 import Vec3, cross3, dot3, norm3, scale3, sub3
 
@@ -65,9 +65,6 @@ __all__ = [
     "sagnac_phase_straightline",
     "sagnac_total_symmetric",
 ]
-
-#: Guard band (relative to omega_s) around the undamped resonance.
-_POLE_GUARD = 1e-6
 
 #: Retardation threshold for the near-field validity warning.
 _NEAR_FIELD_LIMIT = 0.1
@@ -100,12 +97,17 @@ class SpinningParticle:
             raise ValueError(f"SpinningParticle: radius must be >= 0, got {self.radius!r}")
 
 
+def _guard_pole(particle: SpinningParticle, omega: float, name: str) -> None:
+    """:class:`PoleProximity` within the guard band of an undamped resonance."""
+    if particle.gamma == 0.0 and abs(abs(omega) - particle.omega_s) < POLE_GUARD_DEFAULT * particle.omega_s:
+        raise PoleProximity(
+            f"{name}({omega!r}): undamped resonance at {particle.omega_s!r} rad/s"
+        )
+
+
 def alpha_s(particle: SpinningParticle, omega: float) -> complex:
     """Rest polarizability alpha0 wS^2 / (wS^2 - w^2 - i gamma w), F m^2."""
-    if particle.gamma == 0.0 and abs(abs(omega) - particle.omega_s) < _POLE_GUARD * particle.omega_s:
-        raise PoleProximity(
-            f"alpha_s({omega!r}): undamped resonance at {particle.omega_s!r} rad/s"
-        )
+    _guard_pole(particle, omega, "alpha_s")
     ws2 = particle.omega_s**2
     d = complex(ws2 - omega * omega, -particle.gamma * omega)
     return particle.alpha0 * ws2 / d
@@ -117,10 +119,7 @@ def re_alpha_second(particle: SpinningParticle, omega: float) -> float:
     Closed form: alpha'' = 2 alpha0 wS^2 [D + (2w + i gamma)^2] / D^3 with
     D = wS^2 - w^2 - i gamma w. Even in omega for gamma = 0.
     """
-    if particle.gamma == 0.0 and abs(abs(omega) - particle.omega_s) < _POLE_GUARD * particle.omega_s:
-        raise PoleProximity(
-            f"re_alpha_second({omega!r}): undamped resonance at {particle.omega_s!r} rad/s"
-        )
+    _guard_pole(particle, omega, "re_alpha_second")
     ws2 = particle.omega_s**2
     d = complex(ws2 - omega * omega, -particle.gamma * omega)
     num = d + (2.0 * omega + 1j * particle.gamma) ** 2

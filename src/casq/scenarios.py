@@ -8,7 +8,7 @@ suffix is rejected with :class:`UnitMismatch` rather than guessed at.
 
 Each scenario kind is one entry of ``_KINDS`` (its JSON keys, the operation
 it names and how it runs), and each JSON object one field list that
-``_read`` parses and ``_write`` turns back into canonical form.
+:mod:`casq.schema` reads and writes back into canonical form.
 
 Reports are deterministic: floats are emitted with 17 significant digits,
 keys are sorted, and wall time is kept off the serialized form so repeated
@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -40,8 +39,6 @@ from .errors import (
     NonConvergent,
     NonFiniteEvaluation,
     ParseError,
-    UnitMismatch,
-    UnknownSpecies,
     ValidationError,
     show_warning,
 )
@@ -61,7 +58,8 @@ from .sagnac import (
     sagnac_phase_straightline,
     sagnac_total_symmetric,
 )
-from .species import AtomSpecies, alpha_static, resolve_species_db
+from .schema import check_keys, count, finite, read_object, schema, text, vector3, write_object
+from .species import AtomSpecies, alpha_static, find_species
 from .trajectories import (
     Constant1D,
     Harmonic1D,
@@ -89,169 +87,72 @@ __all__ = [
 
 # -- object schemas ------------------------------------------------------------
 
-def _stem(key: str) -> str:
-    return key.split("_", 1)[0]
-
-
-def _check_keys(obj: dict, required, allowed, ctx: str) -> None:
-    for key in obj:
-        if key in allowed:
-            continue
-        candidates = sorted(k for k in allowed if _stem(k) == _stem(key))
-        if candidates:
-            raise UnitMismatch(
-                f"{ctx}.{key}: unexpected key; expected one of {candidates} "
-                "(unit suffixes are part of the schema)"
-            )
-        raise ParseError(f"{ctx}.{key}: unexpected key")
-    for key in required:
-        if key not in obj:
-            raise ParseError(f"{ctx}.{key}: missing required key")
-
-
-def _finite(v, where: str) -> float:
-    """A JSON number as a finite float; Python's json admits NaN and Infinity."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {v!r}")
-    if not abs(v) <= sys.float_info.max:  # exact for ints too; false for NaN
-        raise ParseError(f"{where}: expected a finite number, got {v!r}")
-    return float(v)
-
-
-def _count(v, where: str) -> int:
-    return int(_finite(v, where))
-
-
-def _vector3(v, where: str):
-    if not isinstance(v, list) or len(v) != 3:
-        raise ParseError(f"{where}: expected a list of three numbers, got {v!r}")
-    return tuple(_finite(x, where) for x in v)
-
-
 def _samples(read_value, shape: str):
     """Reader of a sampled path's [t, value] list, returned as two columns."""
 
     def read(v, where: str):
         if not isinstance(v, list) or any(not isinstance(p, list) or len(p) != 2 for p in v):
             raise ParseError(f"{where}: expected a list of {shape} pairs")
-        return tuple(_finite(p[0], where) for p in v), tuple(read_value(p[1], where) for p in v)
+        return tuple(finite(p[0], where) for p in v), tuple(read_value(p[1], where) for p in v)
 
     return read
 
 
-# A JSON object's schema is one field list of (JSON key, attribute and
-# constructor keyword, reader, required). An absent optional key takes the
-# constructor's default.
-
-def _schema(*fields, known=()):
-    """A field list with its required keys (in field order) and allowed keys, built once.
-
-    ``known`` names further keys that the caller reads itself.
-    """
-    required = tuple(key for key, _, _, req in fields if req)
-    return fields, required, frozenset(key for key, _, _, _ in fields).union(known)
-
-
 def _path_schemas(table: dict) -> dict:
     """Path "kind" tag -> (class, schema); a path object also holds its "kind"."""
-    return {tag: (cls, _schema(*fields, known=("kind",))) for tag, (cls, fields) in table.items()}
+    return {tag: (cls, schema(*fields, known=("kind",))) for tag, (cls, fields) in table.items()}
 
 
-_H = ("h_m", "h", _finite, True)
-_V_PARALLEL = ("v_parallel_m_per_s", "v_parallel", _finite, False)
+_H = ("h_m", "h", finite, True)
+_V_PARALLEL = ("v_parallel_m_per_s", "v_parallel", finite, False)
 
 #: Path "kind" tag -> (class, schema), for 1D mirror paths and 3D trajectories.
 _PATHS_1D = _path_schemas({
     "constant": (Constant1D, (_H, _V_PARALLEL)),
-    "linear": (Linear1D, (_H, ("v_m_per_s", "v", _finite, True), _V_PARALLEL)),
+    "linear": (Linear1D, (_H, ("v_m_per_s", "v", finite, True), _V_PARALLEL)),
     "harmonic": (Harmonic1D, (
         _H,
-        ("amplitude_m", "amplitude", _finite, True),
-        ("omega_cm_rad_per_s", "omega_cm", _finite, True),
-        ("phase0_rad", "phase0", _finite, False),
+        ("amplitude_m", "amplitude", finite, True),
+        ("omega_cm_rad_per_s", "omega_cm", finite, True),
+        ("phase0_rad", "phase0", finite, False),
         _V_PARALLEL,
     )),
     "sampled": (SampledPolyline1D, (
-        ("points_t_s_z_m", ("times", "values"), _samples(_finite, "[t, z]"), True),
+        ("points_t_s_z_m", ("times", "values"), _samples(finite, "[t, z]"), True),
         _V_PARALLEL,
     )),
 })
 _PATHS_3D = _path_schemas({
     "straight_line": (StraightLine3D, (
-        ("r0_m", "r0", _vector3, True),
-        ("v_m_per_s", "v", _vector3, True),
+        ("r0_m", "r0", vector3, True),
+        ("v_m_per_s", "v", vector3, True),
     )),
     "sampled": (SampledPolyline3D, (
-        ("points_t_s_r_m", ("times", "points"), _samples(_vector3, "[t, [x,y,z]]"), True),
+        ("points_t_s_r_m", ("times", "points"), _samples(vector3, "[t, [x,y,z]]"), True),
     )),
 })
-_PATH_TAGS = {cls: (tag, schema) for table in (_PATHS_1D, _PATHS_3D)
-              for tag, (cls, schema) in table.items()}
+_PATH_TAGS = {cls: (tag, fields) for table in (_PATHS_1D, _PATHS_3D)
+              for tag, (cls, fields) in table.items()}
 
-_WINDOW = _schema(("t_start_s", "t_start", _finite, True), ("t_end_s", "t_end", _finite, True),
-                  known=("improper",))
-_PARTICLE = _schema(
-    ("alpha0_F_m2", "alpha0", _finite, True),
-    ("omega_s_rad_per_s", "omega_s", _finite, True),
-    ("omega_rad_per_s", "omega", _vector3, True),
-    ("gamma_rad_per_s", "gamma", _finite, False),
-    ("radius_m", "radius", _finite, False),
+_WINDOW = schema(("t_start_s", "t_start", finite, True), ("t_end_s", "t_end", finite, True),
+                 known=("improper",))
+_PARTICLE = schema(
+    ("alpha0_F_m2", "alpha0", finite, True),
+    ("omega_s_rad_per_s", "omega_s", finite, True),
+    ("omega_rad_per_s", "omega", vector3, True),
+    ("gamma_rad_per_s", "gamma", finite, False),
+    ("radius_m", "radius", finite, False),
 )
-_OSCILLATION = _schema(
-    ("r_max_m", "r_max", _finite, True),
-    ("omega_cm_rad_per_s", "omega_cm", _finite, True),
-    ("direction", "direction", _vector3, False),
+_OSCILLATION = schema(
+    ("r_max_m", "r_max", finite, True),
+    ("omega_cm_rad_per_s", "omega_cm", finite, True),
+    ("direction", "direction", vector3, False),
 )
-_QUADRATURE = _schema(
-    ("rel_tol", "rel_tol", _finite, False),
-    ("abs_tol", "abs_tol", _finite, False),
-    ("max_subdivisions", "max_subdivisions", _count, False),
+_QUADRATURE = schema(
+    ("rel_tol", "rel_tol", finite, False),
+    ("abs_tol", "abs_tol", finite, False),
+    ("max_subdivisions", "max_subdivisions", count, False),
 )
-
-
-def _read(obj, schema, ctx: str, cls, **extra):
-    """Build ``cls`` from the JSON object ``obj`` by its schema.
-
-    ``extra`` are constructor arguments that do not come from the object.
-    A tuple of attributes serves only the sampled paths: their one JSON
-    list of [t, value] rows fills two constructor columns (times and values).
-    """
-    if not isinstance(obj, dict):
-        raise ParseError(f"{ctx}: expected an object")
-    fields, required, allowed = schema
-    _check_keys(obj, required, allowed, ctx)
-    kwargs = dict(extra)
-    try:
-        for key, attr, reader, _ in fields:
-            if key not in obj:
-                continue
-            value = reader(obj[key], f"{ctx}.{key}")
-            if isinstance(attr, tuple):
-                kwargs.update(zip(attr, value))
-            else:
-                kwargs[attr] = value
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ParseError(f"{ctx}: {exc}") from exc
-
-
-def _plain(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _write(obj, schema) -> dict:
-    """Canonical JSON form of ``obj`` by its schema; None is left out.
-
-    A tuple of attributes (sampled paths only, see :func:`_read`) is
-    written back as one list of [t, value] rows.
-    """
-    out = {}
-    for key, attr, _, _ in schema[0]:
-        if isinstance(attr, tuple):
-            out[key] = [[t, _plain(v)] for t, v in zip(*(getattr(obj, a) for a in attr))]
-        elif getattr(obj, attr) is not None:
-            out[key] = _plain(getattr(obj, attr))
-    return out
 
 
 def _read_path(obj, ctx: str, table: dict):
@@ -260,13 +161,13 @@ def _read_path(obj, ctx: str, table: dict):
     tag = obj.get("kind")
     if not isinstance(tag, str) or tag not in table:
         raise ParseError(f"{ctx}.kind: expected one of {'/'.join(table)}, got {tag!r}")
-    cls, schema = table[tag]
-    return _read(obj, schema, ctx, cls)
+    cls, fields = table[tag]
+    return read_object(obj, fields, ctx, cls)
 
 
 def _write_path(path) -> dict:
-    tag, schema = _PATH_TAGS[type(path)]
-    return {"kind": tag, **_write(path, schema)}
+    tag, fields = _PATH_TAGS[type(path)]
+    return {"kind": tag, **write_object(path, fields)}
 
 
 def _read_two_paths(v, where: str) -> tuple:
@@ -277,9 +178,9 @@ def _read_two_paths(v, where: str) -> tuple:
 
 def _read_window(obj, ctx: str) -> TimeWindow:
     if isinstance(obj, dict) and obj.get("improper"):
-        _check_keys(obj, (), ("improper",), ctx)
+        check_keys(obj, (), ("improper",), ctx)
         return TimeWindow.all_time()
-    return _read(obj, _WINDOW, ctx, TimeWindow)
+    return read_object(obj, _WINDOW, ctx, TimeWindow)
 
 
 #: Largest accepted ``n_spectrum``; the spectrum is built as Python lists.
@@ -287,7 +188,7 @@ _N_SPECTRUM_MAX = 10_000
 
 
 def _n_spectrum(v, where: str) -> int:
-    n = _count(v, where)
+    n = count(v, where)
     if n < 1:
         raise ParseError(f"{where}: must be >= 1")
     if n > _N_SPECTRUM_MAX:
@@ -307,21 +208,22 @@ _FIELDS = {
     "paths": ("paths", lambda v, where, _: _read_two_paths(v, where),
               lambda paths: [_write_path(p) for p in paths]),
     "window": ("window", lambda v, where, _: _read_window(v, where),
-               lambda w: {"improper": True} if w.improper else _write(w, _WINDOW)),
-    "z_min_m": ("z_min", lambda v, where, _: _finite(v, where), _same),
-    "particle": ("particle", lambda v, where, _: _read(v, _PARTICLE, where, SpinningParticle),
-                 lambda p: _write(p, _PARTICLE)),
+               lambda w: {"improper": True} if w.improper else write_object(w, _WINDOW)),
+    "z_min_m": ("z_min", lambda v, where, _: finite(v, where), _same),
+    "particle": ("particle", lambda v, where, _: read_object(v, _PARTICLE, where, SpinningParticle),
+                 lambda p: write_object(p, _PARTICLE)),
     "trajectory": ("traj3d", lambda v, where, _: _read_path(v, where, _PATHS_3D), _write_path),
-    "y_m": ("y_m", lambda v, where, _: _finite(v, where), _same),
-    "y1_m": ("y1_m", lambda v, where, _: _finite(v, where), _same),
+    "y_m": ("y_m", lambda v, where, _: finite(v, where), _same),
+    "y1_m": ("y1_m", lambda v, where, _: finite(v, where), _same),
     "oscillation": ("oscillation",
-                    lambda v, where, species: _read(v, _OSCILLATION, where, OscillationParams,
-                                                    alpha0=alpha_static(species)),
-                    lambda o: _write(o, _OSCILLATION)),
+                    lambda v, where, species: read_object(v, _OSCILLATION, where, OscillationParams,
+                                                          alpha0=alpha_static(species)),
+                    lambda o: write_object(o, _OSCILLATION)),
     "n_spectrum": ("n_spectrum", lambda v, where, _: _n_spectrum(v, where), _same),
     "quadrature": ("quadrature",
-                   lambda v, where, _: None if v is None else _read(v, _QUADRATURE, where, QuadratureSpec),
-                   lambda q: _write(q, _QUADRATURE)),
+                   lambda v, where, _: (None if v is None
+                                        else read_object(v, _QUADRATURE, where, QuadratureSpec)),
+                   lambda q: write_object(q, _QUADRATURE)),
 }
 _OPTIONAL = {"z_min_m", "n_spectrum", "quadrature"}
 
@@ -416,18 +318,11 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
     kind = data.get("kind")
     if kind not in SCENARIO_KINDS:
         raise ParseError(f"{source}.kind: expected one of {list(SCENARIO_KINDS)}, got {kind!r}")
-    name = data.get("species")
-    if not isinstance(name, str) or not name:
-        raise ParseError(f"{source}.species: missing or not a string")
-    by_name = {s.name: s for s in species_db}
-    if name not in by_name:
-        raise UnknownSpecies(
-            f"{source}.species: {name!r} not in database (known: {sorted(by_name)})"
-        )
-    species = by_name[name]
+    where = f"{source}.species"
+    species = find_species(species_db, text(data.get("species"), where), where)
 
     keys, required, allowed = _KIND_KEYS[kind]
-    _check_keys(data, required, allowed, source)
+    check_keys(data, required, allowed, source)
     fields = {
         _FIELDS[key][0]: _FIELDS[key][1](data[key], f"{source}.{key}", species)
         for key in keys
@@ -485,7 +380,7 @@ class Report:
         return d
 
 
-def _non_finite(res: IntegralResult) -> list[str]:
+def _nonfinite(res: IntegralResult) -> list[str]:
     """The non-finite numbers of a result, named."""
     named = {"value": res.value, "error_estimate": res.error_estimate}
     named.update((f"breakdown.{k}", x) for k, x in res.breakdown.items())
@@ -514,7 +409,7 @@ def run_scenario(sc: Scenario) -> Report:
         raise NonFiniteEvaluation(f"{op}: {type(exc).__name__}: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"{op}: {exc}") from exc
-    bad = _non_finite(res)
+    bad = _nonfinite(res)
     if bad:
         raise NonFiniteEvaluation(f"{op}: {bad[0]}")
     if not res.converged:
@@ -578,11 +473,11 @@ def _init_worker() -> None:
 
 
 def _sweep_one(args) -> SweepRow:
-    scenario_data, param, value, db_path = args
+    scenario_data, param, value, species_db = args
     data = copy.deepcopy(scenario_data)
     try:
         _set_path(data, param, value, "<sweep>")
-        sc = parse_scenario_dict(data, resolve_species_db(db_path), source="<sweep>")
+        sc = parse_scenario_dict(data, species_db, source="<sweep>")
         return SweepRow(param, value, run_scenario(sc))
     except CasqError as exc:
         return SweepRow(param, value, None, f"{type(exc).__name__}: {exc}")
@@ -592,19 +487,22 @@ def sweep(
     scenario_data: dict,
     param: str,
     values: list[float],
+    species_db: list[AtomSpecies],
     jobs: int = 1,
-    species_db_path: str | None = None,
 ) -> list[SweepRow]:
     """Run one scenario for each parameter value; rows come back ordered by
     value regardless of execution order, and per-row failures are recorded
-    in the row rather than aborting the sweep."""
+    in the row rather than aborting the sweep.
+
+    The caller resolves the species database once; each worker task carries
+    it, and ``pool.map`` pickles it once per chunk of tasks."""
     # fail fast on a path that resolves nowhere (per-value validation still
     # happens inside the workers)
     probe = copy.deepcopy(scenario_data)
     _set_path(probe, param, float(values[0]), "<sweep>")
 
     order = sorted(range(len(values)), key=lambda i: (values[i], i))
-    tasks = [(scenario_data, param, float(values[i]), species_db_path) for i in order]
+    tasks = [(scenario_data, param, float(values[i]), species_db) for i in order]
     if jobs <= 1:
         return [_sweep_one(t) for t in tasks]
     with get_context("spawn").Pool(processes=jobs, initializer=_init_worker) as pool:

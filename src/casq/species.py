@@ -19,9 +19,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .constants import FOUR_PI_EPS0, HBAR
-from .errors import DuplicateSpecies, NotTwoLevel, ParseError, PoleProximity
+from .errors import DuplicateSpecies, NotTwoLevel, PoleProximity, UnknownSpecies
+from .schema import finite, list_of, load_json, nested, read_object, schema, text, write_object
 
 __all__ = [
     "Transition",
@@ -33,10 +35,10 @@ __all__ = [
     "mean_square_dipole",
     "two_level_transition",
     "d2_for_static_polarizability",
-    "load_json",
     "load_species_db",
     "dump_species_db",
     "default_species_db",
+    "find_species",
     "resolve_species_db",
     "SPECIES_DB_ENV",
 ]
@@ -139,64 +141,29 @@ def d2_for_static_polarizability(omega_eg: float, alpha0: float) -> float:
 
 # -- species database (JSON) --------------------------------------------------
 
-def _parse_transition(obj, ctx: str) -> Transition:
-    if not isinstance(obj, dict):
-        raise ParseError(f"{ctx}: expected an object, got {type(obj).__name__}")
-    for key in ("omega_eg_rad_per_s", "d2_C2m2"):
-        if key not in obj:
-            raise ParseError(f"{ctx}.{key}: missing required key")
-        if not isinstance(obj[key], (int, float)) or isinstance(obj[key], bool):
-            raise ParseError(f"{ctx}.{key}: expected a number, got {obj[key]!r}")
-    extra = set(obj) - {"omega_eg_rad_per_s", "d2_C2m2"}
-    if extra:
-        raise ParseError(f"{ctx}: unexpected key(s) {sorted(extra)}")
-    try:
-        return Transition(float(obj["omega_eg_rad_per_s"]), float(obj["d2_C2m2"]))
-    except ValueError as exc:
-        raise ParseError(f"{ctx}: {exc}") from exc
+def _unique_names(species: tuple[AtomSpecies, ...], source: str) -> list[AtomSpecies]:
+    seen: set[str] = set()
+    for s in species:
+        if s.name in seen:
+            raise DuplicateSpecies(f"{source}: duplicate species name {s.name!r}")
+        seen.add(s.name)
+    return list(species)
+
+
+_TRANSITION = schema(
+    ("omega_eg_rad_per_s", "omega_eg", finite, True),
+    ("d2_C2m2", "d2", finite, True),
+)
+_SPECIES = schema(
+    ("name", "name", text, True),
+    ("transitions", "transitions", list_of(nested(Transition, _TRANSITION)), True),
+)
+_DOCUMENT = schema(("species", "species", list_of(nested(AtomSpecies, _SPECIES)), True))
 
 
 def parse_species_db(data, source: str = "<species db>") -> list[AtomSpecies]:
     """Validate a decoded species-database document into species objects."""
-    if not isinstance(data, dict) or "species" not in data:
-        raise ParseError(f"{source}: top level must be an object with a 'species' list")
-    entries = data["species"]
-    if not isinstance(entries, list):
-        raise ParseError(f"{source}.species: expected a list")
-    out: list[AtomSpecies] = []
-    seen: set[str] = set()
-    for i, entry in enumerate(entries):
-        ctx = f"{source}.species[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise ParseError(f"{ctx}.name: missing or not a non-empty string")
-        if name in seen:
-            raise DuplicateSpecies(f"{source}: duplicate species name {name!r}")
-        seen.add(name)
-        trs = entry.get("transitions")
-        if not isinstance(trs, list) or not trs:
-            raise ParseError(f"{ctx}.transitions: missing or empty list")
-        transitions = tuple(
-            _parse_transition(tr, f"{ctx}.transitions[{j}]") for j, tr in enumerate(trs)
-        )
-        try:
-            out.append(AtomSpecies(name, transitions))
-        except ValueError as exc:
-            raise ParseError(f"{ctx}: {exc}") from exc
-    return out
-
-
-def load_json(path: str):
-    """Read a species database or scenario file; bad JSON gives :class:`ParseError`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    return read_object(data, _DOCUMENT, source, _unique_names, source=source)
 
 
 def load_species_db(path: str) -> list[AtomSpecies]:
@@ -204,33 +171,28 @@ def load_species_db(path: str) -> list[AtomSpecies]:
     return parse_species_db(load_json(path), source=path)
 
 
-def species_db_to_dict(species: list[AtomSpecies]) -> dict:
-    return {
-        "species": [
-            {
-                "name": s.name,
-                "transitions": [
-                    {"omega_eg_rad_per_s": t.omega_eg, "d2_C2m2": t.d2}
-                    for t in s.transitions
-                ],
-            }
-            for s in species
-        ]
-    }
-
-
 def dump_species_db(species: list[AtomSpecies], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(species_db_to_dict(species), fh, indent=2, sort_keys=True)
+        json.dump(write_object(SimpleNamespace(species=species), _DOCUMENT), fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def find_species(species_db: list[AtomSpecies], name: str, where: str) -> AtomSpecies:
+    """The species called ``name``, or :class:`UnknownSpecies`."""
+    for s in species_db:
+        if s.name == name:
+            return s
+    known = sorted(s.name for s in species_db)
+    raise UnknownSpecies(f"{where}: {name!r} not in database (known: {known})")
 
 
 def default_species_db() -> list[AtomSpecies]:
     """Species bundled with the package (demo entries, not spectroscopy data)."""
     from importlib.resources import files
 
-    text = files("casq.data").joinpath("species.json").read_text(encoding="utf-8")
-    return parse_species_db(json.loads(text), source="casq.data/species.json")
+    raw = files("casq.data").joinpath("species.json").read_text(encoding="utf-8")
+    return parse_species_db(json.loads(raw), source="casq.data/species.json")
 
 
 def resolve_species_db(path: str | None = None) -> list[AtomSpecies]:

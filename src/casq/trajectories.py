@@ -42,8 +42,6 @@ __all__ = [
     "SampledPolyline1D",
     "StraightLine3D",
     "SampledPolyline3D",
-    "position",
-    "velocity",
     "breakpoints",
     "reparametrize",
     "reparametrize_window",
@@ -287,16 +285,6 @@ Trajectory = Trajectory1D | Trajectory3D
 
 # -- functional interface ------------------------------------------------------
 
-def position(traj, t: float):
-    """Position at time t: scalar for 1D kinds, 3-tuple for 3D kinds."""
-    return traj.position(t)
-
-
-def velocity(traj, t: float):
-    """Velocity at time t (same shape as position)."""
-    return traj.velocity(t)
-
-
 def breakpoints(traj, window: TimeWindow) -> tuple[float, ...]:
     """Times strictly inside a bounded window where the path has a kink.
 
@@ -319,7 +307,7 @@ def light_delay(z: float) -> float:
 def reparametrize(traj, lam: float):
     """Same geometric path traversed at lambda times the speed.
 
-    position(new, t) = position(old, lambda t); pair with
+    new.position(t) = old.position(lambda t); pair with
     :func:`reparametrize_window` to follow the same stretch of path.
     """
     if not lam > 0.0:
@@ -363,7 +351,7 @@ def reparametrize_window(window: TimeWindow, lam: float) -> TimeWindow:
 def reverse(traj, window: TimeWindow):
     """Same geometric path traversed backwards over the same bounded window.
 
-    position(new, t) = position(old, t_start + t_end - t).
+    new.position(t) = old.position(t_start + t_end - t).
     """
     if window.improper:
         raise ImproperWindow("reverse requires a bounded window")

@@ -29,7 +29,8 @@ from casq.sagnac import (
     sagnac_total_symmetric,
 )
 from casq.scenarios import parse_scenario_dict, run_scenario
-from casq.species import AtomSpecies, Transition, default_species_db, load_json
+from casq.schema import load_json
+from casq.species import AtomSpecies, Transition, default_species_db
 from casq.trajectories import SampledPolyline3D, StraightLine3D, TimeWindow
 from casq.vec3 import dot3
 

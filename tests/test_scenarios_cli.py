@@ -213,13 +213,13 @@ def test_sweep_sixth_power_law():
     species = next(s for s in DB if s.name == "two-level-demo")
     particle = SpinningParticle(1e-32, 8e15, (0.0, 0.0, 1e5))
     ell = ell_omega(species, particle)
-    rows = sweep(straightline_scenario(ell), "y_m", [ell, 2.0 * ell])
+    rows = sweep(straightline_scenario(ell), "y_m", [ell, 2.0 * ell], DB)
     assert [r.param_value for r in rows] == [ell, 2.0 * ell]
     assert rows[0].report.result.value == pytest.approx(64.0 * rows[1].report.result.value, rel=1e-11)
 
 
 def test_sweep_rows_sorted_and_errors_recorded():
-    rows = sweep(straightline_scenario(3e-7), "y_m", [6e-7, 0.0, 3e-7])
+    rows = sweep(straightline_scenario(3e-7), "y_m", [6e-7, 0.0, 3e-7], DB)
     assert [r.param_value for r in rows] == [0.0, 3e-7, 6e-7]
     assert rows[0].report is None and "ZeroImpactParameter" in rows[0].error
     assert rows[1].report is not None and rows[2].report is not None
@@ -227,8 +227,8 @@ def test_sweep_rows_sorted_and_errors_recorded():
 
 def test_sweep_parallel_matches_serial():
     values = [3e-7, 4e-7, 5e-7, 6e-7]
-    serial = sweep(straightline_scenario(3e-7), "y_m", values, jobs=1)
-    parallel = sweep(straightline_scenario(3e-7), "y_m", values, jobs=4)
+    serial = sweep(straightline_scenario(3e-7), "y_m", values, DB, jobs=1)
+    parallel = sweep(straightline_scenario(3e-7), "y_m", values, DB, jobs=4)
     for a, b in zip(serial, parallel):
         assert a.param_value == b.param_value
         assert a.report.to_dict() == b.report.to_dict()
@@ -236,14 +236,14 @@ def test_sweep_parallel_matches_serial():
 
 def test_sweep_bad_path():
     with pytest.raises(BadParameterPath):
-        sweep(straightline_scenario(3e-7), "nope.deeper", [1.0])
+        sweep(straightline_scenario(3e-7), "nope.deeper", [1.0], DB)
     with pytest.raises(BadParameterPath):
-        sweep(straightline_scenario(3e-7), "species", [1.0])
+        sweep(straightline_scenario(3e-7), "species", [1.0], DB)
 
 
 def test_sweep_nested_path():
     rows = sweep(
-        straightline_scenario(3e-7), "particle.omega_rad_per_s.2", [1e5, 2e5]
+        straightline_scenario(3e-7), "particle.omega_rad_per_s.2", [1e5, 2e5], DB
     )
     assert rows[1].report.result.value == pytest.approx(2.0 * rows[0].report.result.value, rel=1e-11)
 
@@ -266,7 +266,7 @@ def test_emit_json_round_trip():
 
 
 def test_emit_svg_wellformed(tmp_path):
-    rows = sweep(straightline_scenario(3e-7), "y_m", [3e-7, 4e-7, 5e-7])
+    rows = sweep(straightline_scenario(3e-7), "y_m", [3e-7, 4e-7, 5e-7], DB)
     text = emit(rows, "svg-plotdata", str(tmp_path / "plot.svg"))
     root = ET.fromstring(text)
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
@@ -628,7 +628,7 @@ def test_cli_nonconvergent_bounded_exit_3(tmp_path):
 
 
 def test_sweep_records_nonconvergent_row():
-    rows = sweep(_harmonic_quasi_static(1e-8), "quadrature.rel_tol", [1e-12, 1e-8])
+    rows = sweep(_harmonic_quasi_static(1e-8), "quadrature.rel_tol", [1e-12, 1e-8], DB)
     assert rows[0].report is None and rows[0].error.startswith("NonConvergent: ")
     assert rows[1].report is not None and rows[1].report.result.converged
 
@@ -672,3 +672,68 @@ def test_cli_sampled_sagnac_improper_window_exit_2(tmp_path, capsys):
     data["window"] = {"improper": True}
     code, out = _main_run(tmp_path, capsys, data)
     assert code == 2 and "outside sample range" in out.err
+
+
+# -- species database at the CLI --------------------------------------------------
+
+def _species_db(tmp_path, omega_text):
+    db = tmp_path / "db.json"
+    db.write_text(
+        '{"species": [{"name": "two-level-demo", "transitions": '
+        f'[{{"omega_eg_rad_per_s": {omega_text}, "d2_C2m2": 1e-58}}]}}]}}'
+    )
+    return str(db)
+
+
+@pytest.mark.parametrize("command", [
+    ("species", "list"),
+    ("run", _scenario_path("sagnac_straightline.json")),
+    ("sweep", _scenario_path("sagnac_straightline.json"), "--param", "y_m", "--values", "1e-7,2e-7"),
+])
+def test_cli_species_db_integer_beyond_float_range_exit_2(tmp_path, command):
+    proc = _casq("--species-db", _species_db(tmp_path, "1" + "0" * 400), *command)
+    assert proc.returncode == 2, proc.stderr
+    assert "expected a finite number" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_cli_sweep_invalid_species_db_exit_2_no_rows(tmp_path):
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps({"species": [{"name": "two-level-demo", "transitions": []},
+                                          {"name": "x"}]}))
+    proc = _casq("--species-db", str(db), "sweep", _scenario_path("sagnac_straightline.json"),
+                 "--param", "y_m", "--values", "1e-7,2e-7", "--jobs", "2")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("species", "show", "two-level-demo"),
+    ("run", _scenario_path("dce_closed.json")),
+])
+def test_cli_species_db_overflowing_polarizability_exit_3(tmp_path, command):
+    proc = _casq("--species-db", _species_db(tmp_path, "1e300"), *command)
+    assert proc.returncode == 3, proc.stderr
+    assert "OverflowError" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_serial_sweep_resolves_species_db_once(monkeypatch, capsys):
+    import casq.cli
+    import casq.scenarios
+    import casq.species
+
+    calls = []
+    resolve = casq.species.resolve_species_db
+
+    def counted(path=None):
+        calls.append(path)
+        return resolve(path)
+
+    for module in (casq.cli, casq.scenarios):
+        if hasattr(module, "resolve_species_db"):
+            monkeypatch.setattr(module, "resolve_species_db", counted)
+    code = main(["sweep", _scenario_path("sagnac_straightline.json"), "--param", "y_m",
+                 "--values", "1e-7,2e-7,3e-7", "--jobs", "1"])
+    assert code == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 4
+    assert calls == [None]

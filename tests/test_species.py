@@ -6,7 +6,14 @@ import math
 import pytest
 
 from casq.constants import FOUR_PI_EPS0, HBAR
-from casq.errors import DuplicateSpecies, NotTwoLevel, ParseError, PoleProximity
+from casq.errors import (
+    DuplicateSpecies,
+    NotTwoLevel,
+    ParseError,
+    PoleProximity,
+    UnitMismatch,
+    UnknownSpecies,
+)
 from casq.species import (
     AtomSpecies,
     Transition,
@@ -16,8 +23,10 @@ from casq.species import (
     default_species_db,
     dump_species_db,
     equivalent_radius,
+    find_species,
     load_species_db,
     mean_square_dipole,
+    parse_species_db,
     resolve_species_db,
     two_level_transition,
 )
@@ -183,3 +192,62 @@ def test_non_utf8_file_is_parse_error(tmp_path):
     path.write_bytes(b'{"species": [{"name": "caf\xe9"}]}')
     with pytest.raises(ParseError):
         load_species_db(str(path))
+
+
+# -- database schema -------------------------------------------------------------
+
+def _document(**entry_changes):
+    entry = {"name": "solo", "transitions": [{"omega_eg_rad_per_s": 1e15, "d2_C2m2": 1e-60}]}
+    entry.update(entry_changes)
+    return {"species": [entry]}
+
+
+def test_integer_beyond_float_range_is_parse_error():
+    doc = _document(transitions=[{"omega_eg_rad_per_s": 10**400, "d2_C2m2": 1e-60}])
+    with pytest.raises(ParseError) as err:
+        parse_species_db(doc)
+    assert "species[0].transitions[0].omega_eg_rad_per_s: expected a finite number" in str(err.value)
+
+
+def test_misspelled_entry_key_is_parse_error():
+    doc = _document()
+    doc["species"][0]["transitons"] = doc["species"][0].pop("transitions")
+    with pytest.raises(ParseError) as err:
+        parse_species_db(doc)
+    assert "species[0].transitons: unexpected key" in str(err.value)
+
+
+def test_unknown_top_level_key_is_parse_error():
+    doc = {**_document(), "version": 2}
+    with pytest.raises(ParseError) as err:
+        parse_species_db(doc)
+    assert "version: unexpected key" in str(err.value)
+
+
+def test_wrong_unit_suffix_is_unit_mismatch():
+    doc = _document(transitions=[{"omega_eg_Hz": 1e15, "d2_C2m2": 1e-60}])
+    with pytest.raises(UnitMismatch) as err:
+        parse_species_db(doc)
+    assert "omega_eg_rad_per_s" in str(err.value)
+
+
+def test_missing_keys_reported_in_field_order():
+    with pytest.raises(ParseError) as err:
+        parse_species_db({"species": [{}]})
+    assert str(err.value).endswith("species[0].name: missing required key")
+    with pytest.raises(ParseError) as err:
+        parse_species_db(_document(transitions=[{}]))
+    assert str(err.value).endswith("transitions[0].omega_eg_rad_per_s: missing required key")
+
+
+def test_non_string_name_is_parse_error():
+    with pytest.raises(ParseError):
+        parse_species_db(_document(name=7))
+
+
+def test_find_species():
+    db = default_species_db()
+    assert find_species(db, "two-level-demo", "here").name == "two-level-demo"
+    with pytest.raises(UnknownSpecies) as err:
+        find_species(db, "unobtainium", "here")
+    assert str(err.value).startswith("here: 'unobtainium' not in database")

@@ -17,38 +17,36 @@ from casq.trajectories import (
     TimeWindow,
     breakpoints,
     light_delay,
-    position,
     reparametrize,
     reparametrize_window,
     reverse,
     validate_positive_over_window,
-    velocity,
 )
 
 
 def test_linear_position():
-    assert position(Linear1D(1.0, 2.0), 3.0) == 7.0
+    assert Linear1D(1.0, 2.0).position(3.0) == 7.0
 
 
 def test_harmonic_phase_zero():
     tr = Harmonic1D(1.0, 0.5, 3.0, 0.0)
-    assert position(tr, 0.0) == 1.0
-    assert velocity(tr, 0.0) == 0.5 * 3.0
+    assert tr.position(0.0) == 1.0
+    assert tr.velocity(0.0) == 0.5 * 3.0
 
 
 def test_constant_velocity_zero():
-    assert velocity(Constant1D(2.0), 123.4) == 0.0
+    assert Constant1D(2.0).velocity(123.4) == 0.0
 
 
 def test_sampled_midpoint_interpolation():
     tr = SampledPolyline1D((0.0, 1.0), (1.0, 3.0))
-    assert position(tr, 0.5) == 2.0
+    assert tr.position(0.5) == 2.0
 
 
 def test_sampled_out_of_window():
     tr = SampledPolyline1D((0.0, 1.0), (1.0, 3.0))
     with pytest.raises(OutOfWindow):
-        position(tr, 1.5)
+        tr.position(1.5)
 
 
 def test_breakpoints_are_sample_times_strictly_inside():
@@ -122,8 +120,8 @@ def test_reparametrize_time_map(lam):
         fast = reparametrize(tr, lam)
         for _ in range(20):
             t = rng.uniform(-2.0, 2.0)
-            p_fast = position(fast, t)
-            p_base = position(tr, lam * t)
+            p_fast = fast.position(t)
+            p_base = tr.position(lam * t)
             if isinstance(p_fast, tuple):
                 assert all(a == pytest.approx(b, rel=1e-12, abs=1e-15)
                            for a, b in zip(p_fast, p_base))
@@ -147,8 +145,8 @@ def test_reverse_linear_endpoints():
     w = TimeWindow(0.0, 3.0)
     tr = reverse(Linear1D(1.0, 2.0), w)
     assert tr == Linear1D(7.0, -2.0)
-    assert position(tr, 0.0) == 7.0
-    assert position(tr, 3.0) == pytest.approx(1.0)
+    assert tr.position(0.0) == 7.0
+    assert tr.position(3.0) == pytest.approx(1.0)
 
 
 def test_reverse_involution():
@@ -159,7 +157,7 @@ def test_reverse_involution():
         rng = random.Random(13)
         for _ in range(10):
             t = rng.uniform(-1.0, 2.0)
-            assert position(twice, t) == pytest.approx(position(tr, t), rel=1e-12)
+            assert twice.position(t) == pytest.approx(tr.position(t), rel=1e-12)
 
 
 def test_reverse_requires_bounded_window():
