@@ -50,7 +50,6 @@ from .species import (
     alpha_of_omega,
     alpha_static,
     d2_for_static_polarizability,
-    dump_species_db,
     equivalent_radius,
     load_species_db,
     mean_square_dipole,

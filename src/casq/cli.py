@@ -98,16 +98,17 @@ def _cmd_species(args) -> int:
                   f"{'s' if len(s.transitions) != 1 else ''})")
         return EXIT_OK
     s = find_species(db, args.name, "species show")
-    print(f"name: {s.name}")
-    print(f"alpha_static_F_m2: {format_float(alpha_static(s))}")
-    print(f"equivalent_radius_m: {format_float(equivalent_radius(s))}")
-    print(f"mean_square_dipole_C2m2: {format_float(mean_square_dipole(s))}")
-    print("transitions:")
-    for t in s.transitions:
-        print(
-            f"  omega_eg_rad_per_s: {format_float(t.omega_eg)}  "
-            f"d2_C2m2: {format_float(t.d2)}"
-        )
+    # every line is built before any is printed: a failing alpha(0) leaves stdout empty
+    lines = [
+        f"name: {s.name}",
+        f"alpha_static_F_m2: {format_float(alpha_static(s))}",
+        f"equivalent_radius_m: {format_float(equivalent_radius(s))}",
+        f"mean_square_dipole_C2m2: {format_float(mean_square_dipole(s))}",
+        "transitions:",
+        *(f"  omega_eg_rad_per_s: {format_float(t.omega_eg)}  d2_C2m2: {format_float(t.d2)}"
+          for t in s.transitions),
+    ]
+    print("\n".join(lines))
     return EXIT_OK
 
 

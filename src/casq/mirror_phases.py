@@ -42,13 +42,7 @@ from .quadrature import (
     integrate_improper,
 )
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
-from .trajectories import (
-    SampledPolyline1D,
-    TimeWindow,
-    breakpoints,
-    light_delay,
-    validate_positive_over_window,
-)
+from .trajectories import TimeWindow, light_delay, validate_positive_over_window
 
 __all__ = [
     "MirrorScenario",
@@ -116,7 +110,7 @@ def _integrate_window(f, window: TimeWindow, spec: QuadratureSpec, *paths):
     """Integral of f over the window, with the paths' kinks on panel edges."""
     if window.improper:
         return integrate_improper(f, spec)
-    breaks = [t for p in paths for t in breakpoints(p, window)]
+    breaks = [t for p in paths for t in p.breakpoints(window.t_start, window.t_end)]
     return integrate_adaptive(f, window.t_start, window.t_end, spec, breaks)
 
 
@@ -154,10 +148,8 @@ def _delay_average(c3: float, traj, t: float, z_min: float, spec: QuadratureSpec
     tau_eff = t_hi - t
     if tau_eff <= 0.0:
         return u(t), None, 0
-    # a sample time inside the delay window is a kink of u; the isinstance
-    # test spares analytic paths a TimeWindow per call
-    kinks = traj.breakpoints(TimeWindow(t, t_hi)) if isinstance(traj, SampledPolyline1D) else ()
-    avg = integrate_adaptive(u, t, t_hi, spec, kinks)
+    # a sample time inside the delay window is a kink of u
+    avg = integrate_adaptive(u, t, t_hi, spec, traj.breakpoints(t, t_hi))
     return u(t), avg.value / tau_eff, avg.evaluations
 
 

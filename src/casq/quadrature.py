@@ -4,8 +4,8 @@ Every phase and rate in the toolkit is an integral, and every acceptance
 check compares such an integral against an independently known value, so
 the engine is deliberately boring: a fixed Gauss-Kronrod 7/15 embedded
 pair with bisection of the worst interval, QUADPACK-style error
-estimation, and a final summation in a fixed order. Identical inputs give
-bit-identical outputs; there is no randomized cubature anywhere.
+estimation, and correctly rounded sums over the panels. Identical inputs
+give bit-identical outputs; there is no randomized cubature anywhere.
 
 Each bisection costs O(log n) in the number n of live panels, so a run of
 n bisections costs O(n log n). The panels sit in a binary heap keyed by
@@ -16,8 +16,9 @@ Shewchuk's non-overlapping partials (1997), to which each split adds the
 two new panels and the negated old one. ``math.fsum`` of the partials then
 rounds the same exact sum that ``math.fsum`` over the live panels rounds,
 so the stopping decisions, and with them every result, are those of
-re-summing all panels on every bisection. Integrals that converge on their
-first panels build neither the heap nor the partials.
+re-summing all panels on every bisection, and the result reports these
+sums. Integrals that converge on their first panels build neither the
+heap nor the partials.
 
 Callers declare where an integrand has kinks (``breaks``), such as the
 sample times of a sampled path, and the first sweep puts a panel edge on
@@ -39,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .errors import CollisionGuard, NonConvergent, NonFiniteEvaluation
-from .trajectories import breakpoints
 from .vec3 import Vec3, dot3, norm3
 
 __all__ = [
@@ -318,12 +318,7 @@ def _adaptive_core(
         resabs += left.resabs + right.resabs - worst.resabs
         nsub += 1
 
-    if heap is not None:
-        panels = [entry[2] for entry in heap]
-    panels.sort(key=lambda p: p.a)
-    value = sign * math.fsum(p.value for p in panels)
-    toterr = math.fsum(p.error for p in panels)
-    return IntegralResult(value, toterr, evals, converged)
+    return IntegralResult(sign * total, toterr, evals, converged)
 
 
 def integrate_improper(
@@ -393,7 +388,8 @@ def line_integral(
         center, scale = improper_time_scale(traj)
         return integrate_improper(integrand, spec, center=center, scale=scale)
     return integrate_adaptive(
-        integrand, window.t_start, window.t_end, spec, breakpoints(traj, window)
+        integrand, window.t_start, window.t_end, spec,
+        traj.breakpoints(window.t_start, window.t_end),
     )
 
 
@@ -403,21 +399,15 @@ def improper_time_scale(traj) -> tuple[float, float]:
     Fields here decay in |r|, so the integrand lives around the closest
     approach to the origin; mapping that window onto an O(1) stretch of the
     tangent variable keeps it visible to the quadrature nodes (see
-    :func:`integrate_improper`). For a straight line r0 + v t the closest
-    approach is at t0 = -(r0 . v)/|v|^2 with |r(t0)| / |v| as time width.
+    :func:`integrate_improper`). The center is the path's time t0 of closest
+    approach, the width |r(t0)| / |v(t0)| (1 / |v| through the origin, and
+    1 at rest).
     """
-    v = getattr(traj, "v", None)
-    r0 = getattr(traj, "r0", None)
-    if v is None or r0 is None:
-        return 0.0, 1.0
-    v2 = dot3(v, v)
-    if v2 == 0.0:
-        return 0.0, 1.0
-    t0 = -dot3(r0, v) / v2
-    d = norm3(traj.position(t0))
-    if d == 0.0:
-        return t0, 1.0 / math.sqrt(v2)
-    return t0, d / math.sqrt(v2)
+    t0 = traj.closest_time()
+    speed = norm3(traj.velocity(t0))
+    if speed == 0.0:
+        return t0, 1.0
+    return t0, (norm3(traj.position(t0)) or 1.0) / speed
 
 
 #: Per-level tightening factor for iterated integrals, so inner-level noise

@@ -45,16 +45,10 @@ from .errors import (
     PoleProximity,
     ZeroImpactParameter,
 )
-from .quadrature import (
-    DEFAULT_SPEC,
-    IntegralResult,
-    QuadratureSpec,
-    improper_time_scale,
-    line_integral,
-)
+from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, line_integral
 from .species import POLE_GUARD_DEFAULT, AtomSpecies, two_level_transition
-from .trajectories import SampledPolyline3D, TimeWindow
-from .vec3 import Vec3, cross3, dot3, norm3, scale3, sub3
+from .trajectories import TimeWindow
+from .vec3 import Vec3, cross3, norm3
 
 __all__ = [
     "SpinningParticle",
@@ -155,29 +149,6 @@ def ell_omega(species: AtomSpecies, particle: SpinningParticle) -> float:
     return radicand ** (1.0 / 6.0)
 
 
-def _closest_approach(traj, window: TimeWindow) -> float:
-    """Exact closest approach to the particle over the window: a straight line
-    at t* = -(r0 . v)/|v|^2 clamped to a bounded window, a polyline on one of
-    its segments clipped to the window (beyond the samples: OutOfWindow).
-    """
-    if isinstance(traj, SampledPolyline3D):
-        t0, t1 = window.t_start, window.t_end
-        inner = [p for t, p in zip(traj.times, traj.points) if t0 < t < t1]
-        pts = [traj.position(t0), *inner, traj.position(t1)]
-        return min(_segment_distance(p, sub3(q, p)) for p, q in zip(pts, pts[1:]))
-    t, _ = improper_time_scale(traj)
-    if not window.improper:
-        t = min(max(t, window.t_start), window.t_end)
-    return norm3(traj.position(t))
-
-
-def _segment_distance(p: Vec3, d: Vec3) -> float:
-    """Distance from the origin to the segment p + s d, 0 <= s <= 1."""
-    dd = dot3(d, d)
-    s = min(max(-dot3(p, d) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
-    return norm3(sub3(p, scale3(-s, d)))
-
-
 def sagnac_phase(
     species: AtomSpecies,
     particle: SpinningParticle,
@@ -198,7 +169,7 @@ def sagnac_phase(
     omega_vec = particle.omega
 
     if near_field_warning:
-        d = _closest_approach(traj, window)
+        d = traj.closest_approach(window)
         w_min = min(t.omega_eg for t in species.transitions)
         if w_min * d / C_LIGHT > _NEAR_FIELD_LIMIT:
             warnings.warn(

@@ -8,7 +8,7 @@ suffix is rejected with :class:`UnitMismatch` rather than guessed at.
 
 Each scenario kind is one entry of ``_KINDS`` (its JSON keys, the operation
 it names and how it runs), and each JSON object one field list that
-:mod:`casq.schema` reads and writes back into canonical form.
+:mod:`casq.schema` reads.
 
 Reports are deterministic: floats are emitted with 17 significant digits,
 keys are sorted, and wall time is kept off the serialized form so repeated
@@ -58,7 +58,7 @@ from .sagnac import (
     sagnac_phase_straightline,
     sagnac_total_symmetric,
 )
-from .schema import check_keys, count, finite, read_object, schema, text, vector3, write_object
+from .schema import check_keys, count, finite, read_object, schema, shown, text, vector3
 from .species import AtomSpecies, alpha_static, find_species
 from .trajectories import (
     Constant1D,
@@ -76,7 +76,6 @@ __all__ = [
     "SweepRow",
     "SCENARIO_KINDS",
     "parse_scenario_dict",
-    "scenario_to_dict",
     "run_scenario",
     "sweep",
     "emit",
@@ -131,8 +130,6 @@ _PATHS_3D = _path_schemas({
         ("points_t_s_r_m", ("times", "points"), _samples(vector3, "[t, [x,y,z]]"), True),
     )),
 })
-_PATH_TAGS = {cls: (tag, fields) for table in (_PATHS_1D, _PATHS_3D)
-              for tag, (cls, fields) in table.items()}
 
 _WINDOW = schema(("t_start_s", "t_start", finite, True), ("t_end_s", "t_end", finite, True),
                  known=("improper",))
@@ -160,14 +157,9 @@ def _read_path(obj, ctx: str, table: dict):
         raise ParseError(f"{ctx}: expected an object")
     tag = obj.get("kind")
     if not isinstance(tag, str) or tag not in table:
-        raise ParseError(f"{ctx}.kind: expected one of {'/'.join(table)}, got {tag!r}")
+        raise ParseError(f"{ctx}.kind: expected one of {'/'.join(table)}, got {shown(tag)}")
     cls, fields = table[tag]
     return read_object(obj, fields, ctx, cls)
-
-
-def _write_path(path) -> dict:
-    tag, fields = _PATH_TAGS[type(path)]
-    return {"kind": tag, **write_object(path, fields)}
 
 
 def _read_two_paths(v, where: str) -> tuple:
@@ -196,34 +188,25 @@ def _n_spectrum(v, where: str) -> int:
     return n
 
 
-def _same(value):
-    return value
-
-
-#: Scenario key -> (Scenario attribute, reader(value, where, species), writer).
+#: Scenario key -> (Scenario attribute, reader(value, where, species)).
 #: Keys with a default in :class:`Scenario` are optional.
 _FIELDS = {
-    "path": ("paths", lambda v, where, _: (_read_path(v, where, _PATHS_1D),),
-             lambda paths: _write_path(paths[0])),
-    "paths": ("paths", lambda v, where, _: _read_two_paths(v, where),
-              lambda paths: [_write_path(p) for p in paths]),
-    "window": ("window", lambda v, where, _: _read_window(v, where),
-               lambda w: {"improper": True} if w.improper else write_object(w, _WINDOW)),
-    "z_min_m": ("z_min", lambda v, where, _: finite(v, where), _same),
-    "particle": ("particle", lambda v, where, _: read_object(v, _PARTICLE, where, SpinningParticle),
-                 lambda p: write_object(p, _PARTICLE)),
-    "trajectory": ("traj3d", lambda v, where, _: _read_path(v, where, _PATHS_3D), _write_path),
-    "y_m": ("y_m", lambda v, where, _: finite(v, where), _same),
-    "y1_m": ("y1_m", lambda v, where, _: finite(v, where), _same),
+    "path": ("paths", lambda v, where, _: (_read_path(v, where, _PATHS_1D),)),
+    "paths": ("paths", lambda v, where, _: _read_two_paths(v, where)),
+    "window": ("window", lambda v, where, _: _read_window(v, where)),
+    "z_min_m": ("z_min", lambda v, where, _: finite(v, where)),
+    "particle": ("particle",
+                 lambda v, where, _: read_object(v, _PARTICLE, where, SpinningParticle)),
+    "trajectory": ("traj3d", lambda v, where, _: _read_path(v, where, _PATHS_3D)),
+    "y_m": ("y_m", lambda v, where, _: finite(v, where)),
+    "y1_m": ("y1_m", lambda v, where, _: finite(v, where)),
     "oscillation": ("oscillation",
                     lambda v, where, species: read_object(v, _OSCILLATION, where, OscillationParams,
-                                                          alpha0=alpha_static(species)),
-                    lambda o: write_object(o, _OSCILLATION)),
-    "n_spectrum": ("n_spectrum", lambda v, where, _: _n_spectrum(v, where), _same),
+                                                          alpha0=alpha_static(species))),
+    "n_spectrum": ("n_spectrum", lambda v, where, _: _n_spectrum(v, where)),
     "quadrature": ("quadrature",
                    lambda v, where, _: (None if v is None
-                                        else read_object(v, _QUADRATURE, where, QuadratureSpec)),
-                   lambda q: write_object(q, _QUADRATURE)),
+                                        else read_object(v, _QUADRATURE, where, QuadratureSpec))),
 }
 _OPTIONAL = {"z_min_m", "n_spectrum", "quadrature"}
 
@@ -317,7 +300,9 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
         raise ParseError(f"{source}: top level must be an object")
     kind = data.get("kind")
     if kind not in SCENARIO_KINDS:
-        raise ParseError(f"{source}.kind: expected one of {list(SCENARIO_KINDS)}, got {kind!r}")
+        raise ParseError(
+            f"{source}.kind: expected one of {list(SCENARIO_KINDS)}, got {shown(kind)}"
+        )
     where = f"{source}.species"
     species = find_species(species_db, text(data.get("species"), where), where)
 
@@ -329,16 +314,6 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
         if key in data
     }
     return Scenario(kind=kind, species=species, **fields)
-
-
-def scenario_to_dict(sc: Scenario) -> dict:
-    """Canonical dict form of a scenario, defaults materialized."""
-    out: dict = {"kind": sc.kind, "species": sc.species.name}
-    for key in _KIND_KEYS[sc.kind][0]:
-        attr, _, write = _FIELDS[key]
-        if getattr(sc, attr) is not None:
-            out[key] = write(getattr(sc, attr))
-    return out
 
 
 # -- execution -----------------------------------------------------------------

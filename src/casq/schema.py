@@ -1,4 +1,4 @@
-"""The one reader and writer of JSON input: species databases and scenarios.
+"""The one reader of JSON input: species databases and scenarios.
 
 A JSON object's schema is one field list of (JSON key, attribute and
 constructor keyword, reader, required). Keys carry unit suffixes, so a key
@@ -23,17 +23,32 @@ def load_json(path: str):
         raise ParseError(f"{path}: line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except ValueError as exc:  # the only other one: an integer too long to convert
+        raise ParseError(
+            f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: arrays or objects nested too deeply") from exc
 
 
-# -- readers: (JSON value, where) -> Python value; a ``write`` attribute, if any,
-# turns the value back into JSON
+#: Longest repr of an offending value that an error message prints.
+_SHOWN_MAX = 40
+
+
+def shown(v) -> str:
+    """``repr(v)`` for an error message, cut to a fixed length."""
+    r = repr(v)
+    return r if len(r) <= _SHOWN_MAX else f"{r[:_SHOWN_MAX]}... ({len(r)} characters)"
+
+
+# -- readers: (JSON value, where) -> Python value
 
 def finite(v, where: str) -> float:
     """A JSON number as a finite float; Python's json admits NaN and Infinity."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {v!r}")
+        raise ParseError(f"{where}: expected a number, got {shown(v)}")
     if not abs(v) <= sys.float_info.max:  # exact for ints too; false for NaN
-        raise ParseError(f"{where}: expected a finite number, got {v!r}")
+        raise ParseError(f"{where}: expected a finite number, got {shown(v)}")
     return float(v)
 
 
@@ -43,24 +58,19 @@ def count(v, where: str) -> int:
 
 def vector3(v, where: str):
     if not isinstance(v, list) or len(v) != 3:
-        raise ParseError(f"{where}: expected a list of three numbers, got {v!r}")
+        raise ParseError(f"{where}: expected a list of three numbers, got {shown(v)}")
     return tuple(finite(x, where) for x in v)
 
 
 def text(v, where: str) -> str:
     if not isinstance(v, str):
-        raise ParseError(f"{where}: expected a string, got {v!r}")
+        raise ParseError(f"{where}: expected a string, got {shown(v)}")
     return v
 
 
 def nested(cls, schema):
     """Reader of one JSON object into ``cls`` by ``schema``."""
-
-    def read(v, where: str):
-        return read_object(v, schema, where, cls)
-
-    read.write = lambda obj: write_object(obj, schema)
-    return read
+    return lambda v, where: read_object(v, schema, where, cls)
 
 
 def list_of(read_item):
@@ -71,8 +81,6 @@ def list_of(read_item):
             raise ParseError(f"{where}: expected a list")
         return tuple(read_item(x, f"{where}[{i}]") for i, x in enumerate(v))
 
-    write_item = getattr(read_item, "write", _plain)
-    read.write = lambda values: [write_item(x) for x in values]
     return read
 
 
@@ -131,22 +139,3 @@ def read_object(obj, schema, ctx: str, cls, **extra):
         return cls(**kwargs)
     except ValueError as exc:
         raise ParseError(f"{ctx}: {exc}") from exc
-
-
-def _plain(value):
-    return list(value) if isinstance(value, tuple) else value
-
-
-def write_object(obj, schema) -> dict:
-    """Canonical JSON form of ``obj`` by its schema; None is left out.
-
-    A tuple of attributes (sampled paths only, see :func:`read_object`)
-    is written back as one list of [t, value] rows.
-    """
-    out = {}
-    for key, attr, reader, _ in schema[0]:
-        if isinstance(attr, tuple):
-            out[key] = [[t, _plain(v)] for t, v in zip(*(getattr(obj, a) for a in attr))]
-        elif getattr(obj, attr) is not None:
-            out[key] = getattr(reader, "write", _plain)(getattr(obj, attr))
-    return out

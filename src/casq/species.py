@@ -19,11 +19,10 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from .constants import FOUR_PI_EPS0, HBAR
 from .errors import DuplicateSpecies, NotTwoLevel, PoleProximity, UnknownSpecies
-from .schema import finite, list_of, load_json, nested, read_object, schema, text, write_object
+from .schema import finite, list_of, load_json, nested, read_object, schema, text
 
 __all__ = [
     "Transition",
@@ -36,7 +35,6 @@ __all__ = [
     "two_level_transition",
     "d2_for_static_polarizability",
     "load_species_db",
-    "dump_species_db",
     "default_species_db",
     "find_species",
     "resolve_species_db",
@@ -169,13 +167,6 @@ def parse_species_db(data, source: str = "<species db>") -> list[AtomSpecies]:
 def load_species_db(path: str) -> list[AtomSpecies]:
     """Load and validate a species database JSON file."""
     return parse_species_db(load_json(path), source=path)
-
-
-def dump_species_db(species: list[AtomSpecies], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(write_object(SimpleNamespace(species=species), _DOCUMENT), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def find_species(species_db: list[AtomSpecies], name: str, where: str) -> AtomSpecies:

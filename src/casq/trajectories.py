@@ -18,6 +18,11 @@ Axial (1D) kinds describe the distance z(t) > 0 to a mirror at z = 0:
 * ``StraightLine3D(r0, v)``    r = r0 + v t
 * ``SampledPolyline3D``        piecewise-linear through (t_i, r_i)
 
+Each kind answers the geometry questions the quadratures ask of it:
+``breakpoints(t0, t1)`` names its kinks (the sample times of a polyline,
+none for an analytic kind), and a 3D kind gives its exact
+``closest_approach(window)`` to the origin.
+
 ``reparametrize`` traverses the same geometric path at lambda-times the
 speed (t -> lambda t); ``reverse`` traverses it backwards across a bounded
 window. Both are exact on the analytic kinds, which is what the
@@ -32,7 +37,7 @@ from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT
 from .errors import ImproperWindow, NonPositiveDistance, OutOfWindow
-from .vec3 import Vec3
+from .vec3 import Vec3, dot3, norm3, scale3, sub3
 
 __all__ = [
     "TimeWindow",
@@ -42,7 +47,6 @@ __all__ = [
     "SampledPolyline1D",
     "StraightLine3D",
     "SampledPolyline3D",
-    "breakpoints",
     "reparametrize",
     "reparametrize_window",
     "reverse",
@@ -85,10 +89,28 @@ class TimeWindow:
         return self.t_end - self.t_start
 
 
+class _Analytic:
+    """A kind smooth for all time: it has no kinks to declare."""
+
+    def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
+        return ()
+
+
+class _Sampled:
+    """A piecewise-linear kind: its kinks are its sample times."""
+
+    def _inside(self, t0: float, t1: float) -> slice:
+        """Indices of the sample times strictly inside (t0, t1)."""
+        return slice(bisect_right(self.times, t0), bisect_left(self.times, t1))
+
+    def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
+        return self.times[self._inside(t0, t1)]
+
+
 # -- 1D kinds -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Constant1D:
+class Constant1D(_Analytic):
     h: float
     v_parallel: float | None = None  # metadata only: velocity along the surface
 
@@ -100,7 +122,7 @@ class Constant1D:
 
 
 @dataclass(frozen=True)
-class Linear1D:
+class Linear1D(_Analytic):
     h: float
     v: float
     v_parallel: float | None = None
@@ -113,7 +135,7 @@ class Linear1D:
 
 
 @dataclass(frozen=True)
-class Harmonic1D:
+class Harmonic1D(_Analytic):
     """z(t) = h + A sin(omega_cm t + phase0); h is the mean distance."""
 
     h: float
@@ -171,12 +193,8 @@ def _fd_stencil(times: tuple[float, ...], t: float) -> tuple[float, float, float
     return t - dt, t + dt, 2.0 * dt
 
 
-def _inside(times: tuple[float, ...], window: TimeWindow) -> tuple[float, ...]:
-    return times[bisect_right(times, window.t_start):bisect_left(times, window.t_end)]
-
-
 @dataclass(frozen=True)
-class SampledPolyline1D:
+class SampledPolyline1D(_Sampled):
     """Piecewise-linear z(t) through strictly increasing sample times.
 
     Velocity is a central finite difference of the interpolant with step
@@ -207,10 +225,6 @@ class SampledPolyline1D:
         lo, hi, width = _fd_stencil(self.times, t)
         return (self.position(hi) - self.position(lo)) / width
 
-    def breakpoints(self, window: TimeWindow) -> tuple[float, ...]:
-        """Sample times strictly inside the window: the interpolant's kinks."""
-        return _inside(self.times, window)
-
 
 Trajectory1D = Constant1D | Linear1D | Harmonic1D | SampledPolyline1D
 
@@ -218,7 +232,7 @@ Trajectory1D = Constant1D | Linear1D | Harmonic1D | SampledPolyline1D
 # -- 3D kinds -----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StraightLine3D:
+class StraightLine3D(_Analytic):
     """r(t) = r0 + v t."""
 
     r0: Vec3
@@ -238,9 +252,21 @@ class StraightLine3D:
     def velocity(self, t: float) -> Vec3:
         return self.v
 
+    def closest_time(self) -> float:
+        """Time t* = -(r0 . v)/|v|^2 of closest approach to the origin; 0 at rest."""
+        v2 = dot3(self.v, self.v)
+        return 0.0 if v2 == 0.0 else -dot3(self.r0, self.v) / v2
+
+    def closest_approach(self, window: TimeWindow) -> float:
+        """Distance to the origin at t*, clamped to a bounded window."""
+        t = self.closest_time()
+        if not window.improper:
+            t = min(max(t, window.t_start), window.t_end)
+        return norm3(self.position(t))
+
 
 @dataclass(frozen=True)
-class SampledPolyline3D:
+class SampledPolyline3D(_Sampled):
     times: tuple[float, ...]
     points: tuple[Vec3, ...]
 
@@ -274,9 +300,24 @@ class SampledPolyline3D:
             (pp[2] - pm[2]) / width,
         )
 
-    def breakpoints(self, window: TimeWindow) -> tuple[float, ...]:
-        """Sample times strictly inside the window: the interpolant's kinks."""
-        return _inside(self.times, window)
+    def closest_time(self) -> float:
+        """A polyline ends at its samples, so it has no all-time closest approach."""
+        raise OutOfWindow("sampled trajectory cannot cover an improper window")
+
+    def closest_approach(self, window: TimeWindow) -> float:
+        """Distance to the origin over the segments clipped to the window
+        (:class:`OutOfWindow` if the window leaves the samples)."""
+        t0, t1 = window.t_start, window.t_end
+        inner = self.points[self._inside(t0, t1)]
+        pts = [self.position(t0), *inner, self.position(t1)]
+        return min(_segment_distance(p, sub3(q, p)) for p, q in zip(pts, pts[1:]))
+
+
+def _segment_distance(p: Vec3, d: Vec3) -> float:
+    """Distance from the origin to the segment p + s d, 0 <= s <= 1."""
+    dd = dot3(d, d)
+    s = min(max(-dot3(p, d) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
+    return norm3(sub3(p, scale3(-s, d)))
 
 
 Trajectory3D = StraightLine3D | SampledPolyline3D
@@ -284,18 +325,6 @@ Trajectory = Trajectory1D | Trajectory3D
 
 
 # -- functional interface ------------------------------------------------------
-
-def breakpoints(traj, window: TimeWindow) -> tuple[float, ...]:
-    """Times strictly inside a bounded window where the path has a kink.
-
-    Sampled kinds declare their sample times, so quadratures over the
-    window can put them on panel edges; analytic kinds and improper
-    windows declare none.
-    """
-    if window.improper or not isinstance(traj, (SampledPolyline1D, SampledPolyline3D)):
-        return ()
-    return traj.breakpoints(window)
-
 
 def light_delay(z: float) -> float:
     """Round-trip light time 2 z / c for a perfect mirror at z = 0 (s)."""
@@ -390,14 +419,12 @@ def _negate_meta(v_parallel: float | None) -> float | None:
     return None if v_parallel is None else -v_parallel
 
 
-def validate_positive_over_window(
-    traj, window: TimeWindow, z_min: float = 0.0, samples: int = 1000
-) -> None:
+def validate_positive_over_window(traj, window: TimeWindow, z_min: float = 0.0) -> None:
     """Check z(t) > 0 and z(t) >= z_min across the window.
 
-    Uses the analytic minimum where one exists (Constant, Harmonic, and the
-    endpoints of Linear; polyline minima sit on nodes) plus a uniform
-    sampling sweep as a backstop. Improper windows are only admissible for
+    Exact for every 1D kind: the minimum is analytic (Constant, Harmonic),
+    at a window end (Linear), or at a node or window end (a polyline is
+    linear between its nodes). Improper windows are only admissible for
     kinds bounded away from the mirror for all time. Crossing the mirror
     raises :class:`NonPositiveDistance`; dipping below a positive ``z_min``
     raises :class:`CollisionGuard`.
@@ -432,23 +459,19 @@ def validate_positive_over_window(
         check(traj.position(window.t_start), "window start")
         check(traj.position(window.t_end), "window end")
         return
-    if isinstance(traj, SampledPolyline1D):
-        if window.improper:
-            raise OutOfWindow("sampled trajectory cannot cover an improper window")
-        if window.t_start < traj.times[0] or window.t_end > traj.times[-1]:
-            raise OutOfWindow(
-                f"window [{window.t_start!r}, {window.t_end!r}] exceeds sample range "
-                f"[{traj.times[0]!r}, {traj.times[-1]!r}]"
-            )
-        for t, z in zip(traj.times, traj.values):
-            if window.t_start <= t <= window.t_end:
-                check(z, f"sample t = {t!r}")
-        check(traj.position(window.t_start), "window start")
-        check(traj.position(window.t_end), "window end")
-        # piecewise-linear minima are at nodes; the sweep below is a backstop
-    if not window.improper:
-        t0, t1 = window.t_start, window.t_end
-        for i in range(samples + 1):
-            # rounding can carry the last sample one ulp past t1
-            t = min(t0 + (t1 - t0) * i / samples, t1)
-            check(traj.position(t), f"t = {t!r}")
+    if not isinstance(traj, SampledPolyline1D):
+        raise TypeError(
+            f"validate_positive_over_window: unsupported trajectory {type(traj).__name__}"
+        )
+    if window.improper:
+        raise OutOfWindow("sampled trajectory cannot cover an improper window")
+    if window.t_start < traj.times[0] or window.t_end > traj.times[-1]:
+        raise OutOfWindow(
+            f"window [{window.t_start!r}, {window.t_end!r}] exceeds sample range "
+            f"[{traj.times[0]!r}, {traj.times[-1]!r}]"
+        )
+    for t, z in zip(traj.times, traj.values):
+        if window.t_start <= t <= window.t_end:
+            check(z, f"sample t = {t!r}")
+    check(traj.position(window.t_start), "window start")
+    check(traj.position(window.t_end), "window end")

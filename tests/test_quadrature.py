@@ -6,7 +6,7 @@ import random
 import pytest
 
 from casq import quadrature
-from casq.errors import CollisionGuard, NonConvergent, NonFiniteEvaluation
+from casq.errors import CollisionGuard, NonConvergent, NonFiniteEvaluation, OutOfWindow
 from casq.quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -355,6 +355,12 @@ def test_line_integral_puts_samples_on_panel_edges(monkeypatch):
     r = line_integral(lambda r: (1.0, 2.0, 0.0), traj, TimeWindow(0.0, 2.0))
     assert seen == [(1.0,)]
     assert abs(r.value - 3.0) < 1e-14
+
+
+def test_line_integral_sampled_path_improper_window_out_of_window():
+    traj = SampledPolyline3D((0.0, 1.0), ((1.0, 0.0, 0.0), (1.0, 1.0, 0.0)))
+    with pytest.raises(OutOfWindow):
+        line_integral(lambda r: (1.0, 0.0, 0.0), traj, TimeWindow.all_time())
 
 
 def test_line_integral_rotation_field_magnitude():

@@ -20,7 +20,6 @@ from casq.errors import (
 from casq.quadrature import QuadratureSpec
 from casq.sagnac import (
     SpinningParticle,
-    _closest_approach,
     alpha_s,
     ell_omega,
     re_alpha_second,
@@ -285,7 +284,7 @@ def test_near_field_check_uses_exact_closest_approach():
     # (omega_eg * d / c = 2.6); the path passes at 1e-8 m (0.067)
     traj = StraightLine3D((0.0, 1e-8, 0.0), (100.0, 0.0, 0.0))
     window = TimeWindow(-1e-6, 1e-6)
-    assert _closest_approach(traj, window) == 1e-8
+    assert traj.closest_approach(window) == 1e-8
     with warnings.catch_warnings():
         warnings.simplefilter("error", NearFieldValidityWarning)
         sagnac_phase(TWO_LEVEL, PARTICLE, traj, window)
@@ -294,19 +293,19 @@ def test_near_field_check_uses_exact_closest_approach():
 def test_closest_approach_straight_line_clamped_and_at_rest():
     traj = StraightLine3D((0.0, 3e-7, 0.0), (100.0, 0.0, 0.0))
     # the window ends while the path is still 2e-7 m short of x = 0
-    assert _closest_approach(traj, TimeWindow(-4e-9, -2e-9)) == pytest.approx(
+    assert traj.closest_approach(TimeWindow(-4e-9, -2e-9)) == pytest.approx(
         math.hypot(2e-7, 3e-7), rel=1e-15, abs=0.0)
     at_rest = StraightLine3D((1e-7, 2e-7, 2e-7), (0.0, 0.0, 0.0))
-    assert _closest_approach(at_rest, TimeWindow.all_time()) == pytest.approx(
+    assert at_rest.closest_approach(TimeWindow.all_time()) == pytest.approx(
         3e-7, rel=1e-15, abs=0.0)
 
 
 def test_closest_approach_polyline_inside_segment():
     traj = SampledPolyline3D((0.0, 1e-9), ((-1e-7, 3e-7, 0.0), (1e-7, 3e-7, 0.0)))
-    assert _closest_approach(traj, TimeWindow(0.0, 1e-9)) == pytest.approx(
+    assert traj.closest_approach(TimeWindow(0.0, 1e-9)) == pytest.approx(
         3e-7, rel=1e-15, abs=0.0)
     # clipped to the window: the nearest point is the window end
-    assert _closest_approach(traj, TimeWindow(0.0, 2.5e-10)) == pytest.approx(
+    assert traj.closest_approach(TimeWindow(0.0, 2.5e-10)) == pytest.approx(
         math.hypot(5e-8, 3e-7), rel=1e-15, abs=0.0)
 
 

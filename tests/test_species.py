@@ -21,7 +21,6 @@ from casq.species import (
     alpha_static,
     d2_for_static_polarizability,
     default_species_db,
-    dump_species_db,
     equivalent_radius,
     find_species,
     load_species_db,
@@ -135,7 +134,11 @@ def test_load_round_trip(tmp_path):
         AtomSpecies("a", (Transition(1e15, 1e-60),)),
         AtomSpecies("b", (Transition(2e15, 2e-60), Transition(3e15, 3e-60))),
     ]
-    dump_species_db(species, str(path))
+    path.write_text(json.dumps({"species": [
+        {"name": s.name, "transitions": [{"omega_eg_rad_per_s": t.omega_eg, "d2_C2m2": t.d2}
+                                         for t in s.transitions]}
+        for s in species
+    ]}))
     loaded = load_species_db(str(path))
     assert loaded == species
 
@@ -180,7 +183,9 @@ def test_json_syntax_error_reports_line(tmp_path):
 def test_default_db_and_env_resolution(tmp_path, monkeypatch):
     assert {s.name for s in default_species_db()} == {"two-level-demo", "three-level-demo"}
     custom = tmp_path / "env.json"
-    dump_species_db([AtomSpecies("envy", (Transition(1e15, 1e-60),))], str(custom))
+    custom.write_text(json.dumps({"species": [
+        {"name": "envy", "transitions": [{"omega_eg_rad_per_s": 1e15, "d2_C2m2": 1e-60}]}
+    ]}))
     monkeypatch.setenv("CASQ_SPECIES_DB", str(custom))
     assert [s.name for s in resolve_species_db()] == ["envy"]
     monkeypatch.delenv("CASQ_SPECIES_DB")

@@ -15,7 +15,6 @@ from casq.trajectories import (
     SampledPolyline3D,
     StraightLine3D,
     TimeWindow,
-    breakpoints,
     light_delay,
     reparametrize,
     reparametrize_window,
@@ -54,12 +53,11 @@ def test_breakpoints_are_sample_times_strictly_inside():
     tr1 = SampledPolyline1D(times, (1.0, 2.0, 1.0, 2.0, 1.0))
     tr3 = SampledPolyline3D(times, tuple((t, 1.0, 0.0) for t in times))
     for tr in (tr1, tr3):
-        assert tr.breakpoints(TimeWindow(0.0, 4.0)) == (1.0, 2.0, 3.0)
-        assert breakpoints(tr, TimeWindow(1.0, 2.5)) == (2.0,)
-        assert breakpoints(tr, TimeWindow(1.0, 2.0)) == ()
-    assert breakpoints(Linear1D(1.0, 1.0), TimeWindow(0.0, 4.0)) == ()
-    assert breakpoints(StraightLine3D((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)), TimeWindow(0.0, 4.0)) == ()
-    assert breakpoints(tr1, TimeWindow.all_time()) == ()
+        assert tr.breakpoints(0.0, 4.0) == (1.0, 2.0, 3.0)
+        assert tr.breakpoints(1.0, 2.5) == (2.0,)
+        assert tr.breakpoints(1.0, 2.0) == ()
+    assert Linear1D(1.0, 1.0).breakpoints(0.0, 4.0) == ()
+    assert StraightLine3D((0.0, 1.0, 0.0), (1.0, 0.0, 0.0)).breakpoints(0.0, 4.0) == ()
 
 
 def test_sampled_harmonic_fd_velocity():
