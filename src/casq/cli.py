@@ -55,7 +55,10 @@ def _cmd_run(args) -> int:
 def _sweep_values(args) -> list[float]:
     try:
         if args.values:
-            return [float(v) for v in args.values.split(",") if v.strip()]
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+            if not values:
+                raise ValidationError("--values: a sweep needs at least one value")
+            return values
         missing = [
             name
             for name, val in (("--from", args.start), ("--to", args.stop), ("--points", args.points))

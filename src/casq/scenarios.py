@@ -6,9 +6,9 @@ convention exists because silent unit errors are the dominant failure mode
 in mixed SI computations, so a key with the right stem but the wrong
 suffix is rejected with :class:`UnitMismatch` rather than guessed at.
 
-Each scenario kind is one entry of ``_KINDS`` (its JSON keys, the operation
-it names and how it runs), and each JSON object one field list that
-:mod:`casq.schema` reads.
+Each scenario kind is one entry of ``_KINDS`` (its schema, the operation it
+names and how it runs), and every JSON object, the scenario itself
+included, is read by :func:`casq.schema.read_object` from its field list.
 
 Reports are deterministic: floats are emitted with 17 significant digits,
 keys are sorted, and wall time is kept off the serialized form so repeated
@@ -17,7 +17,6 @@ runs of one scenario file are byte-identical.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import time
@@ -58,7 +57,7 @@ from .sagnac import (
     sagnac_phase_straightline,
     sagnac_total_symmetric,
 )
-from .schema import check_keys, count, finite, read_object, schema, shown, text, vector3
+from .schema import check_keys, count, finite, nested, read_object, schema, shown, text, vector3
 from .species import AtomSpecies, alpha_static, find_species
 from .trajectories import (
     Constant1D,
@@ -188,27 +187,38 @@ def _n_spectrum(v, where: str) -> int:
     return n
 
 
-#: Scenario key -> (Scenario attribute, reader(value, where, species)).
-#: Keys with a default in :class:`Scenario` are optional.
-_FIELDS = {
-    "path": ("paths", lambda v, where, _: (_read_path(v, where, _PATHS_1D),)),
-    "paths": ("paths", lambda v, where, _: _read_two_paths(v, where)),
-    "window": ("window", lambda v, where, _: _read_window(v, where)),
-    "z_min_m": ("z_min", lambda v, where, _: finite(v, where)),
-    "particle": ("particle",
-                 lambda v, where, _: read_object(v, _PARTICLE, where, SpinningParticle)),
-    "trajectory": ("traj3d", lambda v, where, _: _read_path(v, where, _PATHS_3D)),
-    "y_m": ("y_m", lambda v, where, _: finite(v, where)),
-    "y1_m": ("y1_m", lambda v, where, _: finite(v, where)),
-    "oscillation": ("oscillation",
-                    lambda v, where, species: read_object(v, _OSCILLATION, where, OscillationParams,
-                                                          alpha0=alpha_static(species))),
-    "n_spectrum": ("n_spectrum", lambda v, where, _: _n_spectrum(v, where)),
-    "quadrature": ("quadrature",
-                   lambda v, where, _: (None if v is None
-                                        else read_object(v, _QUADRATURE, where, QuadratureSpec))),
-}
-_OPTIONAL = {"z_min_m", "n_spectrum", "quadrature"}
+#: A null "quadrature" means the default spec.
+_QUADRATURE_FIELD = (
+    "quadrature", "quadrature",
+    lambda v, where: None if v is None else read_object(v, _QUADRATURE, where, QuadratureSpec),
+    False,
+)
+
+
+def _kind_schema(*fields):
+    """A scenario kind's schema: the optional "quadrature", then the kind's own
+    fields; "kind" and "species" are read before the schema."""
+    return schema(_QUADRATURE_FIELD, *fields, known=("kind", "species"))
+
+
+_WINDOW_FIELD = ("window", "window", _read_window, True)
+_Z_MIN = ("z_min_m", "z_min", finite, False)
+_MIRROR_1 = _kind_schema(
+    ("path", "paths", lambda v, where: (_read_path(v, where, _PATHS_1D),), True),
+    _WINDOW_FIELD,
+    _Z_MIN,
+)
+_MIRROR_2 = _kind_schema(("paths", "paths", _read_two_paths, True), _WINDOW_FIELD, _Z_MIN)
+_PARTICLE_FIELD = ("particle", "particle", nested(SpinningParticle, _PARTICLE), True)
+_SAGNAC = _kind_schema(
+    _PARTICLE_FIELD,
+    ("trajectory", "traj3d", lambda v, where: _read_path(v, where, _PATHS_3D), True),
+    _WINDOW_FIELD,
+)
+#: The oscillation is read without its ``alpha0``: :class:`Scenario` completes
+#: it from the species.
+_OSCILLATION_FIELD = ("oscillation", "oscillation", nested(dict, _OSCILLATION), True)
+_N_SPECTRUM = ("n_spectrum", "n_spectrum", _n_spectrum, False)
 
 
 @dataclass(frozen=True)
@@ -227,6 +237,14 @@ class Scenario:
     n_spectrum: int = 33
     z_min: float = Z_MIN_DEFAULT
     quadrature: QuadratureSpec | None = None
+
+    def __post_init__(self):
+        if isinstance(self.oscillation, dict):  # as read, without alpha0
+            try:
+                params = OscillationParams(alpha0=alpha_static(self.species), **self.oscillation)
+            except ValueError as exc:
+                raise ValueError(f"oscillation: {exc}") from exc
+            object.__setattr__(self, "oscillation", params)
 
 
 # -- kinds ---------------------------------------------------------------------
@@ -261,10 +279,7 @@ def _dce_numeric(sc: Scenario) -> IntegralResult:
     return replace(res, breakdown=breakdown)
 
 
-_MIRROR_1 = ("path", "window", "z_min_m")
-_MIRROR_2 = ("paths", "window", "z_min_m")
-
-#: Scenario kind -> (JSON keys, operation name, run(scenario) -> IntegralResult).
+#: Scenario kind -> (schema, operation name, run(scenario) -> IntegralResult).
 _KINDS = {
     "QuasiStatic": (_MIRROR_1, "mirror_phases.quasi_static_phase",
                     lambda sc: quasi_static_phase(_mirror(sc), 0, sc.quadrature)),
@@ -274,25 +289,19 @@ _KINDS = {
                  lambda sc: nonlocal_phase(_mirror(sc), sc.quadrature)),
     "TotalMirror": (_MIRROR_2, "mirror_phases.total_phase_difference",
                     lambda sc: total_phase_difference(_mirror(sc), sc.quadrature)),
-    "Sagnac": (("particle", "trajectory", "window"), "sagnac.sagnac_phase",
+    "Sagnac": (_SAGNAC, "sagnac.sagnac_phase",
                lambda sc: sagnac_phase(sc.species, sc.particle, sc.traj3d, sc.window,
                                        sc.quadrature)),
-    "SagnacStraightLine": (("particle", "y_m"), "sagnac.sagnac_phase_straightline",
-                           _sagnac_straightline),
-    "SagnacSymmetric": (("particle", "y1_m"), "sagnac.sagnac_total_symmetric",
+    "SagnacStraightLine": (_kind_schema(_PARTICLE_FIELD, ("y_m", "y_m", finite, True)),
+                           "sagnac.sagnac_phase_straightline", _sagnac_straightline),
+    "SagnacSymmetric": (_kind_schema(_PARTICLE_FIELD, ("y1_m", "y1_m", finite, True)),
+                        "sagnac.sagnac_total_symmetric",
                         lambda sc: sagnac_total_symmetric(sc.species, sc.particle, sc.y1_m)),
-    "DceClosed": (("oscillation",), "dce.dce_rate_closed", _dce_closed),
-    "DceNumeric": (("oscillation", "n_spectrum"), "dce.dce_rate_numeric", _dce_numeric),
+    "DceClosed": (_kind_schema(_OSCILLATION_FIELD), "dce.dce_rate_closed", _dce_closed),
+    "DceNumeric": (_kind_schema(_OSCILLATION_FIELD, _N_SPECTRUM), "dce.dce_rate_numeric",
+                   _dce_numeric),
 }
 SCENARIO_KINDS = tuple(_KINDS)
-
-#: Scenario kind -> (its keys, required keys in field order, allowed keys);
-#: every kind also takes "kind", "species" and an optional "quadrature".
-_KIND_KEYS = {
-    kind: (("quadrature",) + keys, tuple(k for k in keys if k not in _OPTIONAL),
-           frozenset(keys) | {"quadrature", "kind", "species"})
-    for kind, (keys, _, _) in _KINDS.items()
-}
 
 
 def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<scenario>") -> Scenario:
@@ -305,15 +314,7 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
         )
     where = f"{source}.species"
     species = find_species(species_db, text(data.get("species"), where), where)
-
-    keys, required, allowed = _KIND_KEYS[kind]
-    check_keys(data, required, allowed, source)
-    fields = {
-        _FIELDS[key][0]: _FIELDS[key][1](data[key], f"{source}.{key}", species)
-        for key in keys
-        if key in data
-    }
-    return Scenario(kind=kind, species=species, **fields)
+    return read_object(data, _KINDS[kind][0], source, Scenario, kind=kind, species=species)
 
 
 # -- execution -----------------------------------------------------------------
@@ -412,34 +413,35 @@ class SweepRow:
         return {"param_name": self.param_name, "param_value": self.param_value, **outcome}
 
 
-def _set_path(data: dict, path: str, value: float, source: str) -> None:
+def _with_value(data, path: str, value: float, source: str):
+    """``data`` with the number at the dotted ``path`` replaced by ``value``.
+
+    Only the dicts and lists on the path are copied; the rest of the
+    document is shared. A list index is a plain decimal below the list's
+    length, and the replaced value must be a number.
+    """
     parts = path.split(".")
-    node = data
-    for part in parts[:-1]:
+    top = node = data.copy() if isinstance(data, (dict, list)) else data
+    for depth, part in enumerate(parts, 1):
         if isinstance(node, list):
-            try:
-                node = node[int(part)]
-            except (ValueError, IndexError) as exc:
-                raise BadParameterPath(f"{source}: bad segment {part!r} in {path!r}") from exc
+            if not (part.isascii() and part.isdigit() and int(part) < len(node)):
+                raise BadParameterPath(f"{source}: bad index {shown(part)} in {shown(path)}")
+            key = int(part)
         elif isinstance(node, dict) and part in node:
-            node = node[part]
+            key = part
         else:
-            raise BadParameterPath(f"{source}: no key {part!r} while resolving {path!r}")
-    leaf = parts[-1]
-    if isinstance(node, list):
-        try:
-            idx = int(leaf)
-            node[idx]
-        except (ValueError, IndexError) as exc:
-            raise BadParameterPath(f"{source}: bad index {leaf!r} in {path!r}") from exc
-        node[idx] = value
-        return
-    if not isinstance(node, dict) or leaf not in node:
-        raise BadParameterPath(f"{source}: no key {leaf!r} while resolving {path!r}")
-    old = node[leaf]
-    if isinstance(old, bool) or not isinstance(old, (int, float)):
-        raise BadParameterPath(f"{source}: {path!r} is not a numeric scalar (got {old!r})")
-    node[leaf] = value
+            raise BadParameterPath(f"{source}: no key {shown(part)} while resolving {shown(path)}")
+        child = node[key]
+        if depth == len(parts):
+            if isinstance(child, bool) or not isinstance(child, (int, float)):
+                raise BadParameterPath(
+                    f"{source}: {shown(path)} is not a numeric scalar (got {shown(child)})"
+                )
+            node[key] = value
+            return top
+        if isinstance(child, (dict, list)):
+            child = node[key] = child.copy()
+        node = child
 
 
 def _init_worker() -> None:
@@ -449,9 +451,8 @@ def _init_worker() -> None:
 
 def _sweep_one(args) -> SweepRow:
     scenario_data, param, value, species_db = args
-    data = copy.deepcopy(scenario_data)
     try:
-        _set_path(data, param, value, "<sweep>")
+        data = _with_value(scenario_data, param, value, "<sweep>")
         sc = parse_scenario_dict(data, species_db, source="<sweep>")
         return SweepRow(param, value, run_scenario(sc))
     except CasqError as exc:
@@ -466,17 +467,18 @@ def sweep(
     jobs: int = 1,
 ) -> list[SweepRow]:
     """Run one scenario for each parameter value; rows come back ordered by
-    value regardless of execution order, and per-row failures are recorded
-    in the row rather than aborting the sweep.
+    value (NaN values last, in their given order) regardless of execution
+    order, and per-row failures are recorded in the row rather than aborting
+    the sweep.
 
     The caller resolves the species database once; each worker task carries
     it, and ``pool.map`` pickles it once per chunk of tasks."""
     # fail fast on a path that resolves nowhere (per-value validation still
     # happens inside the workers)
-    probe = copy.deepcopy(scenario_data)
-    _set_path(probe, param, float(values[0]), "<sweep>")
+    _with_value(scenario_data, param, float(values[0]), "<sweep>")
 
-    order = sorted(range(len(values)), key=lambda i: (values[i], i))
+    # NaN compares false both ways, which would leave the other values unsorted
+    order = sorted(range(len(values)), key=lambda i: (math.isnan(values[i]), values[i], i))
     tasks = [(scenario_data, param, float(values[i]), species_db) for i in order]
     if jobs <= 1:
         return [_sweep_one(t) for t in tasks]

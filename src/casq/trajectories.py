@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT
-from .errors import ImproperWindow, NonPositiveDistance, OutOfWindow
+from .errors import CollisionGuard, ImproperWindow, NonPositiveDistance, OutOfWindow
 from .vec3 import Vec3, dot3, norm3, scale3, sub3
 
 __all__ = [
@@ -226,9 +226,6 @@ class SampledPolyline1D(_Sampled):
         return (self.position(hi) - self.position(lo)) / width
 
 
-Trajectory1D = Constant1D | Linear1D | Harmonic1D | SampledPolyline1D
-
-
 # -- 3D kinds -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -318,10 +315,6 @@ def _segment_distance(p: Vec3, d: Vec3) -> float:
     dd = dot3(d, d)
     s = min(max(-dot3(p, d) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
     return norm3(sub3(p, scale3(-s, d)))
-
-
-Trajectory3D = StraightLine3D | SampledPolyline3D
-Trajectory = Trajectory1D | Trajectory3D
 
 
 # -- functional interface ------------------------------------------------------
@@ -429,8 +422,6 @@ def validate_positive_over_window(traj, window: TimeWindow, z_min: float = 0.0) 
     raises :class:`NonPositiveDistance`; dipping below a positive ``z_min``
     raises :class:`CollisionGuard`.
     """
-    from .errors import CollisionGuard
-
     def check(z: float, where: str) -> None:
         if not z > 0.0:
             raise NonPositiveDistance(

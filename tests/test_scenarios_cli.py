@@ -249,6 +249,20 @@ def test_sweep_nested_path():
     assert rows[1].report.result.value == pytest.approx(2.0 * rows[0].report.result.value, rel=1e-11)
 
 
+def test_sweep_orders_nan_values_last():
+    rows = sweep(straightline_scenario(3e-7), "y_m", [3e-7, math.nan, 1e-7], DB)
+    assert [r.param_value for r in rows[:2]] == [1e-7, 3e-7] and math.isnan(rows[2].param_value)
+    assert "ParseError" in rows[2].error
+
+
+def test_sweep_leaves_the_document_unchanged():
+    # rows copy only the objects and lists on the parameter path
+    data = straightline_scenario(3e-7)
+    before = json.dumps(data)
+    sweep(data, "particle.omega_rad_per_s.2", [1e5, 2e5], DB)
+    assert json.dumps(data) == before
+
+
 # -- emission --------------------------------------------------------------------
 
 def test_emit_csv_shape(tmp_path):
@@ -786,3 +800,51 @@ def test_serial_sweep_resolves_species_db_once(monkeypatch, capsys):
     assert code == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 4
     assert calls == [None]
+
+
+# -- sweep parameter paths ------------------------------------------------------------
+
+def _main_sweep(capsys, scenario, param, values="1e-7,2e-7"):
+    capsys.readouterr()
+    code = main(["sweep", scenario, "--param", param, "--values", values])
+    return code, capsys.readouterr()
+
+
+def test_cli_sweep_empty_values_exit_2(capsys):
+    code, out = _main_sweep(capsys, _scenario_path("sagnac_straightline.json"), "y_m", ",")
+    assert code == 2 and "--values" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("index", ["-3", "+1"])
+def test_cli_sweep_list_index_must_be_plain_decimal(tmp_path, capsys, index):
+    data = _bundled("dce_closed.json")
+    data["oscillation"]["direction"] = [0.0, 0.0, 1.0]
+    code, out = _main_sweep(capsys, _write_json(tmp_path, data),
+                            f"oscillation.direction.{index}", "1,2")
+    assert code == 2 and f"bad index '{index}'" in out.err and out.out == ""
+
+
+def test_cli_sweep_list_leaf_must_hold_a_number(capsys):
+    code, out = _main_sweep(capsys, _scenario_path("nonlocal_counterprop.json"), "paths.0", "1,2")
+    assert code == 2 and "'paths.0' is not a numeric scalar" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("param", ["trajectory.points_t_s_r_m", "nope." * 200 + "y"],
+                         ids=["sample_list", "long_path"])
+def test_cli_sweep_error_message_caps_echoed_path_and_value(tmp_path, capsys, param):
+    points = [[i * 1e-12, [-1e-7 + i * 1e-9, 3e-7, 0.0]] for i in range(300)]
+    code, out = _main_sweep(capsys, _write_json(tmp_path, _sampled_sagnac(points)), param, "1,2")
+    assert code == 2 and "characters)" in out.err
+    assert len(out.err.encode()) < 200
+
+
+def test_cli_sweep_deeply_nested_extra_key_records_rows(tmp_path, capsys):
+    # the rows share the document: nothing walks the 600 nested arrays
+    nested = "[" * 600 + "]" * 600
+    text = json.dumps(straightline_scenario(3e-7))[:-1] + f', "extra": {nested}}}'
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out = _main_sweep(capsys, str(path), "y_m")
+    rows = out.out.strip().split("\n")[1:]
+    assert code == 0 and len(rows) == 2
+    assert all("ParseError: <sweep>.extra: unexpected key" in row for row in rows)
