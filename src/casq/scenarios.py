@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
-from multiprocessing import get_context
 
 from . import __version__
 from .constants import constants_hash
@@ -445,7 +446,9 @@ def _with_value(data, path: str, value: float, source: str):
 
 
 def _init_worker() -> None:
-    # a worker writes its warnings straight to the user's stderr
+    # a worker writes its warnings straight to the user's stderr (workers
+    # forked by the CLI inherit this hook; spawned workers, and workers of
+    # callers outside the CLI, do not)
     warnings.showwarning = show_warning
 
 
@@ -471,8 +474,13 @@ def sweep(
     order, and per-row failures are recorded in the row rather than aborting
     the sweep.
 
-    The caller resolves the species database once; each worker task carries
-    it, and ``pool.map`` pickles it once per chunk of tasks."""
+    ``jobs`` is clamped to the CPU count and to the number of values; 1 or
+    less runs the rows in this process. Workers are forked on Linux, so they
+    start with casq already imported, and spawned elsewhere, where fork is
+    not the platform's safe choice; forking assumes the calling process runs
+    no other threads, which holds for the CLI. The caller resolves the
+    species database once; each worker task carries it, and ``pool.map``
+    pickles it once per chunk of tasks."""
     # fail fast on a path that resolves nowhere (per-value validation still
     # happens inside the workers)
     _with_value(scenario_data, param, float(values[0]), "<sweep>")
@@ -480,9 +488,14 @@ def sweep(
     # NaN compares false both ways, which would leave the other values unsorted
     order = sorted(range(len(values)), key=lambda i: (math.isnan(values[i]), values[i], i))
     tasks = [(scenario_data, param, float(values[i]), species_db) for i in order]
+    jobs = min(jobs, os.cpu_count() or 1, len(values))
     if jobs <= 1:
         return [_sweep_one(t) for t in tasks]
-    with get_context("spawn").Pool(processes=jobs, initializer=_init_worker) as pool:
+    # imported here: serial sweeps and every other command skip its import cost
+    from multiprocessing import get_context
+
+    method = "fork" if sys.platform == "linux" else "spawn"
+    with get_context(method).Pool(processes=jobs, initializer=_init_worker) as pool:
         return pool.map(_sweep_one, tasks)
 
 

@@ -1,5 +1,6 @@
 """Scenario parsing, execution, sweeps, emission, and CLI exit codes."""
 
+import contextlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from importlib.resources import files
+from types import SimpleNamespace
 
 import pytest
 
@@ -219,8 +221,9 @@ def test_sweep_sixth_power_law():
     assert rows[0].report.result.value == pytest.approx(64.0 * rows[1].report.result.value, rel=1e-11)
 
 
-def test_sweep_rows_sorted_and_errors_recorded():
-    rows = sweep(straightline_scenario(3e-7), "y_m", [6e-7, 0.0, 3e-7], DB)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_rows_sorted_and_errors_recorded(jobs):
+    rows = sweep(straightline_scenario(3e-7), "y_m", [6e-7, 0.0, 3e-7], DB, jobs=jobs)
     assert [r.param_value for r in rows] == [0.0, 3e-7, 6e-7]
     assert rows[0].report is None and "ZeroImpactParameter" in rows[0].error
     assert rows[1].report is not None and rows[2].report is not None
@@ -233,6 +236,36 @@ def test_sweep_parallel_matches_serial():
     for a, b in zip(serial, parallel):
         assert a.param_value == b.param_value
         assert a.report.to_dict() == b.report.to_dict()
+
+
+@pytest.mark.parametrize(
+    "jobs, n_values, expected",
+    [(100000, 6, 4), (3, 6, 3), (8, 2, 2), (8, 1, None), (0, 6, None), (-5, 6, None)],
+)
+def test_sweep_worker_count_clamped(monkeypatch, jobs, n_values, expected):
+    import multiprocessing
+
+    import casq.scenarios
+
+    calls = []
+
+    def get_context(method):
+        # records the start method and worker count, then runs the rows serially
+        def pool(processes, initializer):
+            calls.append((method, processes))
+            return contextlib.nullcontext(SimpleNamespace(map=lambda fn, tasks: list(map(fn, tasks))))
+
+        return SimpleNamespace(Pool=pool)
+
+    # stubbed under both names a sweep could call, so no real pool ever starts
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(casq.scenarios, "get_context", get_context, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    values = [3e-7 * (1 + i) for i in range(n_values)]
+    rows = sweep(straightline_scenario(3e-7), "y_m", values, DB, jobs=jobs)
+    assert [r.param_value for r in rows] == values
+    method = "fork" if sys.platform == "linux" else "spawn"
+    assert calls == ([] if expected is None else [(method, expected)])
 
 
 def test_sweep_bad_path():
@@ -524,7 +557,7 @@ def test_cli_warnings_print_as_one_line(tmp_path, capsys):
     run = _casq("run", _scenario_path("sagnac_numeric.json"))
     assert run.returncode == 0, run.stderr
     assert NEAR_FIELD_LINE.match(run.stderr) and run.stderr.count("\n") == 1
-    # spawned sweep workers print theirs the same way, one line per row
+    # sweep workers print theirs the same way, one line per row
     out = tmp_path / "sweep.csv"
     sw = _casq("sweep", _scenario_path("sagnac_numeric.json"), "--param", "trajectory.r0_m.1",
                "--values", "3e-7,4e-7,5e-7", "--jobs", "2", "--out", str(out))
@@ -543,15 +576,16 @@ def test_cli_warnings_print_as_one_line(tmp_path, capsys):
 
 
 def test_cli_import_loads_only_stdlib():
-    # multiprocessing registers __main__ again as __mp_main__
+    # multiprocessing is imported only by a sweep that runs workers
     code = (
         "import sys; before = set(sys.modules); import casq.cli; "
         "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
-        "print(sorted(new - set(sys.stdlib_module_names) - {'casq', '__mp_main__'}))"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'casq'}), "
+        "'multiprocessing' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] False"
 
 
 # -- exit-code contract at the compute layer ---------------------------------------
