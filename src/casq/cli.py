@@ -40,6 +40,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+#: Largest accepted ``--points``; the values are built as one Python list
+#: before any row runs.
+_POINTS_MAX = 100_000
+
 
 def _cmd_run(args) -> int:
     data = load_json(args.scenario)
@@ -74,6 +78,8 @@ def _sweep_values(args) -> list[float]:
         raise ValidationError(f"sweep range arguments must be numeric: {exc}") from exc
     if n < 2:
         raise ValidationError("--points must be >= 2")
+    if n > _POINTS_MAX:
+        raise ValidationError(f"--points must be <= {_POINTS_MAX}")
     if args.log:
         if not (a > 0 and b > 0):
             raise ValidationError("--log sweeps need positive endpoints")
@@ -142,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--param", required=True, help="Dotted path into the scenario JSON.")
     sw.add_argument("--from", dest="start", default=None, help="Range start.")
     sw.add_argument("--to", dest="stop", default=None, help="Range end.")
-    sw.add_argument("--points", default=None, help="Number of range points (>= 2).")
+    sw.add_argument("--points", default=None, help=f"Number of range points (2 to {_POINTS_MAX}).")
     sw.add_argument("--log", action="store_true", help="Log-spaced range.")
     sw.add_argument("--values", default=None, help="Explicit comma-separated values.")
     sw.add_argument("--jobs", type=int, default=1, help="Parallel workers.")

@@ -74,11 +74,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .errors import RWAViolation
 from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec
+from .value import Value, set_field
 from .vec3 import Vec3, cross3, dot3, norm3, normalize3, perp_basis, scale3, sub3
 
 __all__ = [
@@ -97,27 +97,27 @@ CLOSED_FORM_COEFFICIENT = 23.0 / (5670.0 * math.pi)
 _SHELL_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class OscillationParams:
+class OscillationParams(Value):
     """Harmonic center-of-mass motion r_max sin(w_cm t) along ``direction``.
 
     ``alpha0`` is the atom's static polarizability (F m^2). r_max = 0 is
     admitted as the degenerate no-motion case (v_max = 0, zero emission).
     """
 
-    r_max: float
-    omega_cm: float
-    alpha0: float
-    direction: Vec3 = (0.0, 0.0, 1.0)
+    __slots__ = ("r_max", "omega_cm", "alpha0", "direction")
 
-    def __post_init__(self):
-        if self.r_max < 0.0:
-            raise ValueError(f"OscillationParams: r_max must be >= 0, got {self.r_max!r}")
-        if not self.omega_cm > 0.0:
-            raise ValueError(f"OscillationParams: omega_cm must be > 0, got {self.omega_cm!r}")
-        if not self.alpha0 > 0.0:
-            raise ValueError(f"OscillationParams: alpha0 must be > 0, got {self.alpha0!r}")
-        object.__setattr__(self, "direction", normalize3(tuple(float(x) for x in self.direction)))
+    def __init__(self, r_max: float, omega_cm: float, alpha0: float,
+                 direction: Vec3 = (0.0, 0.0, 1.0)):
+        if r_max < 0.0:
+            raise ValueError(f"OscillationParams: r_max must be >= 0, got {r_max!r}")
+        if not omega_cm > 0.0:
+            raise ValueError(f"OscillationParams: omega_cm must be > 0, got {omega_cm!r}")
+        if not alpha0 > 0.0:
+            raise ValueError(f"OscillationParams: alpha0 must be > 0, got {alpha0!r}")
+        set_field(self, "r_max", r_max)
+        set_field(self, "omega_cm", omega_cm)
+        set_field(self, "alpha0", alpha0)
+        set_field(self, "direction", normalize3(tuple(map(float, direction))))
 
     @property
     def v_max(self) -> float:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .errors import (
@@ -43,6 +42,7 @@ from .quadrature import (
 )
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
 from .trajectories import TimeWindow, light_delay, validate_positive_over_window
+from .value import Value, set_field
 
 __all__ = [
     "MirrorScenario",
@@ -66,21 +66,22 @@ Z_MIN_DEFAULT = 1e-9
 _INNER_SPEC = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=64)
 
 
-@dataclass(frozen=True)
-class MirrorScenario:
+class MirrorScenario(Value):
     """Species plus one or two axial paths over a common window."""
 
-    species: AtomSpecies
-    paths: tuple
-    window: TimeWindow
-    z_min: float = Z_MIN_DEFAULT
+    __slots__ = ("species", "paths", "window", "z_min")
 
-    def __post_init__(self):
-        object.__setattr__(self, "paths", tuple(self.paths))
-        if not 1 <= len(self.paths) <= 2:
-            raise ValueError(f"MirrorScenario: need 1 or 2 paths, got {len(self.paths)}")
-        for p in self.paths:
-            validate_positive_over_window(p, self.window, z_min=self.z_min)
+    def __init__(self, species: AtomSpecies, paths: tuple, window: TimeWindow,
+                 z_min: float = Z_MIN_DEFAULT):
+        paths = tuple(paths)
+        if not 1 <= len(paths) <= 2:
+            raise ValueError(f"MirrorScenario: need 1 or 2 paths, got {len(paths)}")
+        for p in paths:
+            validate_positive_over_window(p, window, z_min=z_min)
+        set_field(self, "species", species)
+        set_field(self, "paths", paths)
+        set_field(self, "window", window)
+        set_field(self, "z_min", z_min)
 
 
 def vdw_potential(species: AtomSpecies, z: float) -> float:
@@ -129,7 +130,7 @@ def quasi_static_phase(
         return c3 / (HBAR * z**3)  # = -U/hbar
 
     res = _integrate_window(integrand, scenario.window, spec, traj)
-    return replace(res, breakdown={"quasi_static": res.value})
+    return res.replace(breakdown={"quasi_static": res.value})
 
 
 def _delay_average(c3: float, traj, t: float, z_min: float, spec: QuadratureSpec):
@@ -205,8 +206,7 @@ def motional_phase_mirror(
     breakdown = {"motional": res.value, "leading_order_local": lead.value}
     if lead.value != 0.0:
         breakdown["ratio_to_leading"] = res.value / lead.value
-    return replace(
-        res,
+    return res.replace(
         evaluations=res.evaluations + inner_evals[0] + lead.evaluations,
         converged=res.converged and lead.converged,
         breakdown=breakdown,
@@ -244,7 +244,7 @@ def nonlocal_phase(
         return k * (p1.velocity(t) - p2.velocity(t)) / (z1 + z2) ** 3
 
     res = _integrate_window(integrand, scenario.window, spec, p1, p2)
-    return replace(res, breakdown={"nonlocal": res.value})
+    return res.replace(breakdown={"nonlocal": res.value})
 
 
 def total_phase_difference(

@@ -36,10 +36,10 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .errors import CollisionGuard, NonConvergent, NonFiniteEvaluation
+from .value import Value, set_field
 from .vec3 import Vec3, dot3, norm3
 
 __all__ = [
@@ -94,8 +94,7 @@ _TOL_FLOOR = 1e-300
 _ROUNDOFF = 100.0 * _EPMACH
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Value):
     """Tolerances and budget for one adaptive integration.
 
     Convergence target is ``max(abs_tol, rel_tol * |value|)``; at least one
@@ -103,22 +102,23 @@ class QuadratureSpec:
     met at the round-off floor of the panels (see :func:`integrate_adaptive`).
     """
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-300
-    max_subdivisions: int = 2000
+    __slots__ = ("rel_tol", "abs_tol", "max_subdivisions")
 
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 or self.abs_tol > 0.0):
+    def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 1e-300,
+                 max_subdivisions: int = 2000):
+        if not (rel_tol > 0.0 or abs_tol > 0.0):
             raise ValueError("QuadratureSpec: rel_tol or abs_tol must be > 0")
-        if self.max_subdivisions < 1:
+        if max_subdivisions < 1:
             raise ValueError("QuadratureSpec: max_subdivisions must be >= 1")
+        set_field(self, "rel_tol", rel_tol)
+        set_field(self, "abs_tol", abs_tol)
+        set_field(self, "max_subdivisions", max_subdivisions)
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(Value):
     """An integral, or a phase or rate built from integrals, with its error budget.
 
     ``breakdown`` carries the named per-term contributions (all in rad
@@ -127,21 +127,31 @@ class IntegralResult:
     ``series`` holds named sampled curves, such as an emission spectrum.
     """
 
-    value: float
-    error_estimate: float
-    evaluations: int = 0
-    converged: bool = True
-    breakdown: dict[str, float] = field(default_factory=dict)
-    series: dict[str, tuple[float, ...]] | None = None
+    __slots__ = ("value", "error_estimate", "evaluations", "converged", "breakdown", "series")
+
+    def __init__(self, value: float, error_estimate: float, evaluations: int = 0,
+                 converged: bool = True, breakdown: dict[str, float] | None = None,
+                 series: dict[str, tuple[float, ...]] | None = None):
+        set_field(self, "value", value)
+        set_field(self, "error_estimate", error_estimate)
+        set_field(self, "evaluations", evaluations)
+        set_field(self, "converged", converged)
+        set_field(self, "breakdown", {} if breakdown is None else breakdown)
+        set_field(self, "series", series)
 
 
-@dataclass
 class _Panel:
-    a: float
-    b: float
-    value: float
-    error: float
-    resabs: float  # integral of |f| over the panel, by the Kronrod rule
+    """One Gauss-Kronrod panel: a private record, built per bisection, so
+    plain (mutable) slots rather than a :class:`Value`."""
+
+    __slots__ = ("a", "b", "value", "error", "resabs")
+
+    def __init__(self, a: float, b: float, value: float, error: float, resabs: float):
+        self.a = a
+        self.b = b
+        self.value = value
+        self.error = error
+        self.resabs = resabs  # integral of |f| over the panel, by the Kronrod rule
 
 
 def _eval_f(f, x, ctx: str):
@@ -440,8 +450,7 @@ def integrate_iterated(
         lo, hi = bounds[k]
         lo_v = float(lo(*outer)) if callable(lo) else float(lo)
         hi_v = float(hi(*outer)) if callable(hi) else float(hi)
-        lspec = replace(
-            spec,
+        lspec = spec.replace(
             rel_tol=spec.rel_tol * _LEVEL_FACTOR**k,
             abs_tol=spec.abs_tol * _LEVEL_FACTOR**k,
         )

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT, FOUR_PI_EPS0, HBAR
 from .errors import (
@@ -48,6 +47,7 @@ from .errors import (
 from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, line_integral
 from .species import POLE_GUARD_DEFAULT, AtomSpecies, two_level_transition
 from .trajectories import TimeWindow
+from .value import Value, set_field
 from .vec3 import Vec3, cross3, norm3
 
 __all__ = [
@@ -64,8 +64,7 @@ __all__ = [
 _NEAR_FIELD_LIMIT = 0.1
 
 
-@dataclass(frozen=True)
-class SpinningParticle:
+class SpinningParticle(Value):
     """Spinning sphere: Lorentz rest polarizability plus rotation vector.
 
     ``alpha0`` static polarizability (F m^2), ``omega_s`` resonance (rad/s),
@@ -73,22 +72,24 @@ class SpinningParticle:
     (rad/s), ``radius`` collision guard (m).
     """
 
-    alpha0: float
-    omega_s: float
-    omega: Vec3
-    gamma: float = 0.0
-    radius: float = 0.0
+    __slots__ = ("alpha0", "omega_s", "omega", "gamma", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(float(x) for x in self.omega))
-        if not self.alpha0 > 0.0:
-            raise ValueError(f"SpinningParticle: alpha0 must be > 0, got {self.alpha0!r}")
-        if not self.omega_s > 0.0:
-            raise ValueError(f"SpinningParticle: omega_s must be > 0, got {self.omega_s!r}")
-        if self.gamma < 0.0:
-            raise ValueError(f"SpinningParticle: gamma must be >= 0, got {self.gamma!r}")
-        if self.radius < 0.0:
-            raise ValueError(f"SpinningParticle: radius must be >= 0, got {self.radius!r}")
+    def __init__(self, alpha0: float, omega_s: float, omega: Vec3, gamma: float = 0.0,
+                 radius: float = 0.0):
+        omega = tuple(map(float, omega))
+        if not alpha0 > 0.0:
+            raise ValueError(f"SpinningParticle: alpha0 must be > 0, got {alpha0!r}")
+        if not omega_s > 0.0:
+            raise ValueError(f"SpinningParticle: omega_s must be > 0, got {omega_s!r}")
+        if gamma < 0.0:
+            raise ValueError(f"SpinningParticle: gamma must be >= 0, got {gamma!r}")
+        if radius < 0.0:
+            raise ValueError(f"SpinningParticle: radius must be >= 0, got {radius!r}")
+        set_field(self, "alpha0", alpha0)
+        set_field(self, "omega_s", omega_s)
+        set_field(self, "omega", omega)
+        set_field(self, "gamma", gamma)
+        set_field(self, "radius", radius)
 
 
 def _guard_pole(particle: SpinningParticle, omega: float, name: str) -> None:
@@ -186,8 +187,7 @@ def sagnac_phase(
         return (c[0] * w, c[1] * w, c[2] * w)
 
     res = line_integral(field, traj, window, spec, r_min_guard=particle.radius)
-    return replace(
-        res,
+    return res.replace(
         value=pref * res.value,
         error_estimate=abs(pref) * res.error_estimate,
         breakdown={"line_integral": res.value, "prefactor": pref},

@@ -23,7 +23,6 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, replace
 
 from . import __version__
 from .constants import constants_hash
@@ -69,6 +68,7 @@ from .trajectories import (
     StraightLine3D,
     TimeWindow,
 )
+from .value import Value, set_field
 
 __all__ = [
     "Scenario",
@@ -222,30 +222,44 @@ _OSCILLATION_FIELD = ("oscillation", "oscillation", nested(dict, _OSCILLATION), 
 _N_SPECTRUM = ("n_spectrum", "n_spectrum", _n_spectrum, False)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """A parsed, validated scenario bound to its species object."""
 
-    kind: str
-    species: AtomSpecies
-    window: TimeWindow | None = None
-    paths: tuple | None = None
-    traj3d: object | None = None
-    particle: SpinningParticle | None = None
-    y_m: float | None = None
-    y1_m: float | None = None
-    oscillation: OscillationParams | None = None
-    n_spectrum: int = 33
-    z_min: float = Z_MIN_DEFAULT
-    quadrature: QuadratureSpec | None = None
+    __slots__ = ("kind", "species", "window", "paths", "traj3d", "particle", "y_m", "y1_m",
+                 "oscillation", "n_spectrum", "z_min", "quadrature")
 
-    def __post_init__(self):
-        if isinstance(self.oscillation, dict):  # as read, without alpha0
+    def __init__(
+        self,
+        kind: str,
+        species: AtomSpecies,
+        window: TimeWindow | None = None,
+        paths: tuple | None = None,
+        traj3d: object | None = None,
+        particle: SpinningParticle | None = None,
+        y_m: float | None = None,
+        y1_m: float | None = None,
+        oscillation: OscillationParams | dict | None = None,
+        n_spectrum: int = 33,
+        z_min: float = Z_MIN_DEFAULT,
+        quadrature: QuadratureSpec | None = None,
+    ):
+        if isinstance(oscillation, dict):  # as read, without alpha0
             try:
-                params = OscillationParams(alpha0=alpha_static(self.species), **self.oscillation)
+                oscillation = OscillationParams(alpha0=alpha_static(species), **oscillation)
             except ValueError as exc:
                 raise ValueError(f"oscillation: {exc}") from exc
-            object.__setattr__(self, "oscillation", params)
+        set_field(self, "kind", kind)
+        set_field(self, "species", species)
+        set_field(self, "window", window)
+        set_field(self, "paths", paths)
+        set_field(self, "traj3d", traj3d)
+        set_field(self, "particle", particle)
+        set_field(self, "y_m", y_m)
+        set_field(self, "y1_m", y1_m)
+        set_field(self, "oscillation", oscillation)
+        set_field(self, "n_spectrum", n_spectrum)
+        set_field(self, "z_min", z_min)
+        set_field(self, "quadrature", quadrature)
 
 
 # -- kinds ---------------------------------------------------------------------
@@ -277,7 +291,7 @@ def _dce_numeric(sc: Scenario) -> IntegralResult:
     }
     if closed > 0.0:
         breakdown["ratio_to_closed"] = res.value / closed
-    return replace(res, breakdown=breakdown)
+    return res.replace(breakdown=breakdown)
 
 
 #: Scenario kind -> (schema, operation name, run(scenario) -> IntegralResult).
@@ -323,19 +337,22 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
 _CONSTANTS_HASH = constants_hash()
 
 
-@dataclass
-class Report:
+class Report(Value):
     """One scenario's result, traceable to the compute operation that made it.
 
     ``wall_time_s`` is informational and deliberately excluded from
     serialized forms so identical runs emit identical bytes.
     """
 
-    scenario_kind: str
-    species_name: str
-    operation: str
-    result: IntegralResult
-    wall_time_s: float = 0.0
+    __slots__ = ("scenario_kind", "species_name", "operation", "result", "wall_time_s")
+
+    def __init__(self, scenario_kind: str, species_name: str, operation: str,
+                 result: IntegralResult, wall_time_s: float = 0.0):
+        set_field(self, "scenario_kind", scenario_kind)
+        set_field(self, "species_name", species_name)
+        set_field(self, "operation", operation)
+        set_field(self, "result", result)
+        set_field(self, "wall_time_s", wall_time_s)
 
     def to_dict(self) -> dict:
         res = self.result
@@ -399,15 +416,18 @@ def run_scenario(sc: Scenario) -> Report:
 
 # -- sweeps --------------------------------------------------------------------
 
-@dataclass
-class SweepRow:
+class SweepRow(Value):
     """One sweep point: its report, or the error that ended it. A single
     run is emitted as the one row ``SweepRow("", None, report)``."""
 
-    param_name: str
-    param_value: float | None
-    report: Report | None
-    error: str | None = None
+    __slots__ = ("param_name", "param_value", "report", "error")
+
+    def __init__(self, param_name: str, param_value: float | None, report: Report | None,
+                 error: str | None = None):
+        set_field(self, "param_name", param_name)
+        set_field(self, "param_value", param_value)
+        set_field(self, "report", report)
+        set_field(self, "error", error)
 
     def to_dict(self) -> dict:
         outcome = {"error": self.error} if self.report is None else {"report": self.report.to_dict()}

@@ -14,7 +14,6 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .dce import CLOSED_FORM_COEFFICIENT, OscillationParams, dce_rate_numeric
@@ -46,16 +45,19 @@ from .trajectories import (
     reparametrize_window,
     reverse,
 )
+from .value import Value, set_field
 
 __all__ = ["CriterionResult", "CRITERIA", "run_selftest"]
 
 
-@dataclass
-class CriterionResult:
-    number: int
-    title: str
-    passed: bool
-    detail: str
+class CriterionResult(Value):
+    __slots__ = ("number", "title", "passed", "detail")
+
+    def __init__(self, number: int, title: str, passed: bool, detail: str):
+        set_field(self, "number", number)
+        set_field(self, "title", title)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
 
 def _rel(a: float, b: float) -> float:

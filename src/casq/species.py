@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 from .constants import FOUR_PI_EPS0, HBAR
 from .errors import DuplicateSpecies, NotTwoLevel, PoleProximity, UnknownSpecies
 from .schema import finite, list_of, load_json, nested, read_object, schema, text
+from .value import Value, set_field
 
 __all__ = [
     "Transition",
@@ -50,37 +50,36 @@ POLE_GUARD_DEFAULT = 1e-6
 SPECIES_DB_ENV = "CASQ_SPECIES_DB"
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Value):
     """One dipole transition: frequency (rad/s) and |d_eg|^2 (C^2 m^2)."""
 
-    omega_eg: float
-    d2: float
+    __slots__ = ("omega_eg", "d2")
 
-    def __post_init__(self):
-        if not (self.omega_eg > 0.0 and math.isfinite(self.omega_eg)):
-            raise ValueError(f"Transition: omega_eg must be > 0, got {self.omega_eg!r}")
-        if not (self.d2 >= 0.0 and math.isfinite(self.d2)):
-            raise ValueError(f"Transition: d2 must be >= 0, got {self.d2!r}")
+    def __init__(self, omega_eg: float, d2: float):
+        if not (omega_eg > 0.0 and math.isfinite(omega_eg)):
+            raise ValueError(f"Transition: omega_eg must be > 0, got {omega_eg!r}")
+        if not (d2 >= 0.0 and math.isfinite(d2)):
+            raise ValueError(f"Transition: d2 must be >= 0, got {d2!r}")
+        set_field(self, "omega_eg", omega_eg)
+        set_field(self, "d2", d2)
 
 
-@dataclass(frozen=True)
-class AtomSpecies:
+class AtomSpecies(Value):
     """Named, immutable set of transitions (at least one, frequencies distinct)."""
 
-    name: str
-    transitions: tuple[Transition, ...]
+    __slots__ = ("name", "transitions")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, transitions: tuple[Transition, ...]):
+        if not name:
             raise ValueError("AtomSpecies: name must be non-empty")
-        trs = tuple(self.transitions)
-        object.__setattr__(self, "transitions", trs)
+        trs = tuple(transitions)
         if len(trs) == 0:
-            raise ValueError(f"AtomSpecies {self.name!r}: needs at least one transition")
+            raise ValueError(f"AtomSpecies {name!r}: needs at least one transition")
         freqs = [t.omega_eg for t in trs]
         if len(set(freqs)) != len(freqs):
-            raise ValueError(f"AtomSpecies {self.name!r}: transition frequencies must be distinct")
+            raise ValueError(f"AtomSpecies {name!r}: transition frequencies must be distinct")
+        set_field(self, "name", name)
+        set_field(self, "transitions", trs)
 
 
 def alpha_of_omega(

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 
 from .constants import C_LIGHT
 from .errors import CollisionGuard, ImproperWindow, NonPositiveDistance, OutOfWindow
+from .value import Value, set_field
 from .vec3 import Vec3, dot3, norm3, scale3, sub3
 
 __all__ = [
@@ -55,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TimeWindow:
+class TimeWindow(Value):
     """Integration window [t_start, t_end], or all of time.
 
     ``improper=True`` means (-inf, inf) and doubles as the caller's
@@ -64,21 +63,22 @@ class TimeWindow:
     quadrature (the engine cannot check decay itself).
     """
 
-    t_start: float = -math.inf
-    t_end: float = math.inf
-    improper: bool = False
+    __slots__ = ("t_start", "t_end", "improper")
 
-    def __post_init__(self):
-        if self.improper:
-            object.__setattr__(self, "t_start", -math.inf)
-            object.__setattr__(self, "t_end", math.inf)
+    def __init__(self, t_start: float = -math.inf, t_end: float = math.inf,
+                 improper: bool = False):
+        if improper:
+            t_start, t_end = -math.inf, math.inf
         else:
-            if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            if not (math.isfinite(t_start) and math.isfinite(t_end)):
                 raise ValueError("bounded TimeWindow requires finite endpoints")
-            if not self.t_start < self.t_end:
+            if not t_start < t_end:
                 raise ValueError(
-                    f"TimeWindow: t_start must be < t_end, got [{self.t_start}, {self.t_end}]"
+                    f"TimeWindow: t_start must be < t_end, got [{t_start}, {t_end}]"
                 )
+        set_field(self, "t_start", t_start)
+        set_field(self, "t_end", t_end)
+        set_field(self, "improper", improper)
 
     @classmethod
     def all_time(cls) -> "TimeWindow":
@@ -92,12 +92,16 @@ class TimeWindow:
 class _Analytic:
     """A kind smooth for all time: it has no kinks to declare."""
 
+    __slots__ = ()
+
     def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
         return ()
 
 
 class _Sampled:
     """A piecewise-linear kind: its kinks are its sample times."""
+
+    __slots__ = ()
 
     def _inside(self, t0: float, t1: float) -> slice:
         """Indices of the sample times strictly inside (t0, t1)."""
@@ -109,10 +113,12 @@ class _Sampled:
 
 # -- 1D kinds -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constant1D(_Analytic):
-    h: float
-    v_parallel: float | None = None  # metadata only: velocity along the surface
+class Constant1D(_Analytic, Value):
+    __slots__ = ("h", "v_parallel")
+
+    def __init__(self, h: float, v_parallel: float | None = None):
+        set_field(self, "h", h)
+        set_field(self, "v_parallel", v_parallel)  # metadata only: velocity along the surface
 
     def position(self, t: float) -> float:
         return self.h
@@ -121,11 +127,13 @@ class Constant1D(_Analytic):
         return 0.0
 
 
-@dataclass(frozen=True)
-class Linear1D(_Analytic):
-    h: float
-    v: float
-    v_parallel: float | None = None
+class Linear1D(_Analytic, Value):
+    __slots__ = ("h", "v", "v_parallel")
+
+    def __init__(self, h: float, v: float, v_parallel: float | None = None):
+        set_field(self, "h", h)
+        set_field(self, "v", v)
+        set_field(self, "v_parallel", v_parallel)
 
     def position(self, t: float) -> float:
         return self.h + self.v * t
@@ -134,26 +142,27 @@ class Linear1D(_Analytic):
         return self.v
 
 
-@dataclass(frozen=True)
-class Harmonic1D(_Analytic):
+class Harmonic1D(_Analytic, Value):
     """z(t) = h + A sin(omega_cm t + phase0); h is the mean distance."""
 
-    h: float
-    amplitude: float
-    omega_cm: float
-    phase0: float = 0.0
-    v_parallel: float | None = None
+    __slots__ = ("h", "amplitude", "omega_cm", "phase0", "v_parallel")
 
-    def __post_init__(self):
-        if self.amplitude < 0.0:
+    def __init__(self, h: float, amplitude: float, omega_cm: float, phase0: float = 0.0,
+                 v_parallel: float | None = None):
+        if amplitude < 0.0:
             raise ValueError("Harmonic1D: amplitude must be >= 0")
-        if self.h - self.amplitude <= 0.0:
+        if h - amplitude <= 0.0:
             raise ValueError(
-                f"Harmonic1D: h - A = {self.h - self.amplitude!r} must be > 0 "
+                f"Harmonic1D: h - A = {h - amplitude!r} must be > 0 "
                 "(atom strictly on one side of the mirror)"
             )
-        if self.omega_cm == 0.0:
+        if omega_cm == 0.0:
             raise ValueError("Harmonic1D: omega_cm must be nonzero")
+        set_field(self, "h", h)
+        set_field(self, "amplitude", amplitude)
+        set_field(self, "omega_cm", omega_cm)
+        set_field(self, "phase0", phase0)
+        set_field(self, "v_parallel", v_parallel)
 
     def position(self, t: float) -> float:
         return self.h + self.amplitude * math.sin(self.omega_cm * t + self.phase0)
@@ -193,8 +202,7 @@ def _fd_stencil(times: tuple[float, ...], t: float) -> tuple[float, float, float
     return t - dt, t + dt, 2.0 * dt
 
 
-@dataclass(frozen=True)
-class SampledPolyline1D(_Sampled):
+class SampledPolyline1D(_Sampled, Value):
     """Piecewise-linear z(t) through strictly increasing sample times.
 
     Velocity is a central finite difference of the interpolant with step
@@ -204,16 +212,18 @@ class SampledPolyline1D(_Sampled):
     Evaluation outside the sample range raises :class:`OutOfWindow`.
     """
 
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-    v_parallel: float | None = None
+    __slots__ = ("times", "values", "v_parallel")
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(self, "values", tuple(float(z) for z in self.values))
-        _check_sampled_times(self.times)
-        if len(self.times) != len(self.values):
+    def __init__(self, times: tuple[float, ...], values: tuple[float, ...],
+                 v_parallel: float | None = None):
+        times = tuple(map(float, times))
+        values = tuple(map(float, values))
+        _check_sampled_times(times)
+        if len(times) != len(values):
             raise ValueError("times and values must have equal length")
+        set_field(self, "times", times)
+        set_field(self, "values", values)
+        set_field(self, "v_parallel", v_parallel)
 
     def position(self, t: float) -> float:
         i = _bracket(self.times, t)
@@ -228,16 +238,14 @@ class SampledPolyline1D(_Sampled):
 
 # -- 3D kinds -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StraightLine3D(_Analytic):
+class StraightLine3D(_Analytic, Value):
     """r(t) = r0 + v t."""
 
-    r0: Vec3
-    v: Vec3
+    __slots__ = ("r0", "v")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r0", tuple(float(x) for x in self.r0))
-        object.__setattr__(self, "v", tuple(float(x) for x in self.v))
+    def __init__(self, r0: Vec3, v: Vec3):
+        set_field(self, "r0", tuple(map(float, r0)))
+        set_field(self, "v", tuple(map(float, v)))
 
     def position(self, t: float) -> Vec3:
         return (
@@ -262,19 +270,17 @@ class StraightLine3D(_Analytic):
         return norm3(self.position(t))
 
 
-@dataclass(frozen=True)
-class SampledPolyline3D(_Sampled):
-    times: tuple[float, ...]
-    points: tuple[Vec3, ...]
+class SampledPolyline3D(_Sampled, Value):
+    __slots__ = ("times", "points")
 
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-        object.__setattr__(
-            self, "points", tuple(tuple(float(x) for x in p) for p in self.points)
-        )
-        _check_sampled_times(self.times)
-        if len(self.times) != len(self.points):
+    def __init__(self, times: tuple[float, ...], points: tuple[Vec3, ...]):
+        times = tuple(map(float, times))
+        points = tuple(tuple(map(float, p)) for p in points)
+        _check_sampled_times(times)
+        if len(times) != len(points):
             raise ValueError("times and points must have equal length")
+        set_field(self, "times", times)
+        set_field(self, "points", points)
 
     def position(self, t: float) -> Vec3:
         i = _bracket(self.times, t)
@@ -335,25 +341,23 @@ def reparametrize(traj, lam: float):
     if not lam > 0.0:
         raise ValueError(f"reparametrize: lambda must be > 0, got {lam!r}")
     if isinstance(traj, Constant1D):
-        return replace(traj, v_parallel=_scale_meta(traj.v_parallel, lam))
+        return traj.replace(v_parallel=_scale_meta(traj.v_parallel, lam))
     if isinstance(traj, Linear1D):
-        return replace(traj, v=traj.v * lam, v_parallel=_scale_meta(traj.v_parallel, lam))
+        return traj.replace(v=traj.v * lam, v_parallel=_scale_meta(traj.v_parallel, lam))
     if isinstance(traj, Harmonic1D):
-        return replace(
-            traj,
+        return traj.replace(
             omega_cm=traj.omega_cm * lam,
             v_parallel=_scale_meta(traj.v_parallel, lam),
         )
     if isinstance(traj, SampledPolyline1D):
-        return replace(
-            traj,
+        return traj.replace(
             times=tuple(t / lam for t in traj.times),
             v_parallel=_scale_meta(traj.v_parallel, lam),
         )
     if isinstance(traj, StraightLine3D):
-        return replace(traj, v=tuple(lam * c for c in traj.v))
+        return traj.replace(v=tuple(lam * c for c in traj.v))
     if isinstance(traj, SampledPolyline3D):
-        return replace(traj, times=tuple(t / lam for t in traj.times))
+        return traj.replace(times=tuple(t / lam for t in traj.times))
     raise TypeError(f"reparametrize: unsupported trajectory {type(traj).__name__}")
 
 
@@ -379,18 +383,17 @@ def reverse(traj, window: TimeWindow):
         raise ImproperWindow("reverse requires a bounded window")
     s = window.t_start + window.t_end
     if isinstance(traj, Constant1D):
-        return replace(traj, v_parallel=_negate_meta(traj.v_parallel))
+        return traj.replace(v_parallel=_negate_meta(traj.v_parallel))
     if isinstance(traj, Linear1D):
-        return replace(traj, h=traj.h + traj.v * s, v=-traj.v,
-                       v_parallel=_negate_meta(traj.v_parallel))
+        return traj.replace(h=traj.h + traj.v * s, v=-traj.v,
+                            v_parallel=_negate_meta(traj.v_parallel))
     if isinstance(traj, Harmonic1D):
         # z(s - t) = h + A sin(-w t + (w s + p0))
-        return replace(traj, omega_cm=-traj.omega_cm,
-                       phase0=traj.omega_cm * s + traj.phase0,
-                       v_parallel=_negate_meta(traj.v_parallel))
+        return traj.replace(omega_cm=-traj.omega_cm,
+                            phase0=traj.omega_cm * s + traj.phase0,
+                            v_parallel=_negate_meta(traj.v_parallel))
     if isinstance(traj, SampledPolyline1D):
-        return replace(
-            traj,
+        return traj.replace(
             times=tuple(s - t for t in reversed(traj.times)),
             values=tuple(reversed(traj.values)),
             v_parallel=_negate_meta(traj.v_parallel),

@@ -105,7 +105,7 @@ def test_determinism_bit_identical():
     f = lambda x: math.sin(17.0 * x) / (1.0 + x * x)
     r1 = integrate_adaptive(f, 0.0, 10.0)
     r2 = integrate_adaptive(f, 0.0, 10.0)
-    assert r1 == r2  # dataclass equality covers value, error, evals, flag
+    assert r1 == r2  # value equality covers value, error, evals, flag
 
 
 def test_non_finite_reports_abscissa():

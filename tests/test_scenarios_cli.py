@@ -425,6 +425,29 @@ def test_cli_sweep_bad_values_exit_2():
     assert proc.returncode == 2
 
 
+def test_cli_sweep_points_bounded(monkeypatch, capsys):
+    import casq.cli
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("a sweep over too many points reached casq.scenarios.sweep")
+
+    argv = ["sweep", _scenario_path("sagnac_straightline.json"), "--param", "y_m",
+            "--from", "1e-7", "--to", "1e-6", "--points"]
+    monkeypatch.setattr(casq.cli, "sweep", must_not_run)
+    assert main(argv + [str(casq.cli._POINTS_MAX + 1)]) == 2
+    assert "--points must be <= 100000" in capsys.readouterr().err
+
+    built = []
+
+    def count_values(data, param, values, db, jobs):
+        built.append(len(values))
+        return []
+
+    monkeypatch.setattr(casq.cli, "sweep", count_values)
+    assert main(argv + [str(casq.cli._POINTS_MAX), "--out", os.devnull]) == 0
+    assert built == [casq.cli._POINTS_MAX]
+
+
 def test_cli_json_byte_identical(tmp_path):
     outs = []
     for i in range(2):
@@ -576,16 +599,17 @@ def test_cli_warnings_print_as_one_line(tmp_path, capsys):
 
 
 def test_cli_import_loads_only_stdlib():
-    # multiprocessing is imported only by a sweep that runs workers
+    # multiprocessing is imported only by a sweep that runs workers;
+    # dataclasses (and the inspect it imports) cost every process ~25 ms
     code = (
         "import sys; before = set(sys.modules); import casq.cli; "
         "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
         "print(sorted(new - set(sys.stdlib_module_names) - {'casq'}), "
-        "'multiprocessing' in sys.modules)"
+        "sorted({'multiprocessing', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[] False"
+    assert proc.stdout.strip() == "[] []"
 
 
 # -- exit-code contract at the compute layer ---------------------------------------
