@@ -1,16 +1,18 @@
 """Paired perfbench runs of a parent revision against the working tree.
 
     python3 bench/pairs.py --parent REV --name NAME --what TEXT \\
-        [--claim WORKLOAD:METRIC] [--pairs 10] [--seconds 36] [--seed0 40]
+        [--claim WORKLOAD:METRIC] [--seed0 40]
 
 Extracts the committed files of REV with ``git archive`` into
 ``.bench-parent/<commit>/`` (gitignored) and runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` there and in
-the working tree, for every workload of ``BENCHMARK.json``. Pair i runs
-every workload on both sides with seed seed0 + i; the parent runs first in
-odd pairs and the working tree first in even pairs. Writes ``BENCH_<NAME>.json`` at the root of the working tree
-after every pair, so an interrupted run keeps the pairs it finished, and
-prints one line per workload and metric at the end. Standard library only.
+the working tree, for every workload of ``BENCHMARK.json`` and its
+``run_seconds`` T. Ten pairs, the fewest that can support a claimed gain:
+pair i runs every workload on both sides with seed seed0 + i; the parent
+runs first in odd pairs and the working tree first in even pairs. Writes
+``BENCH_<NAME>.json`` at the root of the working tree after every pair, so
+an interrupted run keeps the pairs it finished, and prints one line per
+workload and metric at the end. Standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import sys
 import tarfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10
 
 
 def git(*args: str) -> bytes:
@@ -45,7 +48,7 @@ def extract_parent(rev: str) -> str:
     return dest
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: str, workload: str, seed: int, seconds: int) -> dict:
     """One ``perfbench/run.py`` run in ``root``: its printed summary."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -86,7 +89,7 @@ def summarize(parent: list[float], change: list[float]) -> dict:
     }
 
 
-def report(runs: dict, args, metrics: list[str]) -> dict:
+def report(runs: dict, args, metrics: list[str], seconds: int) -> dict:
     """The ``BENCH_*.json`` document for the runs so far."""
     workloads = {}
     for wl, sides in runs.items():
@@ -106,10 +109,10 @@ def report(runs: dict, args, metrics: list[str]) -> dict:
         claimed = {"workload": wl, "metric": metric}
     return {
         "what": args.what,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0",
         "machine": machine(),
         "method": (
-            f"{args.pairs} pairs per workload; pair i uses seed {args.seed0}+i for both sides; "
+            f"{PAIRS} pairs per workload; pair i uses seed {args.seed0}+i for both sides; "
             "the parent runs first in odd pairs and the change first in even pairs; workloads "
             "interleaved within each pair. The parent is the committed tree of "
             f"{args.parent} ({args.parent_commit}), the change the working tree. Values are each "
@@ -127,8 +130,6 @@ def main(argv=None) -> int:
     ap.add_argument("--name", required=True, help="Writes BENCH_<name>.json.")
     ap.add_argument("--what", required=True, help="What the change does, for the report.")
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve.")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=36.0)
     ap.add_argument("--seed0", type=int, default=40)
     args = ap.parse_args(argv)
 
@@ -136,25 +137,26 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     names = [w["name"] for w in bench["workloads"]]
     metrics = [m["name"] for m in bench["end_to_end"]]
+    seconds = bench["run_seconds"]
     parent_root = extract_parent(args.parent)
     args.parent_commit = os.path.basename(parent_root)
     out = os.path.join(ROOT, f"BENCH_{args.name}.json")
 
     runs = {wl: {"parent": [], "change": []} for wl in names}
-    for i in range(1, args.pairs + 1):
+    for i in range(1, PAIRS + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for wl in names:
             for side in order:
                 root = parent_root if side == "parent" else ROOT
-                runs[wl][side].append(run_once(root, wl, args.seed0 + i, args.seconds))
-        text = json.dumps(report(runs, args, metrics), indent=1)
+                runs[wl][side].append(run_once(root, wl, args.seed0 + i, seconds))
+        text = json.dumps(report(runs, args, metrics, seconds), indent=1)
         # one line per list of numbers
         text = re.sub(r"\[\s+([-\d., \n]*?)\s+\]", lambda m: "[" + " ".join(m[1].split()) + "]", text)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(f"pair {i}/{args.pairs} done", file=sys.stderr, flush=True)
+        print(f"pair {i}/{PAIRS} done", file=sys.stderr, flush=True)
 
-    for wl, doc in report(runs, args, metrics)["workloads"].items():
+    for wl, doc in report(runs, args, metrics, seconds)["workloads"].items():
         for m in metrics:
             s = doc[m]
             print(f"{wl:13s} {m:12s} parent {s['parent_median']:.4f} {s['parent_quartiles']} "

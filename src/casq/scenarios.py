@@ -68,7 +68,7 @@ from .trajectories import (
     StraightLine3D,
     TimeWindow,
 )
-from .value import Value, set_field
+from .value import Record, Value, set_field
 
 __all__ = [
     "Scenario",
@@ -337,7 +337,7 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
 _CONSTANTS_HASH = constants_hash()
 
 
-class Report(Value):
+class Report(Record):
     """One scenario's result, traceable to the compute operation that made it.
 
     ``wall_time_s`` is informational and deliberately excluded from
@@ -348,11 +348,11 @@ class Report(Value):
 
     def __init__(self, scenario_kind: str, species_name: str, operation: str,
                  result: IntegralResult, wall_time_s: float = 0.0):
-        set_field(self, "scenario_kind", scenario_kind)
-        set_field(self, "species_name", species_name)
-        set_field(self, "operation", operation)
-        set_field(self, "result", result)
-        set_field(self, "wall_time_s", wall_time_s)
+        self.scenario_kind = scenario_kind
+        self.species_name = species_name
+        self.operation = operation
+        self.result = result
+        self.wall_time_s = wall_time_s
 
     def to_dict(self) -> dict:
         res = self.result
@@ -416,7 +416,7 @@ def run_scenario(sc: Scenario) -> Report:
 
 # -- sweeps --------------------------------------------------------------------
 
-class SweepRow(Value):
+class SweepRow(Record):
     """One sweep point: its report, or the error that ended it. A single
     run is emitted as the one row ``SweepRow("", None, report)``."""
 
@@ -424,10 +424,10 @@ class SweepRow(Value):
 
     def __init__(self, param_name: str, param_value: float | None, report: Report | None,
                  error: str | None = None):
-        set_field(self, "param_name", param_name)
-        set_field(self, "param_value", param_value)
-        set_field(self, "report", report)
-        set_field(self, "error", error)
+        self.param_name = param_name
+        self.param_value = param_value
+        self.report = report
+        self.error = error
 
     def to_dict(self) -> dict:
         outcome = {"error": self.error} if self.report is None else {"report": self.report.to_dict()}

@@ -45,19 +45,19 @@ from .trajectories import (
     reparametrize_window,
     reverse,
 )
-from .value import Value, set_field
+from .value import Record
 
 __all__ = ["CriterionResult", "CRITERIA", "run_selftest"]
 
 
-class CriterionResult(Value):
+class CriterionResult(Record):
     __slots__ = ("number", "title", "passed", "detail")
 
     def __init__(self, number: int, title: str, passed: bool, detail: str):
-        set_field(self, "number", number)
-        set_field(self, "title", title)
-        set_field(self, "passed", passed)
-        set_field(self, "detail", detail)
+        self.number = number
+        self.title = title
+        self.passed = passed
+        self.detail = detail
 
 
 def _rel(a: float, b: float) -> float:

@@ -1,5 +1,6 @@
-"""The value-class contract: frozen fields, type-sensitive equality, repr,
-re-validating replace(), pickling, and construction from JSON by schema."""
+"""The value-class contract: frozen fields (mutable ones for records),
+type-sensitive equality, repr, re-validating replace(), pickling, and
+construction from JSON by schema."""
 
 import json
 import pickle
@@ -33,7 +34,7 @@ from casq.trajectories import (
     StraightLine3D,
     TimeWindow,
 )
-from casq.value import Value
+from casq.value import Record, Value
 
 DB = default_species_db()
 SCENARIOS = sorted(p.name for p in files("casq.data").joinpath("scenarios").iterdir()
@@ -77,11 +78,13 @@ def _values() -> list:
 def test_every_value_class_is_covered():
     modules = [m for name, m in sys.modules.items() if name.startswith("casq.")]
     declared = {v for m in modules for v in vars(m).values()
-                if isinstance(v, type) and issubclass(v, Value) and v is not Value}
+                if isinstance(v, type) and issubclass(v, Record) and v not in (Record, Value)}
     assert declared == {type(v) for v in _values()}
+    assert {Report, SweepRow, CriterionResult} == {c for c in declared if not issubclass(c, Value)}
 
 
-@pytest.mark.parametrize("obj", _values(), ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("obj", [v for v in _values() if isinstance(v, Value)],
+                         ids=lambda v: type(v).__name__)
 def test_fields_are_frozen_slots(obj):
     name = obj.__slots__[0]
     with pytest.raises(AttributeError):
@@ -91,13 +94,41 @@ def test_fields_are_frozen_slots(obj):
     assert not hasattr(obj, "__dict__")
 
 
+def test_record_fields_are_mutable_slots():
+    row = SweepRow("y_m", 1e-7, None, "ParseError: bad")
+    row.error = "other"
+    assert row == SweepRow("y_m", 1e-7, None, "other")
+    assert not hasattr(row, "__dict__")
+    with pytest.raises(AttributeError):
+        row.extra = 1
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(row)
+
+
 @pytest.mark.parametrize("obj", _values(), ids=lambda v: type(v).__name__)
 def test_pickle_round_trip(obj):
     back = pickle.loads(pickle.dumps(obj))
     assert type(back) is type(obj)
     assert back == obj
-    with pytest.raises(AttributeError):
-        setattr(back, back.__slots__[0], None)
+    if isinstance(obj, Value):
+        with pytest.raises(AttributeError):
+            setattr(back, back.__slots__[0], None)
+
+
+def test_unpickling_a_value_skips_init(monkeypatch):
+    res = IntegralResult(1.5, 1e-12, 45, True, {}, {"s": (1.0, 2.0)})
+    data = pickle.dumps(res)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("__init__ ran")
+
+    monkeypatch.setattr(IntegralResult, "__init__", fail)
+    assert pickle.loads(data) == res
+
+
+def test_value_class_needs_two_fields():
+    with pytest.raises(TypeError, match="two or more fields"):
+        type("OneField", (Value,), {"__slots__": ("times",)})
 
 
 def test_equality_is_type_sensitive():
