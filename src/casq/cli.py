@@ -19,14 +19,7 @@ import sys
 import warnings
 
 from .errors import NumericalError, ValidationError, show_warning
-from .scenarios import (
-    emit,
-    format_float,
-    parse_scenario_dict,
-    run_scenario,
-    sweep,
-)
-from .schema import load_json
+from .schema import format_float, load_json
 from .species import (
     alpha_static,
     equivalent_radius,
@@ -45,7 +38,13 @@ EXIT_IO = 4
 _POINTS_MAX = 100_000
 
 
+# The compute modules load only with the commands that run them: `run` and
+# `sweep` import casq.scenarios when they start, so `species` and argument
+# errors never compile it.
+
 def _cmd_run(args) -> int:
+    from .scenarios import emit, parse_scenario_dict, run_scenario
+
     data = load_json(args.scenario)
     db = resolve_species_db(args.species_db)
     sc = parse_scenario_dict(data, db, source=args.scenario)
@@ -89,6 +88,8 @@ def _sweep_values(args) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
+    from .scenarios import emit, sweep
+
     data = load_json(args.scenario)
     db = resolve_species_db(args.species_db)
     values = _sweep_values(args)

@@ -2,14 +2,13 @@
 
 Every compute module imports constants from here so that reported values,
 reference tables and regression baselines all share a single source of
-truth. ``constants_hash()`` fingerprints the table; the CLI stamps it into
-every report so results can be traced to the constant set that produced
-them.
+truth. ``constants_hash()`` fingerprints the table; every report carries
+the fingerprint, ``CONSTANTS_HASH``, so results can be traced to the
+constant set that produced them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 #: Speed of light in vacuum (m/s, exact).
@@ -36,7 +35,15 @@ CONSTANTS_TABLE = {
 }
 
 
+#: ``constants_hash()`` of the table above, written out so that no casq
+#: process loads ``hashlib`` (OpenSSL) to stamp a report; a test checks that
+#: the two agree.
+CONSTANTS_HASH = "a9b05d6eac46f813"
+
+
 def constants_hash() -> str:
     """SHA-256 fingerprint of the constants table (first 16 hex digits)."""
+    import hashlib
+
     payload = "\n".join(f"{k}={v:.17g}" for k, v in sorted(CONSTANTS_TABLE.items()))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]

@@ -79,7 +79,7 @@ from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .errors import RWAViolation
 from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec
 from .value import Value, set_field
-from .vec3 import Vec3, cross3, dot3, norm3, normalize3, perp_basis, scale3, sub3
+from .vec3 import Vec3, cross3, dot3, norm3, normalize3, perp_basis, scale3, sub3, vec3
 
 __all__ = [
     "OscillationParams",
@@ -117,7 +117,7 @@ class OscillationParams(Value):
         set_field(self, "r_max", r_max)
         set_field(self, "omega_cm", omega_cm)
         set_field(self, "alpha0", alpha0)
-        set_field(self, "direction", normalize3(tuple(map(float, direction))))
+        set_field(self, "direction", normalize3(vec3(direction, "OscillationParams: direction")))
 
     @property
     def v_max(self) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from math import isfinite
 from typing import Callable, Sequence
 
 from .errors import CollisionGuard, NonConvergent, NonFiniteEvaluation
@@ -154,27 +155,33 @@ class _Panel:
         self.resabs = resabs  # integral of |f| over the panel, by the Kronrod rule
 
 
-def _eval_f(f, x, ctx: str):
-    y = f(x)
-    if not math.isfinite(y):
-        raise NonFiniteEvaluation(f"{ctx}: integrand returned {y!r} at x = {x!r}")
-    return y
-
-
 def _gk15(f, a: float, b: float, ctx: str) -> _Panel:
-    """One Gauss-Kronrod 7/15 panel on [a, b] with QUADPACK error scaling."""
+    """One Gauss-Kronrod 7/15 panel on [a, b] with QUADPACK error scaling.
+
+    Raises :class:`NonFiniteEvaluation` at the first node (centre first,
+    then each pair from the outside in) where ``f`` is not finite; no later
+    node is evaluated.
+    """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
 
-    fc = _eval_f(f, center, ctx)
+    fc = f(center)
+    if not isfinite(fc):
+        raise NonFiniteEvaluation(f"{ctx}: integrand returned {fc!r} at x = {center!r}")
     resg = fc * _WG[3]
     resk = fc * _WGK[7]
     resabs = abs(fc) * _WGK[7]
     fv = []
     for j in range(7):
         dx = half * _XGK[j]
-        f1 = _eval_f(f, center - dx, ctx)
-        f2 = _eval_f(f, center + dx, ctx)
+        x = center - dx
+        f1 = f(x)
+        if not isfinite(f1):
+            raise NonFiniteEvaluation(f"{ctx}: integrand returned {f1!r} at x = {x!r}")
+        x = center + dx
+        f2 = f(x)
+        if not isfinite(f2):
+            raise NonFiniteEvaluation(f"{ctx}: integrand returned {f2!r} at x = {x!r}")
         fv.append((f1, f2))
         resk += _WGK[j] * (f1 + f2)
         resabs += _WGK[j] * (abs(f1) + abs(f2))
@@ -276,17 +283,8 @@ def _adaptive_core(
     spec: QuadratureSpec | None,
 ) -> IntegralResult:
     spec = spec or DEFAULT_SPEC
-    evals = 0
-
-    def counted(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        return f(x)
-
     ctx = "integrate_adaptive"
-    panels = [
-        _gk15(counted, breaks[i], breaks[i + 1], ctx) for i in range(len(breaks) - 1)
-    ]
+    panels = [_gk15(f, breaks[i], breaks[i + 1], ctx) for i in range(len(breaks) - 1)]
     # integral of |f|, kept up to date per bisection: it only sets a floor
     resabs = math.fsum(p.resabs for p in panels)
     total = math.fsum(p.value for p in panels)
@@ -317,8 +315,8 @@ def _adaptive_core(
         if mid <= worst.a or mid >= worst.b:
             # interval at floating-point resolution: keep it, accept its error
             break
-        left = _gk15(counted, worst.a, mid, ctx)
-        right = _gk15(counted, mid, worst.b, ctx)
+        left = _gk15(f, worst.a, mid, ctx)
+        right = _gk15(f, mid, worst.b, ctx)
         heapq.heapreplace(heap, (-left.error, left.a, left))
         heapq.heappush(heap, (-right.error, right.a, right))
         _grow_exact(values, (left.value, right.value, -worst.value))
@@ -328,6 +326,8 @@ def _adaptive_core(
         resabs += left.resabs + right.resabs - worst.resabs
         nsub += 1
 
+    # 15 evaluations per panel: the first sweep's panels, then two per bisection
+    evals = 15 * (len(breaks) - 1 + 2 * nsub)
     return IntegralResult(sign * total, toterr, evals, converged)
 
 

@@ -48,7 +48,7 @@ from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, line_integ
 from .species import POLE_GUARD_DEFAULT, AtomSpecies, two_level_transition
 from .trajectories import TimeWindow
 from .value import Value, set_field
-from .vec3 import Vec3, cross3, norm3
+from .vec3 import Vec3, cross3, norm3, vec3
 
 __all__ = [
     "SpinningParticle",
@@ -76,7 +76,7 @@ class SpinningParticle(Value):
 
     def __init__(self, alpha0: float, omega_s: float, omega: Vec3, gamma: float = 0.0,
                  radius: float = 0.0):
-        omega = tuple(map(float, omega))
+        omega = vec3(omega, "SpinningParticle: omega")
         if not alpha0 > 0.0:
             raise ValueError(f"SpinningParticle: alpha0 must be > 0, got {alpha0!r}")
         if not omega_s > 0.0:

@@ -25,7 +25,7 @@ import time
 import warnings
 
 from . import __version__
-from .constants import constants_hash
+from .constants import CONSTANTS_HASH
 from .dce import (
     CLOSED_FORM_COEFFICIENT,
     OscillationParams,
@@ -57,7 +57,18 @@ from .sagnac import (
     sagnac_phase_straightline,
     sagnac_total_symmetric,
 )
-from .schema import check_keys, count, finite, nested, read_object, schema, shown, text, vector3
+from .schema import (
+    check_keys,
+    count,
+    finite,
+    format_float,
+    nested,
+    read_object,
+    schema,
+    shown,
+    text,
+    vector3,
+)
 from .species import AtomSpecies, alpha_static, find_species
 from .trajectories import (
     Constant1D,
@@ -334,9 +345,6 @@ def parse_scenario_dict(data, species_db: list[AtomSpecies], source: str = "<sce
 
 # -- execution -----------------------------------------------------------------
 
-_CONSTANTS_HASH = constants_hash()
-
-
 class Report(Record):
     """One scenario's result, traceable to the compute operation that made it.
 
@@ -366,7 +374,7 @@ class Report(Record):
             "metadata": {
                 "operation": self.operation,
                 "toolkit_version": __version__,
-                "constants_hash": _CONSTANTS_HASH,
+                "constants_hash": CONSTANTS_HASH,
             },
         }
         if res.series is not None:
@@ -520,11 +528,6 @@ def sweep(
 
 
 # -- emission ------------------------------------------------------------------
-
-def format_float(x: float) -> str:
-    """Floats rendered with 17 significant digits for reproducibility."""
-    return f"{x:.17g}"
-
 
 def _json_fragment(obj, out: list, indent: int | None) -> None:
     pad = "" if indent is None else "  " * indent

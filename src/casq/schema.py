@@ -4,6 +4,8 @@ A JSON object's schema is one field list of (JSON key, attribute and
 constructor keyword, reader, required). Keys carry unit suffixes, so a key
 with a known stem but another suffix is :class:`UnitMismatch` rather than
 guessed at, and any other unknown key is :class:`ParseError`.
+:func:`format_float` is the one writer of floats as text, shared by the
+reports and ``casq species show``.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ def load_json(path: str):
 
 #: Longest repr of an offending value that an error message prints.
 _SHOWN_MAX = 40
+
+
+def format_float(x: float) -> str:
+    """Floats rendered with 17 significant digits for reproducibility."""
+    return f"{x:.17g}"
 
 
 def shown(v) -> str:

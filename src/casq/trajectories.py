@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from .constants import C_LIGHT
 from .errors import CollisionGuard, ImproperWindow, NonPositiveDistance, OutOfWindow
 from .value import Value, set_field
-from .vec3 import Vec3, dot3, norm3, scale3, sub3
+from .vec3 import Vec3, dot3, norm3, scale3, sub3, vec3
 
 __all__ = [
     "TimeWindow",
@@ -244,8 +244,8 @@ class StraightLine3D(_Analytic, Value):
     __slots__ = ("r0", "v")
 
     def __init__(self, r0: Vec3, v: Vec3):
-        set_field(self, "r0", tuple(map(float, r0)))
-        set_field(self, "v", tuple(map(float, v)))
+        set_field(self, "r0", vec3(r0, "StraightLine3D: r0"))
+        set_field(self, "v", vec3(v, "StraightLine3D: v"))
 
     def position(self, t: float) -> Vec3:
         return (
@@ -275,7 +275,7 @@ class SampledPolyline3D(_Sampled, Value):
 
     def __init__(self, times: tuple[float, ...], points: tuple[Vec3, ...]):
         times = tuple(map(float, times))
-        points = tuple(tuple(map(float, p)) for p in points)
+        points = tuple(vec3(p, f"SampledPolyline3D: points[{i}]") for i, p in enumerate(points))
         _check_sampled_times(times)
         if len(times) != len(points):
             raise ValueError("times and points must have equal length")

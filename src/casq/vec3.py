@@ -11,6 +11,15 @@ import math
 Vec3 = tuple[float, float, float]
 
 
+def vec3(v, where: str) -> Vec3:
+    """``v`` as a tuple of three floats; ``ValueError`` naming ``where`` if it
+    does not have exactly three components."""
+    t = tuple(map(float, v))
+    if len(t) != 3:
+        raise ValueError(f"{where} must have 3 components, got {len(t)}")
+    return t
+
+
 def dot3(a: Vec3, b: Vec3) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 

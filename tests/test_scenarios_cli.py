@@ -427,13 +427,15 @@ def test_cli_sweep_bad_values_exit_2():
 
 def test_cli_sweep_points_bounded(monkeypatch, capsys):
     import casq.cli
+    import casq.scenarios
 
     def must_not_run(*args, **kwargs):
         pytest.fail("a sweep over too many points reached casq.scenarios.sweep")
 
     argv = ["sweep", _scenario_path("sagnac_straightline.json"), "--param", "y_m",
             "--from", "1e-7", "--to", "1e-6", "--points"]
-    monkeypatch.setattr(casq.cli, "sweep", must_not_run)
+    # the sweep command imports casq.scenarios.sweep when it runs
+    monkeypatch.setattr(casq.scenarios, "sweep", must_not_run)
     assert main(argv + [str(casq.cli._POINTS_MAX + 1)]) == 2
     assert "--points must be <= 100000" in capsys.readouterr().err
 
@@ -443,7 +445,7 @@ def test_cli_sweep_points_bounded(monkeypatch, capsys):
         built.append(len(values))
         return []
 
-    monkeypatch.setattr(casq.cli, "sweep", count_values)
+    monkeypatch.setattr(casq.scenarios, "sweep", count_values)
     assert main(argv + [str(casq.cli._POINTS_MAX), "--out", os.devnull]) == 0
     assert built == [casq.cli._POINTS_MAX]
 
@@ -598,6 +600,23 @@ def test_cli_warnings_print_as_one_line(tmp_path, capsys):
     )
 
 
+#: Modules that only `run`, `sweep` and `selftest` need: the compute layers,
+#: the scenario runner, and hashlib with its OpenSSL extension (~4 ms).
+_COMPUTE_MODULES = (
+    "casq.scenarios", "casq.quadrature", "casq.dce", "casq.mirror_phases", "casq.sagnac",
+    "casq.trajectories", "hashlib", "_hashlib",
+)
+
+
+def _loaded_after(code: str) -> list[str]:
+    """Which of ``_COMPUTE_MODULES`` a fresh interpreter has loaded after ``code``."""
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps(sorted(set({_COMPUTE_MODULES!r}) & set(sys.modules))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_cli_import_loads_only_stdlib():
     # multiprocessing is imported only by a sweep that runs workers;
     # dataclasses (and the inspect it imports) cost every process ~25 ms
@@ -610,6 +629,25 @@ def test_cli_import_loads_only_stdlib():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[] []"
+    # the compute modules load with the commands that run them, not with the CLI
+    assert _loaded_after("import casq.cli") == []
+
+
+@pytest.mark.parametrize("command", [["species", "list"], ["species", "show", "three-level-demo"]])
+def test_species_commands_load_no_compute_modules(command):
+    # -X importtime names every module the process imports, on stderr
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "casq", *command],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "casq.species" in imported
+    assert sorted(imported & set(_COMPUTE_MODULES)) == []
+
+
+def test_scenarios_import_leaves_hashlib_out():
+    # reports carry constants.CONSTANTS_HASH; nothing computes it at import
+    assert not {"hashlib", "_hashlib"} & set(_loaded_after("import casq.scenarios"))
 
 
 # -- exit-code contract at the compute layer ---------------------------------------

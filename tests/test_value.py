@@ -4,6 +4,7 @@ construction from JSON by schema."""
 
 import json
 import pickle
+import re
 import sys
 from importlib.resources import files
 
@@ -156,6 +157,28 @@ def test_replace_validates_again():
         h.replace(speed=1.0)
     # conversions run again as well
     assert StraightLine3D((0, 0, 1), (1, 0, 0)).replace(v=[0, 2, 0]).v == (0.0, 2.0, 0.0)
+
+
+_GOOD3 = (1e-7, 2e-7, 3e-7)
+
+
+@pytest.mark.parametrize("bad", [(1e-7, 2e-7), (1e-7, 2e-7, 3e-7, 4e-7)], ids=["2", "4"])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda v: StraightLine3D(v, _GOOD3), "StraightLine3D: r0"),
+        (lambda v: StraightLine3D(_GOOD3, v), "StraightLine3D: v"),
+        (lambda v: SampledPolyline3D((0.0, 1e-9), (_GOOD3, v)), "SampledPolyline3D: points[1]"),
+        (lambda v: SpinningParticle(1e-32, 8e15, v), "SpinningParticle: omega"),
+        (lambda v: OscillationParams(1e-9, 1e9, 1e-40, direction=v),
+         "OscillationParams: direction"),
+    ],
+)
+def test_three_vectors_need_three_components(build, field, bad):
+    message = rf"^{re.escape(field)} must have 3 components, got {len(bad)}$"
+    with pytest.raises(ValueError, match=message):
+        build(bad)
+    build(_GOOD3)  # the same call with three components constructs
 
 
 @pytest.mark.parametrize(
