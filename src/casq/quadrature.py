@@ -47,7 +47,6 @@ __all__ = [
     "QuadratureSpec",
     "IntegralResult",
     "DEFAULT_SPEC",
-    "improper_time_scale",
     "integrate_adaptive",
     "integrate_improper",
     "integrate_iterated",
@@ -379,10 +378,12 @@ def line_integral(
     """Line integral of a vector field along a parametric path.
 
     Evaluates int_P dr . F(r) as the time integral of v(t) . F(r(t)) over
-    the window; improper windows go through the tangent map (the window's
-    ``improper`` flag is the caller's decay certification). A sampled
-    path's sample times inside a bounded window are panel edges. Points with
-    |r(t)| < r_min_guard raise :class:`CollisionGuard`.
+    the window, asking the path only for its position, velocity,
+    breakpoints (panel edges in a bounded window) and, for an improper
+    window, the ``improper_time_scale()`` that centres and scales the
+    tangent map (the window's ``improper`` flag is the caller's decay
+    certification). Points with |r(t)| < r_min_guard raise
+    :class:`CollisionGuard`.
     """
 
     def integrand(t: float) -> float:
@@ -395,29 +396,12 @@ def line_integral(
         return dot3(traj.velocity(t), field(r))
 
     if window.improper:
-        center, scale = improper_time_scale(traj)
+        center, scale = traj.improper_time_scale()
         return integrate_improper(integrand, spec, center=center, scale=scale)
     return integrate_adaptive(
         integrand, window.t_start, window.t_end, spec,
         traj.breakpoints(window.t_start, window.t_end),
     )
-
-
-def improper_time_scale(traj) -> tuple[float, float]:
-    """Characteristic (center, width) in time for an all-time line integral.
-
-    Fields here decay in |r|, so the integrand lives around the closest
-    approach to the origin; mapping that window onto an O(1) stretch of the
-    tangent variable keeps it visible to the quadrature nodes (see
-    :func:`integrate_improper`). The center is the path's time t0 of closest
-    approach, the width |r(t0)| / |v(t0)| (1 / |v| through the origin, and
-    1 at rest).
-    """
-    t0 = traj.closest_time()
-    speed = norm3(traj.velocity(t0))
-    if speed == 0.0:
-        return t0, 1.0
-    return t0, (norm3(traj.position(t0)) or 1.0) / speed
 
 
 #: Per-level tightening factor for iterated integrals, so inner-level noise

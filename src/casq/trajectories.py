@@ -18,15 +18,16 @@ Axial (1D) kinds describe the distance z(t) > 0 to a mirror at z = 0:
 * ``StraightLine3D(r0, v)``    r = r0 + v t
 * ``SampledPolyline3D``        piecewise-linear through (t_i, r_i)
 
-Each kind answers the geometry questions the quadratures ask of it:
-``breakpoints(t0, t1)`` names its kinks (the sample times of a polyline,
-none for an analytic kind), and a 3D kind gives its exact
-``closest_approach(window)`` to the origin.
-
-``reparametrize`` traverses the same geometric path at lambda-times the
-speed (t -> lambda t); ``reverse`` traverses it backwards across a bounded
-window. Both are exact on the analytic kinds, which is what the
-geometric-phase invariance tests lean on.
+Each kind answers every question asked of a path, so no caller switches
+on the kind. ``breakpoints(t0, t1)`` names its kinks (the sample times of a
+polyline, none for an analytic kind). :func:`reparametrize` (t -> lambda t)
+and :func:`reverse` (t -> t_start + t_end - t across a bounded window) hand
+the same geometric path at a new pace to the kind's ``_reparametrized`` and
+``_reversed``, exact on the analytic kinds, which is what the
+geometric-phase invariance tests lean on. :func:`validate_positive_over_window`
+checks the points a 1D kind's ``_lowest(window)`` names as candidates for its
+minimum. A 3D kind gives its exact ``closest_approach(window)`` to the
+origin and the ``improper_time_scale()`` of an all-time line integral.
 """
 
 from __future__ import annotations
@@ -126,6 +127,15 @@ class Constant1D(_Analytic, Value):
     def velocity(self, t: float) -> float:
         return 0.0
 
+    def _reparametrized(self, lam: float) -> "Constant1D":
+        return self.replace(v_parallel=_scaled(self.v_parallel, lam))
+
+    def _reversed(self, s: float) -> "Constant1D":
+        return self.replace(v_parallel=_scaled(self.v_parallel, -1.0))
+
+    def _lowest(self, window: TimeWindow):
+        yield self.h, "all t"
+
 
 class Linear1D(_Analytic, Value):
     __slots__ = ("h", "v", "v_parallel")
@@ -140,6 +150,24 @@ class Linear1D(_Analytic, Value):
 
     def velocity(self, t: float) -> float:
         return self.v
+
+    def _reparametrized(self, lam: float) -> "Linear1D":
+        return self.replace(v=self.v * lam, v_parallel=_scaled(self.v_parallel, lam))
+
+    def _reversed(self, s: float) -> "Linear1D":
+        return self.replace(h=self.h + self.v * s, v=-self.v,
+                            v_parallel=_scaled(self.v_parallel, -1.0))
+
+    def _lowest(self, window: TimeWindow):
+        if not window.improper:
+            yield self.position(window.t_start), "window start"
+            yield self.position(window.t_end), "window end"
+        elif self.v != 0.0:
+            raise NonPositiveDistance(
+                "linear path with nonzero velocity crosses the mirror on an improper window"
+            )
+        else:
+            yield self.h, "all t"
 
 
 class Harmonic1D(_Analytic, Value):
@@ -169,6 +197,19 @@ class Harmonic1D(_Analytic, Value):
 
     def velocity(self, t: float) -> float:
         return self.amplitude * self.omega_cm * math.cos(self.omega_cm * t + self.phase0)
+
+    def _reparametrized(self, lam: float) -> "Harmonic1D":
+        return self.replace(omega_cm=self.omega_cm * lam,
+                            v_parallel=_scaled(self.v_parallel, lam))
+
+    def _reversed(self, s: float) -> "Harmonic1D":
+        # z(s - t) = h + A sin(-w t + (w s + p0))
+        return self.replace(omega_cm=-self.omega_cm,
+                            phase0=self.omega_cm * s + self.phase0,
+                            v_parallel=_scaled(self.v_parallel, -1.0))
+
+    def _lowest(self, window: TimeWindow):
+        yield self.h - self.amplitude, "harmonic minimum"
 
 
 def _check_sampled_times(times) -> None:
@@ -235,6 +276,30 @@ class SampledPolyline1D(_Sampled, Value):
         lo, hi, width = _fd_stencil(self.times, t)
         return (self.position(hi) - self.position(lo)) / width
 
+    def _reparametrized(self, lam: float) -> "SampledPolyline1D":
+        return self.replace(times=tuple(t / lam for t in self.times),
+                            v_parallel=_scaled(self.v_parallel, lam))
+
+    def _reversed(self, s: float) -> "SampledPolyline1D":
+        return self.replace(times=tuple(s - t for t in reversed(self.times)),
+                            values=tuple(reversed(self.values)),
+                            v_parallel=_scaled(self.v_parallel, -1.0))
+
+    def _lowest(self, window: TimeWindow):
+        t0, t1 = window.t_start, window.t_end
+        if window.improper:
+            raise OutOfWindow("sampled trajectory cannot cover an improper window")
+        if t0 < self.times[0] or t1 > self.times[-1]:
+            raise OutOfWindow(
+                f"window [{t0!r}, {t1!r}] exceeds sample range "
+                f"[{self.times[0]!r}, {self.times[-1]!r}]"
+            )
+        within = slice(bisect_left(self.times, t0), bisect_right(self.times, t1))
+        for t, z in zip(self.times[within], self.values[within]):
+            yield z, f"sample t = {t!r}"
+        yield self.position(t0), "window start"
+        yield self.position(t1), "window end"
+
 
 # -- 3D kinds -----------------------------------------------------------------
 
@@ -268,6 +333,27 @@ class StraightLine3D(_Analytic, Value):
         if not window.improper:
             t = min(max(t, window.t_start), window.t_end)
         return norm3(self.position(t))
+
+    def improper_time_scale(self) -> tuple[float, float]:
+        """(center, width) in time of an all-time line integral along the line.
+
+        Fields here decay in |r|, so the integrand lives around the closest
+        approach: the center is t*, the width |r(t*)| / |v| (1 / |v| through
+        the origin, 1 at rest), which maps that stretch onto an O(1) stretch
+        of the tangent variable of :func:`casq.quadrature.integrate_improper`.
+        """
+        t0 = self.closest_time()
+        speed = norm3(self.v)
+        if speed == 0.0:
+            return t0, 1.0
+        return t0, (norm3(self.position(t0)) or 1.0) / speed
+
+    def _reparametrized(self, lam: float) -> "StraightLine3D":
+        return self.replace(v=tuple(lam * c for c in self.v))
+
+    def _reversed(self, s: float) -> "StraightLine3D":
+        return self.replace(r0=tuple(r + v * s for r, v in zip(self.r0, self.v)),
+                            v=tuple(-v for v in self.v))
 
 
 class SampledPolyline3D(_Sampled, Value):
@@ -303,9 +389,16 @@ class SampledPolyline3D(_Sampled, Value):
             (pp[2] - pm[2]) / width,
         )
 
-    def closest_time(self) -> float:
-        """A polyline ends at its samples, so it has no all-time closest approach."""
+    def improper_time_scale(self) -> tuple[float, float]:
+        """A polyline ends at its samples, so it has no all-time line integral."""
         raise OutOfWindow("sampled trajectory cannot cover an improper window")
+
+    def _reparametrized(self, lam: float) -> "SampledPolyline3D":
+        return self.replace(times=tuple(t / lam for t in self.times))
+
+    def _reversed(self, s: float) -> "SampledPolyline3D":
+        return self.replace(times=tuple(s - t for t in reversed(self.times)),
+                            points=tuple(reversed(self.points)))
 
     def closest_approach(self, window: TimeWindow) -> float:
         """Distance to the origin over the segments clipped to the window
@@ -332,43 +425,26 @@ def light_delay(z: float) -> float:
     return 2.0 * z / C_LIGHT
 
 
+def _scaled(v_parallel: float | None, factor: float) -> float | None:
+    """Surface-velocity metadata times ``factor``; absent stays absent."""
+    return None if v_parallel is None else v_parallel * factor
+
+
 def reparametrize(traj, lam: float):
     """Same geometric path traversed at lambda times the speed.
 
     new.position(t) = old.position(lambda t); pair with
     :func:`reparametrize_window` to follow the same stretch of path.
     """
-    if not lam > 0.0:
-        raise ValueError(f"reparametrize: lambda must be > 0, got {lam!r}")
-    if isinstance(traj, Constant1D):
-        return traj.replace(v_parallel=_scale_meta(traj.v_parallel, lam))
-    if isinstance(traj, Linear1D):
-        return traj.replace(v=traj.v * lam, v_parallel=_scale_meta(traj.v_parallel, lam))
-    if isinstance(traj, Harmonic1D):
-        return traj.replace(
-            omega_cm=traj.omega_cm * lam,
-            v_parallel=_scale_meta(traj.v_parallel, lam),
-        )
-    if isinstance(traj, SampledPolyline1D):
-        return traj.replace(
-            times=tuple(t / lam for t in traj.times),
-            v_parallel=_scale_meta(traj.v_parallel, lam),
-        )
-    if isinstance(traj, StraightLine3D):
-        return traj.replace(v=tuple(lam * c for c in traj.v))
-    if isinstance(traj, SampledPolyline3D):
-        return traj.replace(times=tuple(t / lam for t in traj.times))
-    raise TypeError(f"reparametrize: unsupported trajectory {type(traj).__name__}")
-
-
-def _scale_meta(v_parallel: float | None, lam: float) -> float | None:
-    return None if v_parallel is None else v_parallel * lam
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"reparametrize: lambda must be finite and > 0, got {lam!r}")
+    return traj._reparametrized(lam)
 
 
 def reparametrize_window(window: TimeWindow, lam: float) -> TimeWindow:
     """Window matching :func:`reparametrize`: endpoints divided by lambda."""
-    if not lam > 0.0:
-        raise ValueError(f"reparametrize_window: lambda must be > 0, got {lam!r}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"reparametrize_window: lambda must be finite and > 0, got {lam!r}")
     if window.improper:
         return window
     return TimeWindow(window.t_start / lam, window.t_end / lam)
@@ -381,38 +457,7 @@ def reverse(traj, window: TimeWindow):
     """
     if window.improper:
         raise ImproperWindow("reverse requires a bounded window")
-    s = window.t_start + window.t_end
-    if isinstance(traj, Constant1D):
-        return traj.replace(v_parallel=_negate_meta(traj.v_parallel))
-    if isinstance(traj, Linear1D):
-        return traj.replace(h=traj.h + traj.v * s, v=-traj.v,
-                            v_parallel=_negate_meta(traj.v_parallel))
-    if isinstance(traj, Harmonic1D):
-        # z(s - t) = h + A sin(-w t + (w s + p0))
-        return traj.replace(omega_cm=-traj.omega_cm,
-                            phase0=traj.omega_cm * s + traj.phase0,
-                            v_parallel=_negate_meta(traj.v_parallel))
-    if isinstance(traj, SampledPolyline1D):
-        return traj.replace(
-            times=tuple(s - t for t in reversed(traj.times)),
-            values=tuple(reversed(traj.values)),
-            v_parallel=_negate_meta(traj.v_parallel),
-        )
-    if isinstance(traj, StraightLine3D):
-        return StraightLine3D(
-            r0=tuple(r + v * s for r, v in zip(traj.r0, traj.v)),
-            v=tuple(-v for v in traj.v),
-        )
-    if isinstance(traj, SampledPolyline3D):
-        return SampledPolyline3D(
-            times=tuple(s - t for t in reversed(traj.times)),
-            points=tuple(reversed(traj.points)),
-        )
-    raise TypeError(f"reverse: unsupported trajectory {type(traj).__name__}")
-
-
-def _negate_meta(v_parallel: float | None) -> float | None:
-    return None if v_parallel is None else -v_parallel
+    return traj._reversed(window.t_start + window.t_end)
 
 
 def validate_positive_over_window(traj, window: TimeWindow, z_min: float = 0.0) -> None:
@@ -425,7 +470,7 @@ def validate_positive_over_window(traj, window: TimeWindow, z_min: float = 0.0) 
     raises :class:`NonPositiveDistance`; dipping below a positive ``z_min``
     raises :class:`CollisionGuard`.
     """
-    def check(z: float, where: str) -> None:
+    for z, where in traj._lowest(window):
         if not z > 0.0:
             raise NonPositiveDistance(
                 f"path reaches z = {z!r} at {where} (must stay > 0)"
@@ -435,37 +480,3 @@ def validate_positive_over_window(traj, window: TimeWindow, z_min: float = 0.0) 
                 f"path reaches z = {z!r} at {where}, below the near-contact "
                 f"cutoff {z_min!r}"
             )
-
-    if isinstance(traj, Constant1D):
-        check(traj.h, "all t")
-        return
-    if isinstance(traj, Harmonic1D):
-        check(traj.h - traj.amplitude, "harmonic minimum")
-        return
-    if isinstance(traj, Linear1D):
-        if window.improper:
-            if traj.v != 0.0:
-                raise NonPositiveDistance(
-                    "linear path with nonzero velocity crosses the mirror on an improper window"
-                )
-            check(traj.h, "all t")
-            return
-        check(traj.position(window.t_start), "window start")
-        check(traj.position(window.t_end), "window end")
-        return
-    if not isinstance(traj, SampledPolyline1D):
-        raise TypeError(
-            f"validate_positive_over_window: unsupported trajectory {type(traj).__name__}"
-        )
-    if window.improper:
-        raise OutOfWindow("sampled trajectory cannot cover an improper window")
-    if window.t_start < traj.times[0] or window.t_end > traj.times[-1]:
-        raise OutOfWindow(
-            f"window [{window.t_start!r}, {window.t_end!r}] exceeds sample range "
-            f"[{traj.times[0]!r}, {traj.times[-1]!r}]"
-        )
-    for t, z in zip(traj.times, traj.values):
-        if window.t_start <= t <= window.t_end:
-            check(z, f"sample t = {t!r}")
-    check(traj.position(window.t_start), "window start")
-    check(traj.position(window.t_end), "window end")

@@ -1,10 +1,14 @@
 """Trajectory kinds, transformations, and window validation."""
 
+import ast
 import math
+import pathlib
 import random
+import re
 
 import pytest
 
+import casq
 from casq.constants import C_LIGHT
 from casq.errors import CollisionGuard, ImproperWindow, NonPositiveDistance, OutOfWindow
 from casq.trajectories import (
@@ -106,30 +110,45 @@ def test_reparametrize_round_trip():
     assert back == tr
 
 
+#: One path of each kind, three 1D paths carrying surface-velocity metadata.
+ALL_KINDS = (
+    Constant1D(1.0, v_parallel=3.0),
+    Linear1D(1.0, 0.1),
+    Linear1D(1.0, 0.1, v_parallel=-2.0),
+    Harmonic1D(1.0, 0.3, 5.0, 0.7),
+    Harmonic1D(1.0, 0.3, 5.0, 0.7, v_parallel=0.5),
+    SampledPolyline1D((-20.0, -1.0, 0.5, 20.0), (1.0, 2.0, 1.5, 1.2)),
+    StraightLine3D((1.0, 2.0, 3.0), (0.5, -0.25, 1.0)),
+    SampledPolyline3D((-20.0, 0.0, 20.0), ((1.0, 2.0, 3.0), (0.5, -1.0, 2.0), (0.0, 1.0, 1.0))),
+)
+
+
+def _same_point(a, b, rel):
+    if isinstance(a, tuple):
+        return all(x == pytest.approx(y, rel=rel, abs=1e-15) for x, y in zip(a, b))
+    return a == pytest.approx(b, rel=rel)
+
+
 @pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
 def test_reparametrize_time_map(lam):
     rng = random.Random(11)
-    trajs = [
-        Linear1D(1.0, 0.1),
-        Harmonic1D(1.0, 0.3, 5.0, 0.7),
-        StraightLine3D((1.0, 2.0, 3.0), (0.5, -0.25, 1.0)),
-    ]
-    for tr in trajs:
+    for tr in ALL_KINDS:
         fast = reparametrize(tr, lam)
+        assert type(fast) is type(tr)
+        if hasattr(tr, "v_parallel"):
+            vp = tr.v_parallel
+            assert fast.v_parallel == (None if vp is None else vp * lam)
         for _ in range(20):
             t = rng.uniform(-2.0, 2.0)
-            p_fast = fast.position(t)
-            p_base = tr.position(lam * t)
-            if isinstance(p_fast, tuple):
-                assert all(a == pytest.approx(b, rel=1e-12, abs=1e-15)
-                           for a, b in zip(p_fast, p_base))
-            else:
-                assert p_fast == pytest.approx(p_base, rel=1e-12)
+            assert _same_point(fast.position(t), tr.position(lam * t), 1e-12)
 
 
 def test_reparametrize_requires_positive_lambda():
-    with pytest.raises(ValueError):
-        reparametrize(Constant1D(1.0), 0.0)
+    for lam in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            reparametrize(Constant1D(1.0), lam)
+        with pytest.raises(ValueError, match="lambda"):
+            reparametrize_window(TimeWindow(0.0, 1.0), lam)
 
 
 # -- reverse ---------------------------------------------------------------------
@@ -149,13 +168,21 @@ def test_reverse_linear_endpoints():
 
 def test_reverse_involution():
     w = TimeWindow(-1.0, 2.0)
+    s = w.t_start + w.t_end
     for tr in (Linear1D(1.0, 2.0), Harmonic1D(2.0, 0.5, 3.0, 0.1),
-               SampledPolyline1D((-1.0, 0.5, 2.0), (1.0, 2.0, 1.5))):
-        twice = reverse(reverse(tr, w), w)
+               SampledPolyline1D((-1.0, 0.5, 2.0), (1.0, 2.0, 1.5))) + ALL_KINDS:
+        back = reverse(tr, w)
+        twice = reverse(back, w)
+        assert type(back) is type(tr)
+        if hasattr(tr, "v_parallel"):
+            vp = tr.v_parallel
+            assert back.v_parallel == (None if vp is None else -vp)
+            assert twice.v_parallel == vp
         rng = random.Random(13)
         for _ in range(10):
             t = rng.uniform(-1.0, 2.0)
-            assert twice.position(t) == pytest.approx(tr.position(t), rel=1e-12)
+            assert _same_point(back.position(t), tr.position(s - t), 1e-12)
+            assert _same_point(twice.position(t), tr.position(t), 1e-12)
 
 
 def test_reverse_requires_bounded_window():
@@ -177,8 +204,33 @@ def test_harmonic_must_stay_positive():
         Harmonic1D(1.0, 1.5, 2.0)
 
 
+_DIP = SampledPolyline1D((0.0, 1.0, 2.0, 3.0), (1.0, 0.25, 1.0, -1.0))
+
+#: (path, window, z_min, error, the point its message names): the minimum is
+#: analytic, at a window end, or at a sample, and samples come before ends.
+_LOWEST_POINTS = (
+    (Constant1D(0.0), TimeWindow(0.0, 1.0), 0.0, NonPositiveDistance, "all t"),
+    (Constant1D(0.5), TimeWindow.all_time(), 0.75, CollisionGuard, "all t"),
+    (Harmonic1D(1.0, 0.5, 2.0), TimeWindow(0.0, 1.0), 0.75, CollisionGuard,
+     "harmonic minimum"),
+    (Linear1D(1.0, 0.3), TimeWindow(-5.0, 0.0), 0.0, NonPositiveDistance, "window start"),
+    (Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0), 0.75, CollisionGuard, "window end"),
+    (Linear1D(0.5, 0.0), TimeWindow.all_time(), 0.75, CollisionGuard, "all t"),
+    (Linear1D(1.0, 1e-3), TimeWindow.all_time(), 0.0, NonPositiveDistance,
+     "linear path with nonzero velocity crosses the mirror on an improper window"),
+    (_DIP, TimeWindow(0.5, 1.5), 0.5, CollisionGuard, "sample t = 1.0"),
+    (_DIP, TimeWindow(1.0, 1.5), 0.5, CollisionGuard, "sample t = 1.0"),  # on the start
+    (_DIP, TimeWindow(1.0, 3.0), 0.0, NonPositiveDistance, "sample t = 3.0"),
+    (_DIP, TimeWindow(1.5, 2.75), 0.0, NonPositiveDistance, "window end"),
+    (_DIP, TimeWindow(0.5, 0.75), 0.7, CollisionGuard, "window start"),
+    (_DIP, TimeWindow.all_time(), 0.0, OutOfWindow, "cannot cover an improper window"),
+    (_DIP, TimeWindow(-1.0, 0.5), 0.0, OutOfWindow, "exceeds sample range"),
+)
+
+
 def test_positive_over_window():
     validate_positive_over_window(Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0))
+    validate_positive_over_window(_DIP, TimeWindow(0.0, 2.0), z_min=0.25)
     with pytest.raises(NonPositiveDistance):
         validate_positive_over_window(Linear1D(1.0, -0.3), TimeWindow(0.0, 5.0))
     with pytest.raises(CollisionGuard):
@@ -191,3 +243,39 @@ def test_positive_over_window():
         )
     with pytest.raises(NonPositiveDistance):
         validate_positive_over_window(Linear1D(1.0, -1e-3), TimeWindow.all_time())
+    for traj, window, z_min, error, where in _LOWEST_POINTS:
+        with pytest.raises(error, match=re.escape(where)) as info:
+            validate_positive_over_window(traj, window, z_min=z_min)
+        assert type(info.value) is error
+        if error is CollisionGuard:
+            assert str(info.value).endswith(f"below the near-contact cutoff {z_min!r}")
+
+
+# -- structure -------------------------------------------------------------------
+
+PATH_KINDS = {"Constant1D", "Linear1D", "Harmonic1D", "SampledPolyline1D",
+              "StraightLine3D", "SampledPolyline3D"}
+
+
+def _named_classes(node):
+    """Names of the classes an ``isinstance`` second argument refers to."""
+    if isinstance(node, ast.Tuple):
+        return {name for elt in node.elts for name in _named_classes(elt)}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    return set()
+
+
+def test_no_module_switches_on_path_kind():
+    """Each path kind answers for itself: no casq module tests an object
+    against a path kind with ``isinstance``."""
+    hits = []
+    for path in sorted(pathlib.Path(casq.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2
+                    and _named_classes(node.args[1]) & PATH_KINDS):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
