@@ -29,9 +29,9 @@ _EXPORTS = {
          "quasi_static_phase", "total_phase_difference", "vdw_potential"),
         "mirror_phases",
     ),
+    **dict.fromkeys(("DEFAULT_SPEC", "IntegralResult", "QuadratureSpec"), "value"),
     **dict.fromkeys(
-        ("DEFAULT_SPEC", "IntegralResult", "QuadratureSpec", "integrate_adaptive",
-         "integrate_improper", "integrate_iterated", "line_integral"),
+        ("integrate_adaptive", "integrate_improper", "integrate_iterated", "line_integral"),
         "quadrature",
     ),
     **dict.fromkeys(

@@ -27,6 +27,14 @@ EPSILON_0 = 8.8541878128e-12
 #: polarizability and dipole formulas (F/m).
 FOUR_PI_EPS0 = 4.0 * math.pi * EPSILON_0
 
+#: Near-contact cutoff of the mirror phases (m). The nonretarded z^-3 law is
+#: unphysical at contact and the quadratures diverge there, so paths dipping
+#: below this distance trip :class:`casq.errors.CollisionGuard` unless the
+#: scenario overrides the cutoff. A numerical guard, not a physical constant,
+#: so it stays out of ``CONSTANTS_TABLE`` and the hash; it sits here so that
+#: a scenario can default to it without loading :mod:`casq.mirror_phases`.
+Z_MIN_DEFAULT = 1e-9
+
 CONSTANTS_TABLE = {
     "c_m_per_s": C_LIGHT,
     "h_J_s": H_PLANCK,

@@ -77,8 +77,7 @@ import sys
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .errors import RWAViolation
-from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec
-from .value import Value, set_field
+from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, set_field
 from .vec3 import Vec3, cross3, dot3, norm3, normalize3, perp_basis, scale3, sub3, vec3
 
 __all__ = [

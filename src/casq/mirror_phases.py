@@ -27,22 +27,16 @@ from __future__ import annotations
 import math
 import warnings
 
-from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
+from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR, Z_MIN_DEFAULT
 from .errors import (
     CollisionGuard,
     NonPositiveDistance,
     ParallelVelocityMismatchWarning,
 )
-from .quadrature import (
-    DEFAULT_SPEC,
-    IntegralResult,
-    QuadratureSpec,
-    integrate_adaptive,
-    integrate_improper,
-)
+from .quadrature import integrate_adaptive, integrate_improper
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
 from .trajectories import TimeWindow, light_delay, validate_positive_over_window
-from .value import Value, set_field
+from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, set_field
 
 __all__ = [
     "MirrorScenario",
@@ -54,11 +48,6 @@ __all__ = [
     "nonlocal_phase",
     "total_phase_difference",
 ]
-
-#: Near-contact cutoff. The nonretarded z^-3 law is unphysical at contact
-#: and the quadratures diverge there, so paths dipping below this distance
-#: trip :class:`CollisionGuard` unless the scenario overrides the cutoff.
-Z_MIN_DEFAULT = 1e-9
 
 #: Inner (coarse-graining) integrals feed the cancellation Ubar - U, which
 #: amplifies their relative noise by about c/v; they run at a fixed tight

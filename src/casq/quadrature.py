@@ -40,7 +40,7 @@ from math import isfinite
 from typing import Callable, Sequence
 
 from .errors import CollisionGuard, NonConvergent, NonFiniteEvaluation
-from .value import Value, set_field
+from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec
 from .vec3 import Vec3, dot3, norm3
 
 __all__ = [
@@ -92,52 +92,6 @@ _TOL_FLOOR = 1e-300
 #: Round-off floor of the convergence target per unit integral of |f|:
 #: twice the floor of each panel's error estimate in :func:`_gk15`.
 _ROUNDOFF = 100.0 * _EPMACH
-
-
-class QuadratureSpec(Value):
-    """Tolerances and budget for one adaptive integration.
-
-    Convergence target is ``max(abs_tol, rel_tol * |value|)``; at least one
-    of the two tolerances must be positive. A relative tolerance is also
-    met at the round-off floor of the panels (see :func:`integrate_adaptive`).
-    """
-
-    __slots__ = ("rel_tol", "abs_tol", "max_subdivisions")
-
-    def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 1e-300,
-                 max_subdivisions: int = 2000):
-        if not (rel_tol > 0.0 or abs_tol > 0.0):
-            raise ValueError("QuadratureSpec: rel_tol or abs_tol must be > 0")
-        if max_subdivisions < 1:
-            raise ValueError("QuadratureSpec: max_subdivisions must be >= 1")
-        set_field(self, "rel_tol", rel_tol)
-        set_field(self, "abs_tol", abs_tol)
-        set_field(self, "max_subdivisions", max_subdivisions)
-
-
-DEFAULT_SPEC = QuadratureSpec()
-
-
-class IntegralResult(Value):
-    """An integral, or a phase or rate built from integrals, with its error budget.
-
-    ``breakdown`` carries the named per-term contributions (all in rad
-    unless the key says otherwise) so that composite phases stay auditable;
-    closed forms report no evaluations and are converged by construction.
-    ``series`` holds named sampled curves, such as an emission spectrum.
-    """
-
-    __slots__ = ("value", "error_estimate", "evaluations", "converged", "breakdown", "series")
-
-    def __init__(self, value: float, error_estimate: float, evaluations: int = 0,
-                 converged: bool = True, breakdown: dict[str, float] | None = None,
-                 series: dict[str, tuple[float, ...]] | None = None):
-        set_field(self, "value", value)
-        set_field(self, "error_estimate", error_estimate)
-        set_field(self, "evaluations", evaluations)
-        set_field(self, "converged", converged)
-        set_field(self, "breakdown", {} if breakdown is None else breakdown)
-        set_field(self, "series", series)
 
 
 class _Panel:

@@ -44,10 +44,10 @@ from .errors import (
     PoleProximity,
     ZeroImpactParameter,
 )
-from .quadrature import DEFAULT_SPEC, IntegralResult, QuadratureSpec, line_integral
+from .quadrature import line_integral
 from .species import POLE_GUARD_DEFAULT, AtomSpecies, two_level_transition
 from .trajectories import TimeWindow
-from .value import Value, set_field
+from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, set_field
 from .vec3 import Vec3, cross3, norm3, vec3
 
 __all__ = [

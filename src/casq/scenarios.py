@@ -23,15 +23,10 @@ import os
 import sys
 import time
 import warnings
+from importlib import import_module
 
 from . import __version__
-from .constants import CONSTANTS_HASH
-from .dce import (
-    CLOSED_FORM_COEFFICIENT,
-    OscillationParams,
-    dce_rate_closed,
-    dce_rate_numeric,
-)
+from .constants import CONSTANTS_HASH, Z_MIN_DEFAULT
 from .errors import (
     BadParameterPath,
     CasqError,
@@ -40,22 +35,6 @@ from .errors import (
     ParseError,
     ValidationError,
     show_warning,
-)
-from .mirror_phases import (
-    MirrorScenario,
-    Z_MIN_DEFAULT,
-    motional_phase_mirror,
-    nonlocal_phase,
-    quasi_static_phase,
-    total_phase_difference,
-)
-from .quadrature import IntegralResult, QuadratureSpec
-from .sagnac import (
-    SpinningParticle,
-    ell_omega,
-    sagnac_phase,
-    sagnac_phase_straightline,
-    sagnac_total_symmetric,
 )
 from .schema import (
     check_keys,
@@ -70,16 +49,12 @@ from .schema import (
     vector3,
 )
 from .species import AtomSpecies, alpha_static, find_species
-from .trajectories import (
-    Constant1D,
-    Harmonic1D,
-    Linear1D,
-    SampledPolyline1D,
-    SampledPolyline3D,
-    StraightLine3D,
-    TimeWindow,
-)
-from .value import Record, Value, set_field
+from .value import IntegralResult, QuadratureSpec, Record, Value, set_field
+
+# The compute modules (casq.dce, casq.mirror_phases, casq.sagnac and the
+# engine and path modules under them) are imported inside the functions that
+# use them, so a process loads only the modules of the kinds it reads and
+# runs; the annotations that name their classes are never evaluated.
 
 __all__ = [
     "Scenario",
@@ -108,36 +83,52 @@ def _samples(read_value, shape: str):
     return read
 
 
+def _constructor(module: str, name: str):
+    """``casq.<module>.<name>(**fields)``. The module is imported when the
+    first object is built, so parsing loads only the modules a scenario names."""
+    cls = None
+
+    def build(**fields):
+        nonlocal cls
+        if cls is None:
+            cls = getattr(import_module(f".{module}", __package__), name)
+        return cls(**fields)
+
+    return build
+
+
 def _path_schemas(table: dict) -> dict:
-    """Path "kind" tag -> (class, schema); a path object also holds its "kind"."""
-    return {tag: (cls, schema(*fields, known=("kind",))) for tag, (cls, fields) in table.items()}
+    """Path "kind" tag -> (constructor, schema) from tag -> (class name in
+    :mod:`casq.trajectories`, fields); a path object also holds its "kind"."""
+    return {tag: (_constructor("trajectories", name), schema(*fields, known=("kind",)))
+            for tag, (name, fields) in table.items()}
 
 
 _H = ("h_m", "h", finite, True)
 _V_PARALLEL = ("v_parallel_m_per_s", "v_parallel", finite, False)
 
-#: Path "kind" tag -> (class, schema), for 1D mirror paths and 3D trajectories.
+#: Path "kind" tag -> (constructor, schema), for 1D mirror paths and 3D trajectories.
 _PATHS_1D = _path_schemas({
-    "constant": (Constant1D, (_H, _V_PARALLEL)),
-    "linear": (Linear1D, (_H, ("v_m_per_s", "v", finite, True), _V_PARALLEL)),
-    "harmonic": (Harmonic1D, (
+    "constant": ("Constant1D", (_H, _V_PARALLEL)),
+    "linear": ("Linear1D", (_H, ("v_m_per_s", "v", finite, True), _V_PARALLEL)),
+    "harmonic": ("Harmonic1D", (
         _H,
         ("amplitude_m", "amplitude", finite, True),
         ("omega_cm_rad_per_s", "omega_cm", finite, True),
         ("phase0_rad", "phase0", finite, False),
         _V_PARALLEL,
     )),
-    "sampled": (SampledPolyline1D, (
+    "sampled": ("SampledPolyline1D", (
         ("points_t_s_z_m", ("times", "values"), _samples(finite, "[t, z]"), True),
         _V_PARALLEL,
     )),
 })
 _PATHS_3D = _path_schemas({
-    "straight_line": (StraightLine3D, (
+    "straight_line": ("StraightLine3D", (
         ("r0_m", "r0", vector3, True),
         ("v_m_per_s", "v", vector3, True),
     )),
-    "sampled": (SampledPolyline3D, (
+    "sampled": ("SampledPolyline3D", (
         ("points_t_s_r_m", ("times", "points"), _samples(vector3, "[t, [x,y,z]]"), True),
     )),
 })
@@ -179,11 +170,14 @@ def _read_two_paths(v, where: str) -> tuple:
     return tuple(_read_path(p, f"{where}[{i}]", _PATHS_1D) for i, p in enumerate(v))
 
 
+_TIME_WINDOW = _constructor("trajectories", "TimeWindow")
+
+
 def _read_window(obj, ctx: str) -> TimeWindow:
     if isinstance(obj, dict) and obj.get("improper"):
         check_keys(obj, (), ("improper",), ctx)
-        return TimeWindow.all_time()
-    return read_object(obj, _WINDOW, ctx, TimeWindow)
+        return _TIME_WINDOW(improper=True)
+    return read_object(obj, _WINDOW, ctx, _TIME_WINDOW)
 
 
 #: Largest accepted ``n_spectrum``; the spectrum is built as Python lists.
@@ -221,7 +215,8 @@ _MIRROR_1 = _kind_schema(
     _Z_MIN,
 )
 _MIRROR_2 = _kind_schema(("paths", "paths", _read_two_paths, True), _WINDOW_FIELD, _Z_MIN)
-_PARTICLE_FIELD = ("particle", "particle", nested(SpinningParticle, _PARTICLE), True)
+_PARTICLE_FIELD = ("particle", "particle",
+                   nested(_constructor("sagnac", "SpinningParticle"), _PARTICLE), True)
 _SAGNAC = _kind_schema(
     _PARTICLE_FIELD,
     ("trajectory", "traj3d", lambda v, where: _read_path(v, where, _PATHS_3D), True),
@@ -255,6 +250,8 @@ class Scenario(Value):
         quadrature: QuadratureSpec | None = None,
     ):
         if isinstance(oscillation, dict):  # as read, without alpha0
+            from .dce import OscillationParams
+
             try:
                 oscillation = OscillationParams(alpha0=alpha_static(species), **oscillation)
             except ValueError as exc:
@@ -274,30 +271,58 @@ class Scenario(Value):
 
 
 # -- kinds ---------------------------------------------------------------------
-# Each run reaches its compute function through this module's globals at call
-# time, so the function can be replaced (wrapped) on the module.
+# Each run imports its compute module when it runs and calls the compute
+# function as an attribute of that module, looked up at call time: a process
+# loads only the modules of the kinds it runs, and a function replaced
+# (wrapped) on its own module is the one called.
 
-def _mirror(sc: Scenario) -> MirrorScenario:
-    return MirrorScenario(sc.species, sc.paths, sc.window, z_min=sc.z_min)
+def _mirror_phase(name: str, *args):
+    """Run of ``casq.mirror_phases.<name>(mirror scenario, *args, spec)``."""
+
+    def run(sc: Scenario) -> IntegralResult:
+        from . import mirror_phases
+
+        mirror = mirror_phases.MirrorScenario(sc.species, sc.paths, sc.window, z_min=sc.z_min)
+        return getattr(mirror_phases, name)(mirror, *args, sc.quadrature)
+
+    return run
+
+
+def _sagnac(sc: Scenario) -> IntegralResult:
+    from . import sagnac
+
+    return sagnac.sagnac_phase(sc.species, sc.particle, sc.traj3d, sc.window, sc.quadrature)
 
 
 def _sagnac_straightline(sc: Scenario) -> IntegralResult:
-    value = sagnac_phase_straightline(sc.species, sc.particle, sc.y_m)
-    breakdown = {"ell_omega_m": ell_omega(sc.species, sc.particle)}
+    from . import sagnac
+
+    value = sagnac.sagnac_phase_straightline(sc.species, sc.particle, sc.y_m)
+    breakdown = {"ell_omega_m": sagnac.ell_omega(sc.species, sc.particle)}
     return IntegralResult(value, 0.0, breakdown=breakdown)
 
 
+def _sagnac_symmetric(sc: Scenario) -> IntegralResult:
+    from . import sagnac
+
+    return sagnac.sagnac_total_symmetric(sc.species, sc.particle, sc.y1_m)
+
+
 def _dce_closed(sc: Scenario) -> IntegralResult:
-    breakdown = {"coefficient": CLOSED_FORM_COEFFICIENT}
-    return IntegralResult(dce_rate_closed(sc.oscillation), 0.0, breakdown=breakdown)
+    from . import dce
+
+    breakdown = {"coefficient": dce.CLOSED_FORM_COEFFICIENT}
+    return IntegralResult(dce.dce_rate_closed(sc.oscillation), 0.0, breakdown=breakdown)
 
 
 def _dce_numeric(sc: Scenario) -> IntegralResult:
-    res = dce_rate_numeric(sc.oscillation, sc.quadrature, n_spectrum=sc.n_spectrum)
-    closed = dce_rate_closed(sc.oscillation)
+    from . import dce
+
+    res = dce.dce_rate_numeric(sc.oscillation, sc.quadrature, n_spectrum=sc.n_spectrum)
+    closed = dce.dce_rate_closed(sc.oscillation)
     breakdown = {
         **res.breakdown,
-        "closed_form_coefficient": CLOSED_FORM_COEFFICIENT,
+        "closed_form_coefficient": dce.CLOSED_FORM_COEFFICIENT,
         "closed_form_rate_per_s": closed,
     }
     if closed > 0.0:
@@ -306,23 +331,20 @@ def _dce_numeric(sc: Scenario) -> IntegralResult:
 
 
 #: Scenario kind -> (schema, operation name, run(scenario) -> IntegralResult).
+#: An operation is named "<module>.<function>" after its compute module.
 _KINDS = {
     "QuasiStatic": (_MIRROR_1, "mirror_phases.quasi_static_phase",
-                    lambda sc: quasi_static_phase(_mirror(sc), 0, sc.quadrature)),
+                    _mirror_phase("quasi_static_phase", 0)),
     "MotionalMirror": (_MIRROR_1, "mirror_phases.motional_phase_mirror",
-                       lambda sc: motional_phase_mirror(_mirror(sc), 0, sc.quadrature)),
-    "Nonlocal": (_MIRROR_2, "mirror_phases.nonlocal_phase",
-                 lambda sc: nonlocal_phase(_mirror(sc), sc.quadrature)),
+                       _mirror_phase("motional_phase_mirror", 0)),
+    "Nonlocal": (_MIRROR_2, "mirror_phases.nonlocal_phase", _mirror_phase("nonlocal_phase")),
     "TotalMirror": (_MIRROR_2, "mirror_phases.total_phase_difference",
-                    lambda sc: total_phase_difference(_mirror(sc), sc.quadrature)),
-    "Sagnac": (_SAGNAC, "sagnac.sagnac_phase",
-               lambda sc: sagnac_phase(sc.species, sc.particle, sc.traj3d, sc.window,
-                                       sc.quadrature)),
+                    _mirror_phase("total_phase_difference")),
+    "Sagnac": (_SAGNAC, "sagnac.sagnac_phase", _sagnac),
     "SagnacStraightLine": (_kind_schema(_PARTICLE_FIELD, ("y_m", "y_m", finite, True)),
                            "sagnac.sagnac_phase_straightline", _sagnac_straightline),
     "SagnacSymmetric": (_kind_schema(_PARTICLE_FIELD, ("y1_m", "y1_m", finite, True)),
-                        "sagnac.sagnac_total_symmetric",
-                        lambda sc: sagnac_total_symmetric(sc.species, sc.particle, sc.y1_m)),
+                        "sagnac.sagnac_total_symmetric", _sagnac_symmetric),
     "DceClosed": (_kind_schema(_OSCILLATION_FIELD), "dce.dce_rate_closed", _dce_closed),
     "DceNumeric": (_kind_schema(_OSCILLATION_FIELD, _N_SPECTRUM), "dce.dce_rate_numeric",
                    _dce_numeric),
@@ -473,6 +495,15 @@ def _with_value(data, path: str, value: float, source: str):
         node = child
 
 
+def _load_compute_module(scenario_data) -> None:
+    """Import the compute module of the scenario's kind, with the modules it
+    imports; an unknown kind loads nothing (each row then fails to parse)."""
+    kind = scenario_data.get("kind") if isinstance(scenario_data, dict) else None
+    if kind in SCENARIO_KINDS:
+        module = _KINDS[kind][1].split(".", 1)[0]
+        import_module(f".{module}", __package__)
+
+
 def _init_worker() -> None:
     # a worker writes its warnings straight to the user's stderr (workers
     # forked by the CLI inherit this hook; spawned workers, and workers of
@@ -504,9 +535,10 @@ def sweep(
 
     ``jobs`` is clamped to the CPU count and to the number of values; 1 or
     less runs the rows in this process. Workers are forked on Linux, so they
-    start with casq already imported, and spawned elsewhere, where fork is
-    not the platform's safe choice; forking assumes the calling process runs
-    no other threads, which holds for the CLI. The caller resolves the
+    start with casq and the compute modules of the scenario's kind already
+    imported (the parent imports them first), and spawned elsewhere, where
+    fork is not the platform's safe choice; forking assumes the calling
+    process runs no other threads, which holds for the CLI. The caller resolves the
     species database once; each worker task carries it, and ``pool.map``
     pickles it once per chunk of tasks."""
     # fail fast on a path that resolves nowhere (per-value validation still
@@ -519,6 +551,9 @@ def sweep(
     jobs = min(jobs, os.cpu_count() or 1, len(values))
     if jobs <= 1:
         return [_sweep_one(t) for t in tasks]
+    # forked workers inherit the kind's compute modules instead of each
+    # compiling them again
+    _load_compute_module(scenario_data)
     # imported here: serial sweeps and every other command skip its import cost
     from multiprocessing import get_context
 

@@ -4,7 +4,9 @@ The atomic center of mass is the external parameter steering every
 Hamiltonian in the toolkit, so trajectories are plain immutable data:
 analytic kinds evaluate positions and velocities exactly (and extrapolate
 beyond any window), sampled polylines interpolate linearly and
-differentiate by central finite differences with a documented step.
+differentiate by central finite differences with a documented step. Every
+number a path holds is finite: its constructor, and so ``replace``, raises
+``ValueError`` otherwise.
 
 Axial (1D) kinds describe the distance z(t) > 0 to a mirror at z = 0:
 
@@ -112,12 +114,31 @@ class _Sampled:
         return self.times[self._inside(t0, t1)]
 
 
+def _check_finite(kind: str, **fields) -> None:
+    """``ValueError`` naming the first field that holds a non-finite number.
+
+    A field is a number, a tuple of numbers or of 3-vectors, or None (an
+    absent optional field). Every kind checks its fields in ``__init__``, so
+    a copy made by ``replace`` whose arithmetic overflowed is refused too.
+    """
+    for name, x in fields.items():
+        if x is None:
+            continue
+        numbers = x if isinstance(x, tuple) else (x,)
+        if numbers and isinstance(numbers[0], tuple):
+            numbers = [c for point in numbers for c in point]
+        if not all(map(math.isfinite, numbers)):
+            bad = next(v for v in numbers if not math.isfinite(v))
+            raise ValueError(f"{kind}: {name} must be finite, got {bad!r}")
+
+
 # -- 1D kinds -----------------------------------------------------------------
 
 class Constant1D(_Analytic, Value):
     __slots__ = ("h", "v_parallel")
 
     def __init__(self, h: float, v_parallel: float | None = None):
+        _check_finite("Constant1D", h=h, v_parallel=v_parallel)
         set_field(self, "h", h)
         set_field(self, "v_parallel", v_parallel)  # metadata only: velocity along the surface
 
@@ -141,6 +162,7 @@ class Linear1D(_Analytic, Value):
     __slots__ = ("h", "v", "v_parallel")
 
     def __init__(self, h: float, v: float, v_parallel: float | None = None):
+        _check_finite("Linear1D", h=h, v=v, v_parallel=v_parallel)
         set_field(self, "h", h)
         set_field(self, "v", v)
         set_field(self, "v_parallel", v_parallel)
@@ -177,6 +199,8 @@ class Harmonic1D(_Analytic, Value):
 
     def __init__(self, h: float, amplitude: float, omega_cm: float, phase0: float = 0.0,
                  v_parallel: float | None = None):
+        _check_finite("Harmonic1D", h=h, amplitude=amplitude, omega_cm=omega_cm, phase0=phase0,
+                      v_parallel=v_parallel)
         if amplitude < 0.0:
             raise ValueError("Harmonic1D: amplitude must be >= 0")
         if h - amplitude <= 0.0:
@@ -259,6 +283,7 @@ class SampledPolyline1D(_Sampled, Value):
                  v_parallel: float | None = None):
         times = tuple(map(float, times))
         values = tuple(map(float, values))
+        _check_finite("SampledPolyline1D", times=times, values=values, v_parallel=v_parallel)
         _check_sampled_times(times)
         if len(times) != len(values):
             raise ValueError("times and values must have equal length")
@@ -309,8 +334,11 @@ class StraightLine3D(_Analytic, Value):
     __slots__ = ("r0", "v")
 
     def __init__(self, r0: Vec3, v: Vec3):
-        set_field(self, "r0", vec3(r0, "StraightLine3D: r0"))
-        set_field(self, "v", vec3(v, "StraightLine3D: v"))
+        r0 = vec3(r0, "StraightLine3D: r0")
+        v = vec3(v, "StraightLine3D: v")
+        _check_finite("StraightLine3D", r0=r0, v=v)
+        set_field(self, "r0", r0)
+        set_field(self, "v", v)
 
     def position(self, t: float) -> Vec3:
         return (
@@ -362,6 +390,7 @@ class SampledPolyline3D(_Sampled, Value):
     def __init__(self, times: tuple[float, ...], points: tuple[Vec3, ...]):
         times = tuple(map(float, times))
         points = tuple(vec3(p, f"SampledPolyline3D: points[{i}]") for i, p in enumerate(points))
+        _check_finite("SampledPolyline3D", times=times, points=points)
         _check_sampled_times(times)
         if len(times) != len(points):
             raise ValueError("times and points must have equal length")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 from types import SimpleNamespace
@@ -645,6 +646,57 @@ def test_species_commands_load_no_compute_modules(command):
     assert sorted(imported & set(_COMPUTE_MODULES)) == []
 
 
+@pytest.mark.parametrize("scenario, loaded, absent", [
+    ("dce_numeric.json", "casq.dce",
+     ("casq.quadrature", "casq.trajectories", "casq.mirror_phases", "casq.sagnac")),
+    ("quasi_static_linear.json", "casq.mirror_phases", ("casq.dce", "casq.sagnac")),
+    ("sagnac_numeric.json", "casq.sagnac", ("casq.dce", "casq.mirror_phases")),
+])
+def test_run_loads_only_its_kinds_modules(tmp_path, scenario, loaded, absent):
+    # sys.modules after the command, not -X importtime: importtime does not
+    # list a module imported through importlib.import_module
+    argv = ["run", _scenario_path(scenario), "--out", str(tmp_path / "report.csv")]
+    modules = _loaded_after(f"from casq.cli import main\nassert main({argv!r}) == 0")
+    assert loaded in modules
+    assert sorted(set(modules) & set(absent)) == []
+
+
+def test_parallel_sweep_loads_its_kinds_modules_before_the_pool():
+    # a fresh interpreter, so that no other test has loaded a compute module;
+    # the stubbed pool records the modules its forked workers would inherit
+    code = textwrap.dedent("""\
+        import contextlib, json, multiprocessing, os, sys
+        from importlib.resources import files
+        from types import SimpleNamespace
+        from casq.scenarios import sweep
+        from casq.species import default_species_db
+
+        at_pool = []
+
+        def get_context(method):
+            def pool(processes, initializer):
+                at_pool.extend(m for m in sys.modules if m.startswith("casq."))
+                return contextlib.nullcontext(
+                    SimpleNamespace(map=lambda fn, tasks: list(map(fn, tasks))))
+            return SimpleNamespace(Pool=pool)
+
+        multiprocessing.get_context = get_context
+        os.cpu_count = lambda: 4
+        data = json.loads(files("casq.data").joinpath("scenarios/sagnac_numeric.json").read_text())
+        before = [m for m in sys.modules if m.startswith("casq.")]
+        rows = sweep(data, "trajectory.r0_m.1", [3e-7, 4e-7], default_species_db(), jobs=2)
+        assert all(row.report is not None for row in rows)
+        print(json.dumps([before, at_pool]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    before, at_pool = json.loads(proc.stdout)
+    sagnac_modules = {"casq.sagnac", "casq.quadrature", "casq.trajectories"}
+    assert not sagnac_modules & set(before)
+    assert sagnac_modules <= set(at_pool)
+    assert not {"casq.dce", "casq.mirror_phases"} & set(at_pool)
+
+
 def test_scenarios_import_leaves_hashlib_out():
     # reports carry constants.CONSTANTS_HASH; nothing computes it at import
     assert not {"hashlib", "_hashlib"} & set(_loaded_after("import casq.scenarios"))
@@ -755,7 +807,7 @@ def test_n_spectrum_bound_accepted():
 def test_cli_n_spectrum_above_bound_exit_2(tmp_path, capsys, monkeypatch, value):
     # the spectrum must never be built: reaching the compute layer fails the test
     monkeypatch.setattr(
-        "casq.scenarios.dce_rate_numeric", lambda *a, **k: pytest.fail("spectrum computed")
+        "casq.dce.dce_rate_numeric", lambda *a, **k: pytest.fail("spectrum computed")
     )
     code, out = _main_run(tmp_path, capsys, _with("dce_numeric.json", "n_spectrum", value))
     assert code == 2

@@ -204,6 +204,56 @@ def test_harmonic_must_stay_positive():
         Harmonic1D(1.0, 1.5, 2.0)
 
 
+#: (build(x), the field x fills) for every number a path kind holds.
+_PATH_FIELDS = (
+    (lambda x: Constant1D(x), "Constant1D: h"),
+    (lambda x: Constant1D(1.0, v_parallel=x), "Constant1D: v_parallel"),
+    (lambda x: Linear1D(x, 1.0), "Linear1D: h"),
+    (lambda x: Linear1D(1.0, x), "Linear1D: v"),
+    (lambda x: Linear1D(1.0, 1.0, v_parallel=x), "Linear1D: v_parallel"),
+    (lambda x: Harmonic1D(x, 0.25, 1.0), "Harmonic1D: h"),
+    (lambda x: Harmonic1D(1.0, x, 1.0), "Harmonic1D: amplitude"),
+    (lambda x: Harmonic1D(1.0, 0.5, x), "Harmonic1D: omega_cm"),
+    (lambda x: Harmonic1D(1.0, 0.5, 1.0, phase0=x), "Harmonic1D: phase0"),
+    (lambda x: Harmonic1D(1.0, 0.5, 1.0, v_parallel=x), "Harmonic1D: v_parallel"),
+    (lambda x: SampledPolyline1D((0.0, x), (1.0, 1.0)), "SampledPolyline1D: times"),
+    (lambda x: SampledPolyline1D((0.0, 1.0), (1.0, x)), "SampledPolyline1D: values"),
+    (lambda x: SampledPolyline1D((0.0, 1.0), (1.0, 1.0), x), "SampledPolyline1D: v_parallel"),
+    (lambda x: StraightLine3D((0.0, x, 0.0), (1.0, 0.0, 0.0)), "StraightLine3D: r0"),
+    (lambda x: StraightLine3D((0.0, 1.0, 0.0), (x, 0.0, 0.0)), "StraightLine3D: v"),
+    (lambda x: SampledPolyline3D((x, 1.0), ((0.0, 1.0, 0.0),) * 2), "SampledPolyline3D: times"),
+    (lambda x: SampledPolyline3D((0.0, 1.0), ((0.0, 1.0, 0.0), (1.0, 1.0, x))),
+     "SampledPolyline3D: points"),
+)
+
+
+@pytest.mark.parametrize("build, field", _PATH_FIELDS, ids=[f for _, f in _PATH_FIELDS])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_path_fields_must_be_finite(build, field, bad):
+    with pytest.raises(ValueError, match=rf"^{re.escape(field)} must be finite, got "):
+        build(bad)
+    build(0.5)  # the same call with a finite number constructs
+
+
+def test_reparametrize_refuses_an_overflowed_field():
+    # lambda is finite, but the scaled field is not
+    with pytest.raises(ValueError, match="^Linear1D: v must be finite, got inf$"):
+        reparametrize(Linear1D(1e-6, 1e300), 1e10)
+    with pytest.raises(ValueError, match="^SampledPolyline1D: times must be finite, got inf$"):
+        reparametrize(SampledPolyline1D((0.0, 1e300), (1e-6, 1e-6)), 1e-10)
+    with pytest.raises(ValueError, match="^Harmonic1D: omega_cm must be finite"):
+        reparametrize(Harmonic1D(1e-6, 1e-7, 1e300), 1e10)
+    with pytest.raises(ValueError, match="^StraightLine3D: v must be finite"):
+        reparametrize(StraightLine3D((0.0, 1e-7, 0.0), (1e300, 0.0, 0.0)), 1e10)
+
+
+def test_infinite_height_never_reaches_a_phase():
+    # an infinite height used to give a quasi-static phase of 0.0 reported
+    # as converged; it is refused before any scenario holds it
+    with pytest.raises(ValueError, match="^Constant1D: h must be finite, got inf$"):
+        Constant1D(math.inf)
+
+
 _DIP = SampledPolyline1D((0.0, 1.0, 2.0, 3.0), (1.0, 0.25, 1.0, -1.0))
 
 #: (path, window, z_min, error, the point its message names): the minimum is
