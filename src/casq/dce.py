@@ -77,7 +77,7 @@ import sys
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .errors import RWAViolation
-from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, set_field
+from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, check_fields, set_field
 from .vec3 import Vec3, cross3, dot3, norm3, normalize3, perp_basis, scale3, sub3, vec3
 
 __all__ = [
@@ -107,16 +107,13 @@ class OscillationParams(Value):
 
     def __init__(self, r_max: float, omega_cm: float, alpha0: float,
                  direction: Vec3 = (0.0, 0.0, 1.0)):
-        if r_max < 0.0:
-            raise ValueError(f"OscillationParams: r_max must be >= 0, got {r_max!r}")
-        if not omega_cm > 0.0:
-            raise ValueError(f"OscillationParams: omega_cm must be > 0, got {omega_cm!r}")
-        if not alpha0 > 0.0:
-            raise ValueError(f"OscillationParams: alpha0 must be > 0, got {alpha0!r}")
+        direction = vec3(direction, "OscillationParams: direction")
+        check_fields("OscillationParams", positive=("omega_cm", "alpha0"), nonnegative=("r_max",),
+                     r_max=r_max, omega_cm=omega_cm, alpha0=alpha0, direction=direction)
         set_field(self, "r_max", r_max)
         set_field(self, "omega_cm", omega_cm)
         set_field(self, "alpha0", alpha0)
-        set_field(self, "direction", normalize3(vec3(direction, "OscillationParams: direction")))
+        set_field(self, "direction", normalize3(direction))
 
     @property
     def v_max(self) -> float:

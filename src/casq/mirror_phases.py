@@ -36,7 +36,7 @@ from .errors import (
 from .quadrature import integrate_adaptive, integrate_improper
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
 from .trajectories import TimeWindow, light_delay, validate_positive_over_window
-from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, set_field
+from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, check_fields, set_field
 
 __all__ = [
     "MirrorScenario",
@@ -62,6 +62,7 @@ class MirrorScenario(Value):
 
     def __init__(self, species: AtomSpecies, paths: tuple, window: TimeWindow,
                  z_min: float = Z_MIN_DEFAULT):
+        check_fields("MirrorScenario", nonnegative=("z_min",), z_min=z_min)
         paths = tuple(paths)
         if not 1 <= len(paths) <= 2:
             raise ValueError(f"MirrorScenario: need 1 or 2 paths, got {len(paths)}")

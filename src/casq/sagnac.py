@@ -47,7 +47,7 @@ from .errors import (
 from .quadrature import line_integral
 from .species import POLE_GUARD_DEFAULT, AtomSpecies, two_level_transition
 from .trajectories import TimeWindow
-from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, set_field
+from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, check_fields, set_field
 from .vec3 import Vec3, cross3, norm3, vec3
 
 __all__ = [
@@ -77,14 +77,9 @@ class SpinningParticle(Value):
     def __init__(self, alpha0: float, omega_s: float, omega: Vec3, gamma: float = 0.0,
                  radius: float = 0.0):
         omega = vec3(omega, "SpinningParticle: omega")
-        if not alpha0 > 0.0:
-            raise ValueError(f"SpinningParticle: alpha0 must be > 0, got {alpha0!r}")
-        if not omega_s > 0.0:
-            raise ValueError(f"SpinningParticle: omega_s must be > 0, got {omega_s!r}")
-        if gamma < 0.0:
-            raise ValueError(f"SpinningParticle: gamma must be >= 0, got {gamma!r}")
-        if radius < 0.0:
-            raise ValueError(f"SpinningParticle: radius must be >= 0, got {radius!r}")
+        check_fields("SpinningParticle", positive=("alpha0", "omega_s"),
+                     nonnegative=("gamma", "radius"),
+                     alpha0=alpha0, omega_s=omega_s, omega=omega, gamma=gamma, radius=radius)
         set_field(self, "alpha0", alpha0)
         set_field(self, "omega_s", omega_s)
         set_field(self, "omega", omega)

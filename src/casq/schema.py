@@ -60,7 +60,11 @@ def finite(v, where: str) -> float:
 
 
 def count(v, where: str) -> int:
-    return int(finite(v, where))
+    """A JSON number with a whole value as an int; ``200.0`` reads as 200."""
+    x = finite(v, where)
+    if not x.is_integer():
+        raise ParseError(f"{where}: expected a whole number, got {shown(v)}")
+    return int(x)
 
 
 def vector3(v, where: str):

@@ -15,14 +15,13 @@ far-off-resonance phases computed here involve atomic damping.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
 from .constants import FOUR_PI_EPS0, HBAR
 from .errors import DuplicateSpecies, NotTwoLevel, PoleProximity, UnknownSpecies
 from .schema import finite, list_of, load_json, nested, read_object, schema, text
-from .value import Value, set_field
+from .value import Value, check_fields, set_field
 
 __all__ = [
     "Transition",
@@ -56,10 +55,8 @@ class Transition(Value):
     __slots__ = ("omega_eg", "d2")
 
     def __init__(self, omega_eg: float, d2: float):
-        if not (omega_eg > 0.0 and math.isfinite(omega_eg)):
-            raise ValueError(f"Transition: omega_eg must be > 0, got {omega_eg!r}")
-        if not (d2 >= 0.0 and math.isfinite(d2)):
-            raise ValueError(f"Transition: d2 must be >= 0, got {d2!r}")
+        check_fields("Transition", positive=("omega_eg",), nonnegative=("d2",),
+                     omega_eg=omega_eg, d2=d2)
         set_field(self, "omega_eg", omega_eg)
         set_field(self, "d2", d2)
 
@@ -178,11 +175,9 @@ def find_species(species_db: list[AtomSpecies], name: str, where: str) -> AtomSp
 
 
 def default_species_db() -> list[AtomSpecies]:
-    """Species bundled with the package (demo entries, not spectroscopy data)."""
-    from importlib.resources import files
-
-    raw = files("casq.data").joinpath("species.json").read_text(encoding="utf-8")
-    return parse_species_db(json.loads(raw), source="casq.data/species.json")
+    """Species bundled with the package (demo entries, not spectroscopy data),
+    read by path: casq is not importable from a zip archive."""
+    return load_species_db(os.path.join(os.path.dirname(__file__), "data", "species.json"))
 
 
 def resolve_species_db(path: str | None = None) -> list[AtomSpecies]:

@@ -39,7 +39,7 @@ from bisect import bisect_left, bisect_right
 
 from .constants import C_LIGHT
 from .errors import CollisionGuard, ImproperWindow, NonPositiveDistance, OutOfWindow
-from .value import Value, set_field
+from .value import Value, check_fields, set_field
 from .vec3 import Vec3, dot3, norm3, scale3, sub3, vec3
 
 __all__ = [
@@ -73,12 +73,9 @@ class TimeWindow(Value):
         if improper:
             t_start, t_end = -math.inf, math.inf
         else:
-            if not (math.isfinite(t_start) and math.isfinite(t_end)):
-                raise ValueError("bounded TimeWindow requires finite endpoints")
+            check_fields("TimeWindow", t_start=t_start, t_end=t_end)
             if not t_start < t_end:
-                raise ValueError(
-                    f"TimeWindow: t_start must be < t_end, got [{t_start}, {t_end}]"
-                )
+                raise ValueError(f"TimeWindow: t_start must be < t_end, got [{t_start}, {t_end}]")
         set_field(self, "t_start", t_start)
         set_field(self, "t_end", t_end)
         set_field(self, "improper", improper)
@@ -114,31 +111,13 @@ class _Sampled:
         return self.times[self._inside(t0, t1)]
 
 
-def _check_finite(kind: str, **fields) -> None:
-    """``ValueError`` naming the first field that holds a non-finite number.
-
-    A field is a number, a tuple of numbers or of 3-vectors, or None (an
-    absent optional field). Every kind checks its fields in ``__init__``, so
-    a copy made by ``replace`` whose arithmetic overflowed is refused too.
-    """
-    for name, x in fields.items():
-        if x is None:
-            continue
-        numbers = x if isinstance(x, tuple) else (x,)
-        if numbers and isinstance(numbers[0], tuple):
-            numbers = [c for point in numbers for c in point]
-        if not all(map(math.isfinite, numbers)):
-            bad = next(v for v in numbers if not math.isfinite(v))
-            raise ValueError(f"{kind}: {name} must be finite, got {bad!r}")
-
-
 # -- 1D kinds -----------------------------------------------------------------
 
 class Constant1D(_Analytic, Value):
     __slots__ = ("h", "v_parallel")
 
     def __init__(self, h: float, v_parallel: float | None = None):
-        _check_finite("Constant1D", h=h, v_parallel=v_parallel)
+        check_fields("Constant1D", h=h, v_parallel=v_parallel)
         set_field(self, "h", h)
         set_field(self, "v_parallel", v_parallel)  # metadata only: velocity along the surface
 
@@ -162,7 +141,7 @@ class Linear1D(_Analytic, Value):
     __slots__ = ("h", "v", "v_parallel")
 
     def __init__(self, h: float, v: float, v_parallel: float | None = None):
-        _check_finite("Linear1D", h=h, v=v, v_parallel=v_parallel)
+        check_fields("Linear1D", h=h, v=v, v_parallel=v_parallel)
         set_field(self, "h", h)
         set_field(self, "v", v)
         set_field(self, "v_parallel", v_parallel)
@@ -199,10 +178,8 @@ class Harmonic1D(_Analytic, Value):
 
     def __init__(self, h: float, amplitude: float, omega_cm: float, phase0: float = 0.0,
                  v_parallel: float | None = None):
-        _check_finite("Harmonic1D", h=h, amplitude=amplitude, omega_cm=omega_cm, phase0=phase0,
-                      v_parallel=v_parallel)
-        if amplitude < 0.0:
-            raise ValueError("Harmonic1D: amplitude must be >= 0")
+        check_fields("Harmonic1D", nonnegative=("amplitude",), h=h, amplitude=amplitude,
+                     omega_cm=omega_cm, phase0=phase0, v_parallel=v_parallel)
         if h - amplitude <= 0.0:
             raise ValueError(
                 f"Harmonic1D: h - A = {h - amplitude!r} must be > 0 "
@@ -283,7 +260,7 @@ class SampledPolyline1D(_Sampled, Value):
                  v_parallel: float | None = None):
         times = tuple(map(float, times))
         values = tuple(map(float, values))
-        _check_finite("SampledPolyline1D", times=times, values=values, v_parallel=v_parallel)
+        check_fields("SampledPolyline1D", times=times, values=values, v_parallel=v_parallel)
         _check_sampled_times(times)
         if len(times) != len(values):
             raise ValueError("times and values must have equal length")
@@ -336,7 +313,7 @@ class StraightLine3D(_Analytic, Value):
     def __init__(self, r0: Vec3, v: Vec3):
         r0 = vec3(r0, "StraightLine3D: r0")
         v = vec3(v, "StraightLine3D: v")
-        _check_finite("StraightLine3D", r0=r0, v=v)
+        check_fields("StraightLine3D", r0=r0, v=v)
         set_field(self, "r0", r0)
         set_field(self, "v", v)
 
@@ -390,7 +367,7 @@ class SampledPolyline3D(_Sampled, Value):
     def __init__(self, times: tuple[float, ...], points: tuple[Vec3, ...]):
         times = tuple(map(float, times))
         points = tuple(vec3(p, f"SampledPolyline3D: points[{i}]") for i, p in enumerate(points))
-        _check_finite("SampledPolyline3D", times=times, points=points)
+        check_fields("SampledPolyline3D", times=times, points=points)
         _check_sampled_times(times)
         if len(times) != len(points):
             raise ValueError("times and points must have equal length")
@@ -465,15 +442,13 @@ def reparametrize(traj, lam: float):
     new.position(t) = old.position(lambda t); pair with
     :func:`reparametrize_window` to follow the same stretch of path.
     """
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"reparametrize: lambda must be finite and > 0, got {lam!r}")
+    check_fields("reparametrize", positive=("lambda",), **{"lambda": lam})
     return traj._reparametrized(lam)
 
 
 def reparametrize_window(window: TimeWindow, lam: float) -> TimeWindow:
     """Window matching :func:`reparametrize`: endpoints divided by lambda."""
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"reparametrize_window: lambda must be finite and > 0, got {lam!r}")
+    check_fields("reparametrize_window", positive=("lambda",), **{"lambda": lam})
     if window.improper:
         return window
     return TimeWindow(window.t_start / lam, window.t_end / lam)

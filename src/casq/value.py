@@ -13,6 +13,9 @@ their fields, :meth:`Value.replace` builds a changed copy through
 ``__init__`` (so it validates again), and unpickling restores the fields
 through the slots' own setters without running ``__init__``.
 
+:func:`check_fields` is the one range rule for the numbers a value class
+holds; every value class that holds floats calls it from ``__init__``.
+
 :class:`QuadratureSpec`, :class:`IntegralResult` and :data:`DEFAULT_SPEC`
 live here rather than with the engine in :mod:`casq.quadrature` (which
 re-exports them), so a layer that only builds results, such as the DCE rate,
@@ -22,12 +25,40 @@ runs without loading the engine.
 from __future__ import annotations
 
 from copyreg import __newobj__
+from math import isfinite
 from operator import attrgetter
+from sys import float_info
 
-__all__ = ["Record", "Value", "set_field", "QuadratureSpec", "IntegralResult", "DEFAULT_SPEC"]
+__all__ = ["Record", "Value", "set_field", "check_fields", "QuadratureSpec", "IntegralResult",
+           "DEFAULT_SPEC"]
 
 #: Sets a field past the frozen ``__setattr__``; for ``__init__`` only.
 set_field = object.__setattr__
+
+
+def check_fields(kind: str, /, positive=(), nonnegative=(), **fields) -> None:
+    """``ValueError`` naming the first field of ``kind`` out of range: a field
+    (a number, a tuple of numbers or of 3-vectors, or None for an absent one)
+    must be finite, and > 0 if named in ``positive``, >= 0 in ``nonnegative``.
+    """
+    for name, x in fields.items():
+        if x is None:
+            continue
+        if x.__class__ is tuple:
+            if x and x[0].__class__ is tuple:
+                x = [c for point in x for c in point]
+            if all(map(isfinite, x)):
+                continue
+            x = next(v for v in x if not isfinite(v))
+        elif abs(x) <= float_info.max:  # exact for ints too; false for NaN
+            continue
+        raise ValueError(f"{kind}: {name} must be finite, got {x!r}")
+    for name in positive:
+        if not fields[name] > 0:
+            raise ValueError(f"{kind}: {name} must be > 0, got {fields[name]!r}")
+    for name in nonnegative:
+        if fields[name] < 0:
+            raise ValueError(f"{kind}: {name} must be >= 0, got {fields[name]!r}")
 
 
 class Record:
@@ -90,9 +121,9 @@ class Value(Record):
 class QuadratureSpec(Value):
     """Tolerances and budget for one adaptive integration.
 
-    Convergence target is ``max(abs_tol, rel_tol * |value|)``; at least one
-    of the two tolerances must be positive. A relative tolerance is also
-    met at the round-off floor of the panels (see
+    Convergence target is ``max(abs_tol, rel_tol * |value|)``; both
+    tolerances are >= 0 and at least one is positive. A relative tolerance
+    is also met at the round-off floor of the panels (see
     :func:`casq.quadrature.integrate_adaptive`).
     """
 
@@ -100,10 +131,11 @@ class QuadratureSpec(Value):
 
     def __init__(self, rel_tol: float = 1e-10, abs_tol: float = 1e-300,
                  max_subdivisions: int = 2000):
+        check_fields("QuadratureSpec", positive=("max_subdivisions",),
+                     nonnegative=("rel_tol", "abs_tol"), rel_tol=rel_tol, abs_tol=abs_tol,
+                     max_subdivisions=max_subdivisions)
         if not (rel_tol > 0.0 or abs_tol > 0.0):
             raise ValueError("QuadratureSpec: rel_tol or abs_tol must be > 0")
-        if max_subdivisions < 1:
-            raise ValueError("QuadratureSpec: max_subdivisions must be >= 1")
         set_field(self, "rel_tol", rel_tol)
         set_field(self, "abs_tol", abs_tol)
         set_field(self, "max_subdivisions", max_subdivisions)

@@ -636,14 +636,14 @@ def test_cli_import_loads_only_stdlib():
 
 @pytest.mark.parametrize("command", [["species", "list"], ["species", "show", "three-level-demo"]])
 def test_species_commands_load_no_compute_modules(command):
-    # -X importtime names every module the process imports, on stderr
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "casq", *command],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    assert "casq.species" in imported
-    assert sorted(imported & set(_COMPUTE_MODULES)) == []
+    # sys.modules after the command, not -X importtime: importtime does not
+    # list a module imported through importlib.import_module
+    modules = _loaded_after(
+        "import contextlib, io, sys\nfrom casq.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({command!r}) == 0\n"
+        "assert 'casq.species' in sys.modules"
+    )
+    assert modules == []
 
 
 @pytest.mark.parametrize("scenario, loaded, absent", [
@@ -659,6 +659,20 @@ def test_run_loads_only_its_kinds_modules(tmp_path, scenario, loaded, absent):
     modules = _loaded_after(f"from casq.cli import main\nassert main({argv!r}) == 0")
     assert loaded in modules
     assert sorted(set(modules) & set(absent)) == []
+
+
+def test_run_reads_bundled_data_without_importlib_resources(tmp_path):
+    # -S: no site module, whose .pth hooks may import importlib.resources
+    # themselves; the bundled species database is read by path
+    import casq
+
+    argv = ["run", _scenario_path("dce_numeric.json"), "--out", str(tmp_path / "report.csv")]
+    code = (f"import sys\nsys.path.insert(0, {os.path.dirname(os.path.dirname(casq.__file__))!r})\n"
+            f"from casq.cli import main\nassert main({argv!r}) == 0\n"
+            "print(sorted({'importlib.resources', 'zipfile'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_parallel_sweep_loads_its_kinds_modules_before_the_pool():
@@ -812,6 +826,33 @@ def test_cli_n_spectrum_above_bound_exit_2(tmp_path, capsys, monkeypatch, value)
     code, out = _main_run(tmp_path, capsys, _with("dce_numeric.json", "n_spectrum", value))
     assert code == 2
     assert "n_spectrum: must be <= 10000" in out.err and out.out == ""
+
+
+@pytest.mark.parametrize("path, value", [("n_spectrum", 3.7), ("quadrature.max_subdivisions", 2.5)])
+def test_cli_count_must_be_whole_exit_2(tmp_path, capsys, path, value):
+    # a count used to be truncated: 3.7 spectrum samples ran as 3
+    code, out = _main_run(tmp_path, capsys, _with("dce_numeric.json", path, value))
+    assert code == 2
+    assert f"{path.rsplit('.', 1)[-1]}: expected a whole number, got {value}" in out.err
+    assert out.out == ""
+
+
+def test_count_accepts_a_whole_float():
+    # casq sweep --values hands every value over as a float
+    sc = parse_scenario_dict(_with("dce_numeric.json", "quadrature.max_subdivisions", 200.0), DB)
+    assert sc.quadrature.max_subdivisions == 200
+    assert parse_scenario_dict(_with("dce_numeric.json", "n_spectrum", 5.0), DB).n_spectrum == 5
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"quadrature": {"rel_tol": -1e-8}}, "rel_tol must be >= 0"),
+    ({"quadrature": {"abs_tol": -1e-300}}, "abs_tol must be >= 0"),
+    ({"z_min_m": -1e-9}, "z_min must be >= 0"),
+])
+def test_cli_negative_tolerance_or_cutoff_exit_2(tmp_path, capsys, field, message):
+    code, out = _main_run(tmp_path, capsys, {**_bundled("quasi_static_linear.json"), **field})
+    assert code == 2
+    assert message in out.err and "Traceback" not in out.err and out.out == ""
 
 
 # -- message determinism and sampled paths on improper windows ---------------------

@@ -21,9 +21,11 @@ from casq.mirror_phases import MirrorScenario, nonlocal_phase, quasi_static_phas
 from casq.quadrature import QuadratureSpec
 from casq.sagnac import SpinningParticle, ell_omega, sagnac_phase
 from casq.species import AtomSpecies, Transition, alpha_static, mean_square_dipole
-from casq.trajectories import Linear1D, StraightLine3D, TimeWindow
+from casq.trajectories import Harmonic1D, Linear1D, SampledPolyline1D, StraightLine3D, TimeWindow
 
 TWO_LEVEL = AtomSpecies("two-level", (Transition(2.0e15, 1.0e-58),))
+#: C3 / hbar of TWO_LEVEL, with U(z) = -C3 / z^3
+C3_HBAR = mean_square_dipole(TWO_LEVEL) / (48.0 * math.pi * EPSILON_0 * HBAR)
 SOUNDNESS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
@@ -53,6 +55,45 @@ def test_quasi_static_linear_estimate_is_sound(h, duration, ratio, spec):
     exact = (c3 / HBAR) * duration * (h + z_b) / (2.0 * h**2 * z_b**2)
     res = quasi_static_phase(MirrorScenario(TWO_LEVEL, (path,), TimeWindow(0.0, duration)),
                              0, spec)
+    assert_sound(res, exact)
+
+
+@SOUNDNESS
+@given(h=decades(-8, -5), reach=st.floats(0.0, 0.9), omega=decades(6, 12),
+       periods=st.integers(1, 5), spec=specs())
+def test_quasi_static_harmonic_estimate_is_sound(h, reach, omega, periods, spec):
+    # N whole periods of h + A sin(wt); h - A >= 0.1 h stays above the 1 nm cutoff
+    amp = reach * h
+    path = Harmonic1D(h, amp, omega)
+    # (C3/hbar)(N/w) pi (2h^2 + A^2) / (h^2 - A^2)^(5/2), with h^2 - A^2 = (h - A)(h + A)
+    exact = (C3_HBAR * (periods / omega) * math.pi * (2.0 * h * h + amp * amp)
+             / ((h - amp) * (h + amp)) ** 2.5)
+    window = TimeWindow(0.0, periods * 2.0 * math.pi / omega)
+    res = quasi_static_phase(MirrorScenario(TWO_LEVEL, (path,), window), 0, spec)
+    assert_sound(res, exact)
+
+
+@SOUNDNESS
+@given(h=decades(-8, -5), ratios=st.lists(decades(-1, 1), min_size=1, max_size=5),
+       step=decades(-15, -6), stretches=st.lists(st.floats(0.5, 2.0), min_size=5, max_size=5),
+       spec=specs())
+def test_quasi_static_polyline_estimate_is_sound(h, ratios, step, stretches, spec):
+    # neighbouring samples within a factor 10 in height, as on Linear1D above,
+    # and sample intervals within a factor 4, so the path's own rounding stays
+    # below the engine's round-off floor
+    heights, times = [h], [0.0]
+    for ratio, stretch in zip(ratios, stretches):
+        heights.append(heights[-1] * ratio)
+        times.append(times[-1] + stretch * step)
+    path = SampledPolyline1D(times, heights)
+    # each linear segment from z_a to z_b over dt gives dt (z_a + z_b) / (2 z_a^2 z_b^2)
+    ts, zs = path.times, path.values
+    exact = C3_HBAR * math.fsum(
+        (tb - ta) * (za + zb) / (2.0 * za * za * zb * zb)
+        for ta, tb, za, zb in zip(ts, ts[1:], zs, zs[1:])
+    )
+    window = TimeWindow(ts[0], ts[-1])
+    res = quasi_static_phase(MirrorScenario(TWO_LEVEL, (path,), window, z_min=0.0), 0, spec)
     assert_sound(res, exact)
 
 
