@@ -33,7 +33,7 @@ from .errors import (
     NonPositiveDistance,
     ParallelVelocityMismatchWarning,
 )
-from .quadrature import integrate_adaptive, integrate_improper
+from .quadrature import integrate_adaptive
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
 from .trajectories import TimeWindow, light_delay, validate_positive_over_window
 from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, check_fields, set_field
@@ -56,7 +56,8 @@ _INNER_SPEC = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=64)
 
 
 class MirrorScenario(Value):
-    """Species plus one or two axial paths over a common window."""
+    """Species plus one or two axial paths over a common bounded window; over
+    all time the phases of a path kept off the mirror diverge."""
 
     __slots__ = ("species", "paths", "window", "z_min")
 
@@ -98,9 +99,7 @@ def _guarded_z(traj, t: float, z_min: float) -> float:
 
 
 def _integrate_window(f, window: TimeWindow, spec: QuadratureSpec, *paths):
-    """Integral of f over the window, with the paths' kinks on panel edges."""
-    if window.improper:
-        return integrate_improper(f, spec)
+    """Integral of f over the bounded window, with the paths' kinks on panel edges."""
     breaks = [t for p in paths for t in p.breakpoints(window.t_start, window.t_end)]
     return integrate_adaptive(f, window.t_start, window.t_end, spec, breaks)
 
@@ -132,16 +131,18 @@ def _delay_average(c3: float, traj, t: float, z_min: float, spec: QuadratureSpec
         z = _guarded_z(traj, tp, z_min)
         return -c3 / z**3
 
-    tau = light_delay(_guarded_z(traj, t, z_min))
+    z = _guarded_z(traj, t, z_min)
+    u_t = -c3 / z**3
+    tau = light_delay(z)
     # normalize by the realized float width of [t, t + tau]: dividing by the
     # exact tau instead would inject a spurious eps*t/tau relative offset
     t_hi = t + tau
     tau_eff = t_hi - t
     if tau_eff <= 0.0:
-        return u(t), None, 0
+        return u_t, None, 0
     # a sample time inside the delay window is a kink of u
     avg = integrate_adaptive(u, t, t_hi, spec, traj.breakpoints(t, t_hi))
-    return u(t), avg.value / tau_eff, avg.evaluations
+    return u_t, avg.value / tau_eff, avg.evaluations
 
 
 def coarse_grained_potential(
@@ -215,7 +216,7 @@ def nonlocal_phase(
     """
     spec = spec or DEFAULT_SPEC
     if len(scenario.paths) != 2:
-        raise ValueError("nonlocal_phase needs a scenario with exactly two paths")
+        raise ValueError("the nonlocal phase needs a scenario with exactly two paths")
     tr = two_level_transition(scenario.species)
     p1, p2 = scenario.paths
     vp1, vp2 = p1.v_parallel, p2.v_parallel
@@ -243,13 +244,12 @@ def total_phase_difference(
 ) -> IntegralResult:
     """Total two-path observable: (phi1_qs + phi1_mot) - (phi2_qs + phi2_mot) + phi_12."""
     spec = spec or DEFAULT_SPEC
-    if len(scenario.paths) != 2:
-        raise ValueError("total_phase_difference needs a scenario with exactly two paths")
+    # first: it refuses one path or a species not two-level before any other phase runs
+    nl = nonlocal_phase(scenario, spec)
     qs1 = quasi_static_phase(scenario, 0, spec)
     qs2 = quasi_static_phase(scenario, 1, spec)
     mot1 = motional_phase_mirror(scenario, 0, spec)
     mot2 = motional_phase_mirror(scenario, 1, spec)
-    nl = nonlocal_phase(scenario, spec)
     parts = (qs1, qs2, mot1, mot2, nl)
     value = (qs1.value + mot1.value) - (qs2.value + mot2.value) + nl.value
     return IntegralResult(

@@ -59,12 +59,20 @@ def finite(v, where: str) -> float:
     return float(v)
 
 
-def count(v, where: str) -> int:
-    """A JSON number with a whole value as an int; ``200.0`` reads as 200."""
-    x = finite(v, where)
-    if not x.is_integer():
-        raise ParseError(f"{where}: expected a whole number, got {shown(v)}")
-    return int(x)
+def count(most: int):
+    """Reader of a whole JSON number from 1 to ``most`` as an int; ``200.0`` reads as 200."""
+
+    def read(v, where: str) -> int:
+        x = finite(v, where)
+        if not x.is_integer():
+            raise ParseError(f"{where}: expected a whole number, got {shown(v)}")
+        if x < 1:
+            raise ParseError(f"{where}: must be >= 1")
+        if x > most:
+            raise ParseError(f"{where}: must be <= {most}")
+        return int(x)
+
+    return read
 
 
 def vector3(v, where: str):

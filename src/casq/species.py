@@ -79,20 +79,18 @@ class AtomSpecies(Value):
         set_field(self, "transitions", trs)
 
 
-def alpha_of_omega(
-    species: AtomSpecies, omega: float, guard: float = POLE_GUARD_DEFAULT
-) -> float:
+def alpha_of_omega(species: AtomSpecies, omega: float) -> float:
     """Lossless polarizability alpha(omega) in F m^2.
 
-    Even in omega by construction. Raises :class:`PoleProximity` when
-    ``| |omega| - omega_eg | < guard * omega_eg`` for any transition.
+    Even in omega by construction. Raises :class:`PoleProximity` within
+    ``POLE_GUARD_DEFAULT * omega_eg`` of any transition frequency omega_eg.
     """
     w = abs(float(omega))
     for t in species.transitions:
-        if abs(w - t.omega_eg) < guard * t.omega_eg:
+        if abs(w - t.omega_eg) < POLE_GUARD_DEFAULT * t.omega_eg:
             raise PoleProximity(
                 f"alpha({omega!r}) for {species.name!r}: within guard band "
-                f"{guard:g} of resonance at {t.omega_eg!r} rad/s"
+                f"{POLE_GUARD_DEFAULT:g} of resonance at {t.omega_eg!r} rad/s"
             )
     return math.fsum(
         2.0 * t.omega_eg * t.d2 / (3.0 * HBAR * (t.omega_eg**2 - w * w))

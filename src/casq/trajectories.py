@@ -61,9 +61,9 @@ __all__ = [
 class TimeWindow(Value):
     """Integration window [t_start, t_end], or all of time.
 
-    ``improper=True`` means (-inf, inf) and doubles as the caller's
-    declaration that the integrand decays fast enough for the tangent-map
-    quadrature (the engine cannot check decay itself).
+    ``improper=True`` means (-inf, inf), the window of an all-time Sagnac
+    line integral along a straight line, whose integrand decays as r^-7.
+    Mirror phases refuse it (:func:`validate_positive_over_window`).
     """
 
     __slots__ = ("t_start", "t_end", "improper")
@@ -160,15 +160,8 @@ class Linear1D(_Analytic, Value):
                             v_parallel=_scaled(self.v_parallel, -1.0))
 
     def _lowest(self, window: TimeWindow):
-        if not window.improper:
-            yield self.position(window.t_start), "window start"
-            yield self.position(window.t_end), "window end"
-        elif self.v != 0.0:
-            raise NonPositiveDistance(
-                "linear path with nonzero velocity crosses the mirror on an improper window"
-            )
-        else:
-            yield self.h, "all t"
+        yield self.position(window.t_start), "window start"
+        yield self.position(window.t_end), "window end"
 
 
 class Harmonic1D(_Analytic, Value):
@@ -289,8 +282,6 @@ class SampledPolyline1D(_Sampled, Value):
 
     def _lowest(self, window: TimeWindow):
         t0, t1 = window.t_start, window.t_end
-        if window.improper:
-            raise OutOfWindow("sampled trajectory cannot cover an improper window")
         if t0 < self.times[0] or t1 > self.times[-1]:
             raise OutOfWindow(
                 f"window [{t0!r}, {t1!r}] exceeds sample range "
@@ -465,15 +456,18 @@ def reverse(traj, window: TimeWindow):
 
 
 def validate_positive_over_window(traj, window: TimeWindow, z_min: float = 0.0) -> None:
-    """Check z(t) > 0 and z(t) >= z_min across the window.
+    """Check z(t) > 0 and z(t) >= z_min across a bounded window.
 
     Exact for every 1D kind: the minimum is analytic (Constant, Harmonic),
     at a window end (Linear), or at a node or window end (a polyline is
-    linear between its nodes). Improper windows are only admissible for
-    kinds bounded away from the mirror for all time. Crossing the mirror
-    raises :class:`NonPositiveDistance`; dipping below a positive ``z_min``
-    raises :class:`CollisionGuard`.
+    linear between its nodes). An all-time window raises
+    :class:`ImproperWindow` before the path is asked anything. Crossing the
+    mirror raises :class:`NonPositiveDistance`; dipping below a positive
+    ``z_min`` raises :class:`CollisionGuard`.
     """
+    if window.improper:
+        raise ImproperWindow("mirror phases need a bounded window: over all time the "
+                             "phases of a path kept off the mirror diverge")
     for z, where in traj._lowest(window):
         if not z > 0.0:
             raise NonPositiveDistance(

@@ -7,8 +7,10 @@ the per-call cost low and the package free of array libraries.
 from __future__ import annotations
 
 import math
+import sys
 
 Vec3 = tuple[float, float, float]
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 def vec3(v, where: str) -> Vec3:
@@ -45,7 +47,9 @@ def norm3(a: Vec3) -> float:
 
 
 def normalize3(a: Vec3) -> Vec3:
-    n = norm3(a)
+    s = a[0] * a[0] + a[1] * a[1] + a[2] * a[2]
+    # outside the normal range the squares overflow or lose their digits
+    n = math.sqrt(s) if _TINY <= s <= _HUGE else math.hypot(*a)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return (a[0] / n, a[1] / n, a[2] / n)

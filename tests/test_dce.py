@@ -1,9 +1,11 @@
 """Pair emission: closed form, amplitude structure, golden-rule integration."""
 
+import json
 import math
 
 import pytest
 
+from casq.cli import main
 from casq.constants import C_LIGHT, FOUR_PI_EPS0
 from casq.dce import (
     CLOSED_FORM_COEFFICIENT,
@@ -177,6 +179,37 @@ def test_params_validation():
     with pytest.raises(ValueError):
         OscillationParams(r_max=1e-7, omega_cm=OMEGA_CM, alpha0=1e-40,
                           direction=(0.0, 0.0, 0.0))
+
+
+#: (direction, the plain direction it points along): the sum of squares of
+#: the first overflows, those of the other two fall below the normal range.
+_EXTREME_DIRECTIONS = [
+    ([1e308, 1e308, 0.0], [1.0, 1.0, 0.0]),
+    ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([1e-160, 1e-170, 0.0], [1.0, 1e-10, 0.0]),
+]
+
+
+def _cli_coefficient(tmp_path, capsys, direction):
+    scenario = tmp_path / "dce.json"
+    scenario.write_text(json.dumps({
+        "kind": "DceNumeric", "species": "two-level-demo", "n_spectrum": 3,
+        "oscillation": {"r_max_m": 1e-7, "omega_cm_rad_per_s": OMEGA_CM, "direction": direction},
+    }))
+    capsys.readouterr()
+    assert main(["run", str(scenario)]) == 0
+    return json.loads(capsys.readouterr().out)["breakdown"]["coefficient"]
+
+
+@pytest.mark.parametrize("direction, plain", _EXTREME_DIRECTIONS)
+def test_extreme_direction_normalizes(tmp_path, capsys, direction, plain):
+    # a plain sum of squares turns the first into (0, 0, 0), the second into
+    # the zero vector and the third into a vector of norm 1.0000056
+    d = OscillationParams(1e-7, OMEGA_CM, 1e-40, direction=direction).direction
+    assert abs(math.hypot(*d) - 1.0) <= 4 * 2.0**-52
+    assert d == pytest.approx(normalize3(plain), rel=1e-15, abs=1e-300)
+    assert _cli_coefficient(tmp_path, capsys, direction) == pytest.approx(
+        _cli_coefficient(tmp_path, capsys, plain), rel=1e-12)
 
 
 # -- exact angular rule -----------------------------------------------------------------

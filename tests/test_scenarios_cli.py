@@ -26,6 +26,7 @@ from casq.scenarios import (
     to_canonical_json,
 )
 from casq.species import default_species_db, mean_square_dipole
+from casq.value import IntegralResult
 
 DB = default_species_db()
 
@@ -828,6 +829,30 @@ def test_cli_n_spectrum_above_bound_exit_2(tmp_path, capsys, monkeypatch, value)
     assert "n_spectrum: must be <= 10000" in out.err and out.out == ""
 
 
+# -- max_subdivisions bound --------------------------------------------------------
+
+@pytest.mark.parametrize("value, code", [(100_000, 0), (100_001, 2), (1e15, 2)])
+def test_cli_max_subdivisions_bounded(tmp_path, capsys, monkeypatch, value, code):
+    # a budget above the bound never reaches the phase; one at the bound does
+    budgets = []
+
+    def phase(scenario, path_index, spec):
+        if code:
+            pytest.fail("phase computed")
+        budgets.append(spec.max_subdivisions)
+        return IntegralResult(1.0, 0.0)
+
+    monkeypatch.setattr("casq.mirror_phases.quasi_static_phase", phase)
+    data = _with("quasi_static_linear.json", "quadrature",
+                 {"rel_tol": 0.0, "abs_tol": 5e-324, "max_subdivisions": value})
+    got, out = _main_run(tmp_path, capsys, data)
+    assert got == code
+    if code:
+        assert "quadrature.max_subdivisions: must be <= 100000" in out.err and out.out == ""
+    else:
+        assert budgets == [100_000]
+
+
 @pytest.mark.parametrize("path, value", [("n_spectrum", 3.7), ("quadrature.max_subdivisions", 2.5)])
 def test_cli_count_must_be_whole_exit_2(tmp_path, capsys, path, value):
     # a count used to be truncated: 3.7 spectrum samples ran as 3
@@ -876,6 +901,60 @@ def test_cli_sampled_sagnac_improper_window_exit_2(tmp_path, capsys):
     data["window"] = {"improper": True}
     code, out = _main_run(tmp_path, capsys, data)
     assert code == 2 and "outside sample range" in out.err
+
+
+_REST = {"kind": "constant", "h_m": 1e-6}
+_SWINGING = {"kind": "harmonic", "h_m": 1e-6, "amplitude_m": 1e-7, "omega_cm_rad_per_s": 1e4}
+
+
+def _all_time_mirror(kind, *paths):
+    data = {"kind": kind, "species": "two-level-demo", "window": {"improper": True}}
+    if len(paths) == 1:
+        data["path"] = paths[0]
+    else:
+        data["paths"] = list(paths)
+    return data
+
+
+def _engine_must_not_run(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("an integral ran")
+
+    monkeypatch.setattr("casq.mirror_phases.integrate_adaptive", must_not_run)
+    monkeypatch.setattr("casq.quadrature.integrate_improper", must_not_run)
+
+
+#: All-time mirror scenarios: over all time the quasi-static phase of a
+#: resting path diverges, a swinging path exhausts any budget, and a phase
+#: is 0 only when every path rests.
+_ALL_TIME_MIRROR = [
+    _all_time_mirror("QuasiStatic", _REST),
+    _all_time_mirror("QuasiStatic", _SWINGING),
+    _all_time_mirror("MotionalMirror", _REST),
+    _all_time_mirror("MotionalMirror", _SWINGING),
+    _all_time_mirror("Nonlocal", _REST, {**_REST, "h_m": 2e-6}),
+    _all_time_mirror("Nonlocal", _REST, {"kind": "linear", "h_m": 1e-6, "v_m_per_s": 0.0}),
+    _all_time_mirror("Nonlocal", _SWINGING, _REST),
+    _all_time_mirror("TotalMirror", _REST, {**_REST, "h_m": 2e-6}),
+    _all_time_mirror("TotalMirror", _SWINGING, _REST),
+]
+
+
+@pytest.mark.parametrize("data", _ALL_TIME_MIRROR,
+                         ids=[f"{d['kind']}-{i}" for i, d in enumerate(_ALL_TIME_MIRROR)])
+def test_cli_all_time_mirror_window_exit_2(tmp_path, capsys, monkeypatch, data):
+    _engine_must_not_run(monkeypatch)
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 2 and out.out == ""
+    assert "mirror phases need a bounded window" in out.err
+
+
+def test_sweep_records_all_time_mirror_row(monkeypatch):
+    _engine_must_not_run(monkeypatch)
+    rows = sweep(_all_time_mirror("QuasiStatic", _REST), "path.h_m", [1e-6, 2e-6], DB)
+    assert [r.report for r in rows] == [None, None]
+    assert all(r.error.startswith("ImproperWindow: mirror phases need a bounded window")
+               for r in rows)
 
 
 # -- species database at the CLI --------------------------------------------------

@@ -260,20 +260,19 @@ _DIP = SampledPolyline1D((0.0, 1.0, 2.0, 3.0), (1.0, 0.25, 1.0, -1.0))
 #: analytic, at a window end, or at a sample, and samples come before ends.
 _LOWEST_POINTS = (
     (Constant1D(0.0), TimeWindow(0.0, 1.0), 0.0, NonPositiveDistance, "all t"),
-    (Constant1D(0.5), TimeWindow.all_time(), 0.75, CollisionGuard, "all t"),
+    (Constant1D(0.5), TimeWindow.all_time(), 0.75, ImproperWindow, "bounded window"),
     (Harmonic1D(1.0, 0.5, 2.0), TimeWindow(0.0, 1.0), 0.75, CollisionGuard,
      "harmonic minimum"),
     (Linear1D(1.0, 0.3), TimeWindow(-5.0, 0.0), 0.0, NonPositiveDistance, "window start"),
     (Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0), 0.75, CollisionGuard, "window end"),
-    (Linear1D(0.5, 0.0), TimeWindow.all_time(), 0.75, CollisionGuard, "all t"),
-    (Linear1D(1.0, 1e-3), TimeWindow.all_time(), 0.0, NonPositiveDistance,
-     "linear path with nonzero velocity crosses the mirror on an improper window"),
+    (Linear1D(0.5, 0.0), TimeWindow.all_time(), 0.75, ImproperWindow, "bounded window"),
+    (Linear1D(1.0, 1e-3), TimeWindow.all_time(), 0.0, ImproperWindow, "bounded window"),
     (_DIP, TimeWindow(0.5, 1.5), 0.5, CollisionGuard, "sample t = 1.0"),
     (_DIP, TimeWindow(1.0, 1.5), 0.5, CollisionGuard, "sample t = 1.0"),  # on the start
     (_DIP, TimeWindow(1.0, 3.0), 0.0, NonPositiveDistance, "sample t = 3.0"),
     (_DIP, TimeWindow(1.5, 2.75), 0.0, NonPositiveDistance, "window end"),
     (_DIP, TimeWindow(0.5, 0.75), 0.7, CollisionGuard, "window start"),
-    (_DIP, TimeWindow.all_time(), 0.0, OutOfWindow, "cannot cover an improper window"),
+    (_DIP, TimeWindow.all_time(), 0.0, ImproperWindow, "bounded window"),
     (_DIP, TimeWindow(-1.0, 0.5), 0.0, OutOfWindow, "exceeds sample range"),
 )
 
@@ -291,7 +290,7 @@ def test_positive_over_window():
         validate_positive_over_window(
             SampledPolyline1D((0.0, 1.0), (1.0, 1.0)), TimeWindow(0.0, 2.0)
         )
-    with pytest.raises(NonPositiveDistance):
+    with pytest.raises(ImproperWindow):
         validate_positive_over_window(Linear1D(1.0, -1e-3), TimeWindow.all_time())
     for traj, window, z_min, error, where in _LOWEST_POINTS:
         with pytest.raises(error, match=re.escape(where)) as info:
@@ -329,3 +328,31 @@ def test_no_module_switches_on_path_kind():
                     and _named_classes(node.args[1]) & PATH_KINDS):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+def _names(tree):
+    """Every name, imported name and attribute name in a module's tree."""
+    return {getattr(node, attr) for node in ast.walk(tree)
+            for attr in ("id", "name", "attr") if isinstance(getattr(node, attr, None), str)}
+
+
+def test_mirror_layer_has_no_all_time_branch():
+    """An all-time window is refused once, by validate_positive_over_window:
+    the mirror phases never reach integrate_improper, and no 1D kind's
+    ``_lowest`` reads ``window.improper``."""
+    src = pathlib.Path(casq.__file__).parent
+    assert "integrate_improper" not in _names(ast.parse((src / "mirror_phases.py").read_text()))
+    lowest = [node for node in ast.walk(ast.parse((src / "trajectories.py").read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "_lowest"]
+    assert len(lowest) == 4
+    assert all("improper" not in _names(fn) for fn in lowest)
+
+
+def test_all_time_window_refused_before_the_path_is_asked():
+    class Unasked:
+        def _lowest(self, window):
+            pytest.fail("path asked for its lowest points")
+
+    with pytest.raises(ImproperWindow, match="over all time the phases of a path kept off "
+                                             "the mirror diverge"):
+        validate_positive_over_window(Unasked(), TimeWindow.all_time())
