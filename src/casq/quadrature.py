@@ -39,9 +39,9 @@ import sys
 from math import isfinite
 from typing import Callable, Sequence
 
-from .errors import CollisionGuard, NonConvergent, NonFiniteEvaluation
+from .errors import NonConvergent, NonFiniteEvaluation
 from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec
-from .vec3 import Vec3, dot3, norm3
+from .vec3 import Vec3, dot3
 
 __all__ = [
     "QuadratureSpec",
@@ -327,7 +327,6 @@ def line_integral(
     traj,
     window,
     spec: QuadratureSpec | None = None,
-    r_min_guard: float = 0.0,
 ) -> IntegralResult:
     """Line integral of a vector field along a parametric path.
 
@@ -336,18 +335,11 @@ def line_integral(
     breakpoints (panel edges in a bounded window) and, for an improper
     window, the ``improper_time_scale()`` that centres and scales the
     tangent map (the window's ``improper`` flag is the caller's decay
-    certification). Points with |r(t)| < r_min_guard raise
-    :class:`CollisionGuard`.
+    certification). The caller checks where the path goes.
     """
 
     def integrand(t: float) -> float:
-        r = traj.position(t)
-        if r_min_guard > 0.0 and norm3(r) < r_min_guard:
-            raise CollisionGuard(
-                f"path at |r| = {norm3(r)!r} m (t = {t!r} s) inside guard "
-                f"radius {r_min_guard!r} m"
-            )
-        return dot3(traj.velocity(t), field(r))
+        return dot3(traj.velocity(t), field(traj.position(t)))
 
     if window.improper:
         center, scale = traj.improper_time_scale()

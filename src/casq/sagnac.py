@@ -38,6 +38,7 @@ import warnings
 
 from .constants import C_LIGHT, FOUR_PI_EPS0, HBAR
 from .errors import (
+    CollisionGuard,
     NearFieldValidityWarning,
     NegativeRadicand,
     NonPositiveDistance,
@@ -69,7 +70,7 @@ class SpinningParticle(Value):
 
     ``alpha0`` static polarizability (F m^2), ``omega_s`` resonance (rad/s),
     ``gamma`` damping (rad/s, >= 0), ``omega`` angular velocity vector
-    (rad/s), ``radius`` collision guard (m).
+    (rad/s), ``radius`` (m), inside which a path raises :class:`CollisionGuard`.
     """
 
     __slots__ = ("alpha0", "omega_s", "omega", "gamma", "radius")
@@ -151,29 +152,33 @@ def sagnac_phase(
     traj,
     window: TimeWindow,
     spec: QuadratureSpec | None = None,
-    near_field_warning: bool = True,
 ) -> IntegralResult:
     """Line integral of (Omega x r) / r^8 along the path, times the prefactor.
 
     Improper windows are admitted because the integrand decays like r^-7
     along any straight line; the window's ``improper`` flag is the caller's
-    decay certification. Paths entering ``particle.radius`` trip
-    :class:`CollisionGuard`.
+    decay certification. The path is checked once, at its exact closest approach
+    d: :class:`NonPositiveDistance` at d = 0, :class:`CollisionGuard` below
+    ``particle.radius``, a :class:`NearFieldValidityWarning` far out.
     """
     spec = spec or DEFAULT_SPEC
     pref = _prefactor(species, particle)
     omega_vec = particle.omega
 
-    if near_field_warning:
-        d = traj.closest_approach(window)
-        w_min = min(t.omega_eg for t in species.transitions)
-        if w_min * d / C_LIGHT > _NEAR_FIELD_LIMIT:
-            warnings.warn(
-                f"closest approach {d!r} m gives omega_eg*d/c = {w_min * d / C_LIGHT:.3g} "
-                "> 0.1; the short-distance (nonretarded) derivation is marginal here",
-                NearFieldValidityWarning,
-                stacklevel=2,
-            )
+    d = traj.closest_approach(window)
+    if d == 0.0:
+        raise NonPositiveDistance("sagnac_phase: the path passes through the particle's centre")
+    if d < particle.radius:
+        raise CollisionGuard(f"sagnac_phase: closest approach {d!r} m inside the particle "
+                             f"radius {particle.radius!r} m")
+    w_min = min(t.omega_eg for t in species.transitions)
+    if w_min * d / C_LIGHT > _NEAR_FIELD_LIMIT:
+        warnings.warn(
+            f"closest approach {d!r} m gives omega_eg*d/c = {w_min * d / C_LIGHT:.3g} "
+            "> 0.1; the short-distance (nonretarded) derivation is marginal here",
+            NearFieldValidityWarning,
+            stacklevel=2,
+        )
 
     def field(r: Vec3) -> Vec3:
         rr = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
@@ -181,7 +186,7 @@ def sagnac_phase(
         c = cross3(omega_vec, r)
         return (c[0] * w, c[1] * w, c[2] * w)
 
-    res = line_integral(field, traj, window, spec, r_min_guard=particle.radius)
+    res = line_integral(field, traj, window, spec)
     return res.replace(
         value=pref * res.value,
         error_estimate=abs(pref) * res.error_estimate,

@@ -180,7 +180,11 @@ _TIME_WINDOW = _constructor("trajectories", "TimeWindow")
 
 
 def _read_window(obj, ctx: str) -> TimeWindow:
-    if isinstance(obj, dict) and obj.get("improper"):
+    """``{"improper": true}`` alone is all of time; a bounded window may say ``false``."""
+    improper = obj.get("improper", False) if isinstance(obj, dict) else False
+    if not isinstance(improper, bool):
+        raise ParseError(f"{ctx}.improper: expected true or false, got {shown(improper)}")
+    if improper:
         check_keys(obj, (), ("improper",), ctx)
         return _TIME_WINDOW(improper=True)
     return read_object(obj, _WINDOW, ctx, _TIME_WINDOW)

@@ -14,9 +14,11 @@ import math
 import random
 import statistics
 import time
+import warnings
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from .dce import CLOSED_FORM_COEFFICIENT, OscillationParams, dce_rate_numeric
+from .errors import NearFieldValidityWarning
 from .mirror_phases import (
     MirrorScenario,
     motional_phase_mirror,
@@ -100,9 +102,7 @@ def criterion_1() -> CriterionResult:
         v = rng.uniform(10.0, 1e4)
         traj = StraightLine3D((0.0, y, 0.0), (v, 0.0, 0.0))
         t0 = time.perf_counter()
-        numeric = sagnac_phase(
-            species, particle, traj, TimeWindow.all_time(), spec, near_field_warning=False
-        )
+        numeric = sagnac_phase(species, particle, traj, TimeWindow.all_time(), spec)
         dt = time.perf_counter() - t0
         slowest = max(slowest, dt)
         closed = abs(sagnac_phase_straightline(species, particle, y))
@@ -394,17 +394,14 @@ def criterion_7() -> CriterionResult:
     traj = StraightLine3D((0.0, y, 0.0), (v, 0.0, 0.0))
     t_half = 50.0 * y / v
     swin = TimeWindow(-t_half, t_half)
-    sg_base = sagnac_phase(species, particle, traj, swin, spec, near_field_warning=False)
+    sg_base = sagnac_phase(species, particle, traj, swin, spec)
     worst_sg = 0.0
     for lam in lambdas:
         val = sagnac_phase(
-            species, particle, reparametrize(traj, lam),
-            reparametrize_window(swin, lam), spec, near_field_warning=False,
+            species, particle, reparametrize(traj, lam), reparametrize_window(swin, lam), spec
         ).value
         worst_sg = max(worst_sg, _rel(val, sg_base.value))
-    sg_rev = sagnac_phase(
-        species, particle, reverse(traj, swin), swin, spec, near_field_warning=False
-    )
+    sg_rev = sagnac_phase(species, particle, reverse(traj, swin), swin, spec)
     flip_sg = _rel(sg_rev.value, -sg_base.value)
 
     ok = (
@@ -510,11 +507,13 @@ CRITERIA = (
 def run_selftest() -> bool:
     """Run criteria 1..8, print one pass/fail line each, return overall pass."""
     all_ok = True
-    for crit in CRITERIA:
-        res = crit()
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] criterion {res.number}: {res.title}")
-        print(f"       {res.detail}")
-        all_ok = all_ok and res.passed
+    with warnings.catch_warnings():  # the criteria pick their paths: no near-field warning
+        warnings.simplefilter("ignore", NearFieldValidityWarning)
+        for crit in CRITERIA:
+            res = crit()
+            status = "PASS" if res.passed else "FAIL"
+            print(f"[{status}] criterion {res.number}: {res.title}")
+            print(f"       {res.detail}")
+            all_ok = all_ok and res.passed
     print("selftest:", "all criteria passed" if all_ok else "FAILURES present")
     return all_ok

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from casq import quadrature
-from casq.errors import CollisionGuard, NonConvergent, NonFiniteEvaluation, OutOfWindow
+from casq.errors import NonConvergent, NonFiniteEvaluation, OutOfWindow
 from casq.quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -376,11 +376,3 @@ def test_line_integral_rotation_field_magnitude():
     r = line_integral(field, traj, TimeWindow.all_time())
     expect = om * (5.0 * math.pi / 16.0) / y**6
     assert abs(abs(r.value) - expect) < 1e-9 * expect
-
-
-def test_line_integral_collision_guard():
-    # closest approach at the window center, well inside the guard radius
-    traj = StraightLine3D((0.0, 1e-4, 0.0), (1.0, 0.0, 0.0))
-    with pytest.raises(CollisionGuard):
-        line_integral(lambda r: (1.0, 0.0, 0.0), traj, TimeWindow(-1.0, 1.0),
-                      r_min_guard=1e-2)

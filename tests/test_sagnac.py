@@ -12,6 +12,7 @@ from casq.errors import (
     CollisionGuard,
     NearFieldValidityWarning,
     NegativeRadicand,
+    NonPositiveDistance,
     NotTwoLevel,
     OutOfWindow,
     PoleProximity,
@@ -36,6 +37,9 @@ from casq.vec3 import dot3
 TWO_LEVEL = AtomSpecies("two-level", (Transition(2.0e15, 1.0e-58),))
 PARTICLE = SpinningParticle(alpha0=1.0e-32, omega_s=8.0e15, omega=(0.0, 0.0, 1.0e5))
 TIGHT = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=2000)
+
+#: Tests that want the near-field warning say so with ``pytest.warns``.
+pytestmark = pytest.mark.filterwarnings("ignore::casq.errors.NearFieldValidityWarning")
 
 
 # -- rest polarizability ---------------------------------------------------------
@@ -161,8 +165,7 @@ def test_symmetric_total_at_ell():
 def test_phase_zero_rotation():
     still = SpinningParticle(1e-32, 8e15, (0.0, 0.0, 0.0))
     traj = StraightLine3D((0.0, 3e-7, 0.0), (100.0, 0.0, 0.0))
-    res = sagnac_phase(TWO_LEVEL, still, traj, TimeWindow.all_time(),
-                       near_field_warning=False)
+    res = sagnac_phase(TWO_LEVEL, still, traj, TimeWindow.all_time())
     assert res.value == 0.0
 
 
@@ -170,8 +173,7 @@ def test_phase_radial_path_zero():
     # dr parallel to r: the integrand vanishes identically
     traj = StraightLine3D((1e-7, 1e-7, 1e-8), (10.0, 10.0, 1.0))
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-30)
-    res = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow(0.0, 1e-8), spec,
-                       near_field_warning=False)
+    res = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow(0.0, 1e-8), spec)
     assert abs(res.value) < 1e-25
 
 
@@ -181,25 +183,21 @@ def test_phase_matches_closed_form_magnitude():
         y = rng.choice([-1.0, 1.0]) * rng.uniform(5e-8, 5e-7)
         v = rng.uniform(1.0, 1e3)
         traj = StraightLine3D((0.0, y, 0.0), (v, 0.0, 0.0))
-        num = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow.all_time(), TIGHT,
-                           near_field_warning=False)
+        num = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow.all_time(), TIGHT)
         closed = sagnac_phase_straightline(TWO_LEVEL, PARTICLE, y)
         assert abs(num.value) == pytest.approx(abs(closed), rel=1e-6)
         # sign antisymmetry in the impact parameter
         mirror = StraightLine3D((0.0, -y, 0.0), (v, 0.0, 0.0))
-        num2 = sagnac_phase(TWO_LEVEL, PARTICLE, mirror, TimeWindow.all_time(), TIGHT,
-                            near_field_warning=False)
+        num2 = sagnac_phase(TWO_LEVEL, PARTICLE, mirror, TimeWindow.all_time(), TIGHT)
         assert num2.value == pytest.approx(-num.value, rel=1e-8)
 
 
 def test_phase_linear_in_rotation():
     y, v = 3e-7, 100.0
     traj = StraightLine3D((0.0, y, 0.0), (v, 0.0, 0.0))
-    base = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow.all_time(), TIGHT,
-                        near_field_warning=False)
+    base = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow.all_time(), TIGHT)
     twice = SpinningParticle(1e-32, 8e15, (0.0, 0.0, 2e5))
-    res = sagnac_phase(TWO_LEVEL, twice, traj, TimeWindow.all_time(), TIGHT,
-                       near_field_warning=False)
+    res = sagnac_phase(TWO_LEVEL, twice, traj, TimeWindow.all_time(), TIGHT)
     assert res.value == pytest.approx(2.0 * base.value, rel=1e-9)
 
 
@@ -221,14 +219,13 @@ def _apply(m, v):
 def test_phase_rotation_covariance():
     y, v = 3e-7, 100.0
     traj = StraightLine3D((0.0, y, 0.0), (v, 0.0, 0.0))
-    base = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow.all_time(), TIGHT,
-                        near_field_warning=False)
+    base = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow.all_time(), TIGHT)
     axis = (1.0 / math.sqrt(3.0),) * 3
     m = _rotation_matrix(axis, 0.7)
     rotated_traj = StraightLine3D(_apply(m, traj.r0), _apply(m, traj.v))
     rotated_particle = SpinningParticle(1e-32, 8e15, _apply(m, PARTICLE.omega))
     res = sagnac_phase(TWO_LEVEL, rotated_particle, rotated_traj,
-                       TimeWindow.all_time(), TIGHT, near_field_warning=False)
+                       TimeWindow.all_time(), TIGHT)
     assert res.value == pytest.approx(base.value, rel=1e-8)
 
 
@@ -238,8 +235,7 @@ def test_phase_in_plane_rotation_axis_vanishes():
     particle = SpinningParticle(1e-32, 8e15, (1e5, 0.0, 0.0))
     traj = StraightLine3D((0.0, 3e-7, 0.0), (100.0, 0.0, 0.0))
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-30)
-    res = sagnac_phase(TWO_LEVEL, particle, traj, TimeWindow.all_time(), spec,
-                       near_field_warning=False)
+    res = sagnac_phase(TWO_LEVEL, particle, traj, TimeWindow.all_time(), spec)
     assert abs(res.value) < 1e-25
 
 
@@ -249,8 +245,7 @@ def test_phase_riemann_sum_cross_check():
     om = PARTICLE.omega
     traj = StraightLine3D((0.0, y, 0.0), (v, 0.0, 0.0))
     t0, t1 = -20.0 * y / v, 20.0 * y / v
-    res = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow(t0, t1), TIGHT,
-                       near_field_warning=False)
+    res = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow(t0, t1), TIGHT)
     n = 1_000_000
     dt = (t1 - t0) / n
     acc = 0.0
@@ -268,11 +263,61 @@ def test_phase_collision_guard():
     guarded = SpinningParticle(1e-32, 8e15, (0.0, 0.0, 1e5), radius=1e-7)
     traj = StraightLine3D((0.0, 5e-8, 0.0), (100.0, 0.0, 0.0))
     with pytest.raises(CollisionGuard):
-        sagnac_phase(TWO_LEVEL, guarded, traj, TimeWindow.all_time(),
-                     near_field_warning=False)
+        sagnac_phase(TWO_LEVEL, guarded, traj, TimeWindow.all_time())
 
 
-def test_near_field_warning():
+def test_phase_collision_guard_mid_window():
+    # closest approach at the window centre, well inside the radius
+    guarded = SpinningParticle(1e-32, 8e15, (0.0, 0.0, 1e5), radius=1e-2)
+    traj = StraightLine3D((0.0, 1e-4, 0.0), (1.0, 0.0, 0.0))
+    with pytest.raises(CollisionGuard):
+        sagnac_phase(TWO_LEVEL, guarded, traj, TimeWindow(-1.0, 1.0))
+
+
+def _line_must_not_run(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("the line integral ran")
+
+    monkeypatch.setattr("casq.sagnac.line_integral", must_not_run)
+
+
+@pytest.mark.parametrize("depth", [1e-2, 1e-3, 1e-4, 1e-9])
+def test_phase_graze_at_window_end_trips_collision_guard(monkeypatch, depth):
+    # the path ends a fraction ``depth`` of the radius inside the particle:
+    # no quadrature node comes that close, the exact closest approach does
+    radius, y = 1e-7, 5e-8
+    guarded = SpinningParticle(1e-32, 8e15, (0.0, 0.0, 1e5), radius=radius)
+    traj = StraightLine3D((-1e-6, y, 0.0), (100.0, 0.0, 0.0))
+    x_end = -math.sqrt((radius * (1.0 - depth)) ** 2 - y * y)
+    window = TimeWindow(0.0, (x_end + 1e-6) / 100.0)
+    assert traj.closest_approach(window) < radius
+    _line_must_not_run(monkeypatch)
+    with pytest.raises(CollisionGuard, match="inside the particle radius 1e-07 m"):
+        sagnac_phase(TWO_LEVEL, guarded, traj, window)
+
+
+@pytest.mark.parametrize("r0, v, window", [
+    ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), TimeWindow(0.0, 1e-9)),        # at rest on the centre
+    ((0.0, 0.0, 0.0), (100.0, 0.0, 0.0), TimeWindow(-1e-9, 1e-9)),    # through it
+    ((0.0, 0.0, 0.0), (100.0, 0.0, 0.0), TimeWindow.all_time()),
+    ((-1e-6, 0.0, 0.0), (100.0, 0.0, 0.0), TimeWindow(0.0, 1e-8)),   # reaches it at the end
+], ids=["at-rest", "through", "through-all-time", "ends-on"])
+def test_phase_through_the_centre_is_nonpositive_distance(monkeypatch, r0, v, window):
+    _line_must_not_run(monkeypatch)
+    with pytest.raises(NonPositiveDistance, match="passes through the particle's centre"):
+        sagnac_phase(TWO_LEVEL, PARTICLE, StraightLine3D(r0, v), window)
+
+
+def test_phase_at_the_radius_runs():
+    # a pass exactly at the radius is outside it: closest approach >= radius
+    guarded = SpinningParticle(1e-32, 8e15, (0.0, 0.0, 1e5), radius=1e-7)
+    traj = StraightLine3D((0.0, 1e-7, 0.0), (100.0, 0.0, 0.0))
+    res = sagnac_phase(TWO_LEVEL, guarded, traj, TimeWindow.all_time(), TIGHT)
+    bare = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow.all_time(), TIGHT)
+    assert res.converged and res.value == bare.value
+
+
+def test_near_field_validity_warning():
     # tens of micrometers: omega_eg * d / c well above 0.1
     traj = StraightLine3D((0.0, 5e-5, 0.0), (100.0, 0.0, 0.0))
     with pytest.warns(NearFieldValidityWarning):

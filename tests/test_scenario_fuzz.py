@@ -5,13 +5,19 @@ to ``casq run``, in-process through ``casq.cli.main``. Documents cover all
 nine kinds: well-formed ones with typical or extreme numbers, ones with a
 key deleted, misspelled, added or given a value of the wrong type, all-time
 windows on mirror kinds, and top levels that are not scenarios. The exit
-code must be 0, 2, 3 or 4, stderr must hold no traceback, and a report of
-exit 0 must hold only finite numbers. An exception escaping ``main`` would
-end a ``casq`` process with a traceback and exit 1, so it fails the test.
+code must be 0, 2, 3 or 4, stderr must hold no traceback, a report of
+exit 0 must hold only finite numbers, and a ``Sagnac`` run of exit 0 must
+keep its path outside the particle's radius. An exception escaping
+``main`` would end a ``casq`` process with a traceback and exit 1, so it
+fails the test.
 
 Every generated document carries a ``quadrature`` object with a budget of
 at most 16 subdivisions, or one above the reader's bound, which is refused
 before any integral runs: the test stays at a few seconds.
+
+A second test runs generated ``Sagnac`` paths against particle radii set
+around each path's exact closest approach: a run exits 2 exactly when the
+path passes through the centre or inside the radius.
 """
 
 import contextlib
@@ -23,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casq.cli import main
+from casq.trajectories import SampledPolyline3D, StraightLine3D, TimeWindow
 
 MIRROR_KINDS = ("QuasiStatic", "MotionalMirror", "Nonlocal", "TotalMirror")
 ALL_TIME = {"improper": True}
@@ -164,20 +171,83 @@ def _numbers(node):
         yield node
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(document=documents)
-def test_generated_scenario_ends_in_documented_exit(tmp_path_factory, document):
+def _path_and_window(document):
+    """A ``Sagnac`` document's path and window, rebuilt from its JSON."""
+    path, window = document["trajectory"], document["window"]
+    if path["kind"] == "straight_line":
+        traj = StraightLine3D(path["r0_m"], path["v_m_per_s"])
+    else:
+        rows = path["points_t_s_r_m"]
+        traj = SampledPolyline3D([t for t, _ in rows], [r for _, r in rows])
+    if window.get("improper"):
+        return traj, TimeWindow.all_time()
+    return traj, TimeWindow(window["t_start_s"], window["t_end_s"])
+
+
+def _run(tmp_path_factory, document):
     path = tmp_path_factory.getbasetemp() / "fuzz_scenario.json"
     path.write_text(json.dumps(document))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["run", str(path)])
-    assert code in (0, 2, 3, 4), err.getvalue()
-    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(document=documents)
+def test_generated_scenario_ends_in_documented_exit(tmp_path_factory, document):
+    code, out, err = _run(tmp_path_factory, document)
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
     if code == 0:
-        report = json.loads(out.getvalue())
+        report = json.loads(out)
         assert all(math.isfinite(x) for x in _numbers(report)), report
         assert report["converged"] is True
+        if document["kind"] == "Sagnac" and "radius_m" in document["particle"]:
+            traj, window = _path_and_window(document)
+            assert traj.closest_approach(window) >= document["particle"]["radius_m"]
     if (isinstance(document, dict) and document.get("kind") in MIRROR_KINDS
             and document.get("window") == ALL_TIME):
-        assert code == 2, err.getvalue()
+        assert code == 2, err
+
+
+# -- a Sagnac path against the particle's radius ----------------------------------
+
+position = st.lists(st.floats(-1e-6, 1e-6), min_size=3, max_size=3)
+near_paths = st.one_of(
+    st.fixed_dictionaries({
+        "trajectory": st.fixed_dictionaries({
+            "kind": st.just("straight_line"), "r0_m": position,
+            "v_m_per_s": st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)}),
+        "window": st.fixed_dictionaries({"t_start_s": st.floats(-1e-8, 0.0),
+                                         "t_end_s": st.floats(1e-9, 1e-8)})}),
+    st.lists(st.tuples(st.floats(0.0, 2e-7), position), min_size=2, max_size=4,
+             unique_by=lambda row: row[0]).map(lambda rows: sorted(rows)).map(lambda rows: {
+        "trajectory": {"kind": "sampled", "points_t_s_r_m": [[t, r] for t, r in rows]},
+        "window": {"t_start_s": rows[0][0], "t_end_s": rows[-1][0]}}),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(path=near_paths, ratio=st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]))
+def test_sagnac_path_is_checked_at_its_closest_approach(tmp_path_factory, path, ratio):
+    # the radius is a multiple of the path's exact closest approach d: a run
+    # ends with exit 2 exactly when d is 0 or below the radius
+    traj, window = _path_and_window(path)
+    d = traj.closest_approach(window)
+    # no sampled point of the path comes closer than d
+    times = [window.t_start + window.duration * i / 1000 for i in range(1001)]
+    assert min(math.hypot(*traj.position(t)) for t in times) >= d * (1.0 - 1e-12)
+    particle = {"alpha0_F_m2": 1e-32, "omega_s_rad_per_s": 8e15,
+                "omega_rad_per_s": [0.0, 0.0, 1e5], "radius_m": ratio * d}
+    document = {"kind": "Sagnac", "species": "two-level-demo", "particle": particle,
+                "quadrature": {"max_subdivisions": 50}, **path}
+    code, out, err = _run(tmp_path_factory, document)
+    if d == 0.0:
+        assert code == 2 and "passes through the particle's centre" in err, err
+    elif d < ratio * d:
+        assert code == 2 and "inside the particle radius" in err, err
+    else:
+        assert code in (0, 3) and "Traceback" not in err, err
+        if code == 0:
+            assert all(math.isfinite(x) for x in _numbers(json.loads(out)))

@@ -903,6 +903,73 @@ def test_cli_sampled_sagnac_improper_window_exit_2(tmp_path, capsys):
     assert code == 2 and "outside sample range" in out.err
 
 
+def _sagnac_line(r0, v, window, **particle):
+    return {"kind": "Sagnac", "species": "two-level-demo",
+            "particle": {**PARTICLE_JSON, **particle},
+            "trajectory": {"kind": "straight_line", "r0_m": r0, "v_m_per_s": v},
+            "window": window}
+
+
+#: Paths that end inside the particle's radius or pass through its centre.
+_INSIDE_THE_PARTICLE = [
+    # ends 1e-10 m inside the radius, between the quadrature nodes
+    (_sagnac_line([-1e-6, 5e-8, 0.0], [100.0, 0.0, 0.0],
+                  {"t_start_s": 0.0, "t_end_s": 9.13497459621556e-09}, radius_m=1e-7),
+     "closest approach 9.991340997045556e-08 m inside the particle radius 1e-07 m"),
+    (_sagnac_line([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], {"t_start_s": 0.0, "t_end_s": 1e-9}),
+     "the path passes through the particle's centre"),
+    (_sagnac_line([0.0, 0.0, 0.0], [100.0, 0.0, 0.0], {"t_start_s": -1e-9, "t_end_s": 1e-9}),
+     "the path passes through the particle's centre"),
+]
+
+
+@pytest.mark.parametrize("data, message", _INSIDE_THE_PARTICLE,
+                         ids=["graze", "at-rest-on-centre", "through-centre"])
+def test_cli_sagnac_path_inside_the_particle_exit_2(tmp_path, capsys, data, message):
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: sagnac_phase: {message}\n"
+
+
+def test_cli_sagnac_overflowed_closest_approach_exit_3(tmp_path, capsys):
+    # r0 . v overflows, so t* and the closest approach are NaN: the check
+    # passes the path on and the engine reports the blow-up at t = 1 s
+    data = _sagnac_line([-1e300, 3e-7, 0.0], [1e300, 0.0, 0.0], {"t_start_s": 0.0, "t_end_s": 2.0})
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 3 and out.out == ""
+    assert out.err == "numerical error: integrate_adaptive: integrand returned -inf at x = 1.0\n"
+
+
+@pytest.mark.filterwarnings("ignore::casq.errors.NearFieldValidityWarning")
+def test_sweep_records_a_centre_crossing_row():
+    data = _bundled("sagnac_numeric.json")
+    values = [-3e-7, 0.0, 3e-7]
+    rows = sweep(data, "trajectory.r0_m.1", values, DB)
+    assert rows[1].report is None
+    assert rows[1].error == "NonPositiveDistance: sagnac_phase: the path passes through the particle's centre"
+    for row, y in zip(rows[::2], values[::2]):
+        alone = run_scenario(parse_scenario_dict(_with("sagnac_numeric.json", "trajectory.r0_m.1", y), DB))
+        assert row.report.to_dict() == alone.to_dict()
+
+
+@pytest.mark.parametrize("value", ["no", 1, 0, "true", None, [True]])
+def test_cli_window_improper_must_be_a_boolean(tmp_path, capsys, value):
+    data = _with("sagnac_numeric.json", "window.improper", value)
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 2 and out.out == ""
+    assert "window.improper: expected true or false" in out.err
+
+
+def test_cli_window_improper_false_is_bounded(tmp_path, capsys):
+    bounded = {"t_start_s": -1e-8, "t_end_s": 1e-8}
+    code, out = _main_run(tmp_path, capsys,
+                          _with("sagnac_numeric.json", "window", {"improper": False, **bounded}))
+    plain = _main_run(tmp_path, capsys, _with("sagnac_numeric.json", "window", bounded))
+    assert code == 0 and (code, out) == plain
+    code, out = _main_run(tmp_path, capsys, _with("sagnac_numeric.json", "window", {"improper": False}))
+    assert code == 2 and "window.t_start_s: missing required key" in out.err
+
+
 _REST = {"kind": "constant", "h_m": 1e-6}
 _SWINGING = {"kind": "harmonic", "h_m": 1e-6, "amplitude_m": 1e-7, "omega_cm_rad_per_s": 1e4}
 
