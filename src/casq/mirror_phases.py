@@ -20,6 +20,11 @@ nonlocal       phi_12  = [3 w0 alpha(0) / (4 pi eps0 c)]
 The motional term is the finite-interaction-time correction and is smaller
 than phi_qs by O(v/c); the nonlocal term is geometric: reparametrizing
 time drops out of (zdot dt) and reversing both paths flips its sign.
+
+Each integrated window is checked once, exactly, before its integral runs:
+a :class:`MirrorScenario` checks its paths over its window, and each delay
+window [t, t + tau(t)] of the motional term, which reaches past it, is
+checked before its inner integral. The integrands read z(t) unguarded.
 """
 
 from __future__ import annotations
@@ -28,14 +33,11 @@ import math
 import warnings
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR, Z_MIN_DEFAULT
-from .errors import (
-    CollisionGuard,
-    NonPositiveDistance,
-    ParallelVelocityMismatchWarning,
-)
+from .errors import NonPositiveDistance, ParallelVelocityMismatchWarning
 from .quadrature import integrate_adaptive
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
-from .trajectories import TimeWindow, light_delay, validate_positive_over_window
+from .trajectories import (TimeWindow, light_delay, validate_positive_between,
+                           validate_positive_over_window)
 from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, check_fields, set_field
 
 __all__ = [
@@ -87,17 +89,6 @@ def _c3(species: AtomSpecies) -> float:
     return mean_square_dipole(species) / (48.0 * math.pi * EPSILON_0)
 
 
-def _guarded_z(traj, t: float, z_min: float) -> float:
-    z = traj.position(t)
-    if z < z_min:
-        raise CollisionGuard(
-            f"path at z = {z!r} m (t = {t!r} s) below the near-contact cutoff {z_min!r} m"
-        )
-    if not z > 0.0:
-        raise NonPositiveDistance(f"path reached z = {z!r} at t = {t!r}")
-    return z
-
-
 def _integrate_window(f, window: TimeWindow, spec: QuadratureSpec, *paths):
     """Integral of f over the bounded window, with the paths' kinks on panel edges."""
     breaks = [t for p in paths for t in p.breakpoints(window.t_start, window.t_end)]
@@ -115,50 +106,42 @@ def quasi_static_phase(
     c3 = _c3(scenario.species)
 
     def integrand(t: float) -> float:
-        z = _guarded_z(traj, t, scenario.z_min)
-        return c3 / (HBAR * z**3)  # = -U/hbar
+        return c3 / (HBAR * traj.position(t) ** 3)  # = -U/hbar
 
     res = _integrate_window(integrand, scenario.window, spec, traj)
     return res.replace(breakdown={"quasi_static": res.value})
 
 
-def _delay_average(c3: float, traj, t: float, z_min: float, spec: QuadratureSpec):
+def _delay_average(c3: float, traj, t: float, z_min: float):
     """U(t), its average Ubar(t) over [t, t + tau(t)] and the evaluations
     the average took; Ubar is None when the delay window is below float
-    resolution at t."""
-
-    def u(tp: float) -> float:
-        z = _guarded_z(traj, tp, z_min)
-        return -c3 / z**3
-
-    z = _guarded_z(traj, t, z_min)
+    resolution at t. The path is checked over the delay window first."""
+    z = traj.position(t)
+    t_hi = t + light_delay(z)
+    validate_positive_between(traj, t, t_hi, z_min)
     u_t = -c3 / z**3
-    tau = light_delay(z)
     # normalize by the realized float width of [t, t + tau]: dividing by the
     # exact tau instead would inject a spurious eps*t/tau relative offset
-    t_hi = t + tau
     tau_eff = t_hi - t
     if tau_eff <= 0.0:
         return u_t, None, 0
-    # a sample time inside the delay window is a kink of u
-    avg = integrate_adaptive(u, t, t_hi, spec, traj.breakpoints(t, t_hi))
+    # a sample time inside the delay window is a kink of U(z(t'))
+    avg = integrate_adaptive(lambda tp: -c3 / traj.position(tp) ** 3, t, t_hi, _INNER_SPEC,
+                             traj.breakpoints(t, t_hi))
     return u_t, avg.value / tau_eff, avg.evaluations
 
 
 def coarse_grained_potential(
-    species: AtomSpecies,
-    traj,
-    t: float,
-    spec: QuadratureSpec | None = None,
-    z_min: float = Z_MIN_DEFAULT,
+    species: AtomSpecies, traj, t: float, z_min: float = Z_MIN_DEFAULT
 ) -> float:
     """Potential averaged over the round-trip delay window [t, t + tau(t)].
 
-    tau is evaluated at the window start only; a sampled trajectory that
-    cannot cover t + tau raises :class:`OutOfWindow` rather than clamping,
-    because clamping would bias the motional phase near window edges.
+    tau is evaluated at the window start only, and the path is checked over
+    the delay window; a sampled trajectory that cannot cover t + tau raises
+    :class:`OutOfWindow` rather than clamping, because clamping would bias
+    the motional phase near window edges.
     """
-    u_t, ubar, _ = _delay_average(_c3(species), traj, t, z_min, spec or _INNER_SPEC)
+    u_t, ubar, _ = _delay_average(_c3(species), traj, t, z_min)
     return u_t if ubar is None else ubar
 
 
@@ -180,7 +163,7 @@ def motional_phase_mirror(
     inner_evals = [0]
 
     def integrand(t: float) -> float:
-        u_t, ubar, evals = _delay_average(c3, traj, t, scenario.z_min, _INNER_SPEC)
+        u_t, ubar, evals = _delay_average(c3, traj, t, scenario.z_min)
         inner_evals[0] += evals
         if ubar is None:
             return 0.0
@@ -189,8 +172,7 @@ def motional_phase_mirror(
     res = _integrate_window(integrand, scenario.window, spec, traj)
 
     def lead_integrand(t: float) -> float:
-        z = _guarded_z(traj, t, scenario.z_min)
-        return -(3.0 * c3 / (HBAR * C_LIGHT)) * traj.velocity(t) / z**3
+        return -(3.0 * c3 / (HBAR * C_LIGHT)) * traj.velocity(t) / traj.position(t) ** 3
 
     lead = _integrate_window(lead_integrand, scenario.window, spec, traj)
 
@@ -230,9 +212,7 @@ def nonlocal_phase(
     k = 3.0 * tr.omega_eg * alpha_static(scenario.species) / (FOUR_PI_EPS0 * C_LIGHT)
 
     def integrand(t: float) -> float:
-        z1 = _guarded_z(p1, t, scenario.z_min)
-        z2 = _guarded_z(p2, t, scenario.z_min)
-        return k * (p1.velocity(t) - p2.velocity(t)) / (z1 + z2) ** 3
+        return k * (p1.velocity(t) - p2.velocity(t)) / (p1.position(t) + p2.position(t)) ** 3
 
     res = _integrate_window(integrand, scenario.window, spec, p1, p2)
     return res.replace(breakdown={"nonlocal": res.value})

@@ -34,6 +34,7 @@ the closest approach violates min(omega_eg) * d / c <= 0.1.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 from .constants import C_LIGHT, FOUR_PI_EPS0, HBAR
@@ -41,6 +42,7 @@ from .errors import (
     CollisionGuard,
     NearFieldValidityWarning,
     NegativeRadicand,
+    NonFiniteEvaluation,
     NonPositiveDistance,
     PoleProximity,
     ZeroImpactParameter,
@@ -159,7 +161,8 @@ def sagnac_phase(
     along any straight line; the window's ``improper`` flag is the caller's
     decay certification. The path is checked once, at its exact closest approach
     d: :class:`NonPositiveDistance` at d = 0, :class:`CollisionGuard` below
-    ``particle.radius``, a :class:`NearFieldValidityWarning` far out.
+    ``particle.radius``, :class:`NonFiniteEvaluation` where d^8 underflows
+    (r^-8 leaves the float range), a :class:`NearFieldValidityWarning` far out.
     """
     spec = spec or DEFAULT_SPEC
     pref = _prefactor(species, particle)
@@ -171,6 +174,10 @@ def sagnac_phase(
     if d < particle.radius:
         raise CollisionGuard(f"sagnac_phase: closest approach {d!r} m inside the particle "
                              f"radius {particle.radius!r} m")
+    # min: d**8 itself raises OverflowError for d beyond about 1e38 m
+    if min(d, 1.0) ** 8 < sys.float_info.min:
+        raise NonFiniteEvaluation(f"sagnac_phase: closest approach {d!r} m puts r^-8 beyond "
+                                  "the float range (d^8 underflows)")
     w_min = min(t.omega_eg for t in species.transitions)
     if w_min * d / C_LIGHT > _NEAR_FIELD_LIMIT:
         warnings.warn(

@@ -26,9 +26,10 @@ polyline, none for an analytic kind). :func:`reparametrize` (t -> lambda t)
 and :func:`reverse` (t -> t_start + t_end - t across a bounded window) hand
 the same geometric path at a new pace to the kind's ``_reparametrized`` and
 ``_reversed``, exact on the analytic kinds, which is what the
-geometric-phase invariance tests lean on. :func:`validate_positive_over_window`
-checks the points a 1D kind's ``_lowest(window)`` names as candidates for its
-minimum. A 3D kind gives its exact ``closest_approach(window)`` to the
+geometric-phase invariance tests lean on. :func:`validate_positive_between`
+checks the points a 1D kind's ``_lowest(t0, t1)`` names as candidates for its
+minimum over [t0, t1]; :func:`validate_positive_over_window` first refuses an
+all-time window. A 3D kind gives its exact ``closest_approach(window)`` to the
 origin and the ``improper_time_scale()`` of an all-time line integral.
 """
 
@@ -55,6 +56,7 @@ __all__ = [
     "reverse",
     "light_delay",
     "validate_positive_over_window",
+    "validate_positive_between",
 ]
 
 
@@ -133,7 +135,7 @@ class Constant1D(_Analytic, Value):
     def _reversed(self, s: float) -> "Constant1D":
         return self.replace(v_parallel=_scaled(self.v_parallel, -1.0))
 
-    def _lowest(self, window: TimeWindow):
+    def _lowest(self, t0: float, t1: float):
         yield self.h, "all t"
 
 
@@ -159,9 +161,9 @@ class Linear1D(_Analytic, Value):
         return self.replace(h=self.h + self.v * s, v=-self.v,
                             v_parallel=_scaled(self.v_parallel, -1.0))
 
-    def _lowest(self, window: TimeWindow):
-        yield self.position(window.t_start), "window start"
-        yield self.position(window.t_end), "window end"
+    def _lowest(self, t0: float, t1: float):
+        yield self.position(t0), "window start"
+        yield self.position(t1), "window end"
 
 
 class Harmonic1D(_Analytic, Value):
@@ -202,7 +204,7 @@ class Harmonic1D(_Analytic, Value):
                             phase0=self.omega_cm * s + self.phase0,
                             v_parallel=_scaled(self.v_parallel, -1.0))
 
-    def _lowest(self, window: TimeWindow):
+    def _lowest(self, t0: float, t1: float):
         yield self.h - self.amplitude, "harmonic minimum"
 
 
@@ -280,8 +282,7 @@ class SampledPolyline1D(_Sampled, Value):
                             values=tuple(reversed(self.values)),
                             v_parallel=_scaled(self.v_parallel, -1.0))
 
-    def _lowest(self, window: TimeWindow):
-        t0, t1 = window.t_start, window.t_end
+    def _lowest(self, t0: float, t1: float):
         if t0 < self.times[0] or t1 > self.times[-1]:
             raise OutOfWindow(
                 f"window [{t0!r}, {t1!r}] exceeds sample range "
@@ -456,23 +457,26 @@ def reverse(traj, window: TimeWindow):
 
 
 def validate_positive_over_window(traj, window: TimeWindow, z_min: float = 0.0) -> None:
-    """Check z(t) > 0 and z(t) >= z_min across a bounded window.
-
-    Exact for every 1D kind: the minimum is analytic (Constant, Harmonic),
-    at a window end (Linear), or at a node or window end (a polyline is
-    linear between its nodes). An all-time window raises
-    :class:`ImproperWindow` before the path is asked anything. Crossing the
-    mirror raises :class:`NonPositiveDistance`; dipping below a positive
-    ``z_min`` raises :class:`CollisionGuard`.
-    """
+    """:func:`validate_positive_between` over a bounded window; an all-time
+    window raises :class:`ImproperWindow` before the path is asked anything."""
     if window.improper:
         raise ImproperWindow("mirror phases need a bounded window: over all time the "
                              "phases of a path kept off the mirror diverge")
-    for z, where in traj._lowest(window):
+    validate_positive_between(traj, window.t_start, window.t_end, z_min)
+
+
+def validate_positive_between(traj, t0: float, t1: float, z_min: float = 0.0) -> None:
+    """Check z(t) > 0 and z(t) >= z_min for t0 <= t <= t1.
+
+    Exact for every 1D kind: the minimum is analytic (Constant, Harmonic),
+    at an end (Linear), or at a node or an end (a polyline is linear
+    between its nodes). Crossing the mirror raises
+    :class:`NonPositiveDistance`; dipping below a positive ``z_min`` raises
+    :class:`CollisionGuard`; both name the point that fails.
+    """
+    for z, where in traj._lowest(t0, t1):
         if not z > 0.0:
-            raise NonPositiveDistance(
-                f"path reaches z = {z!r} at {where} (must stay > 0)"
-            )
+            raise NonPositiveDistance(f"path reaches z = {z!r} at {where} (must stay > 0)")
         if z < z_min:
             raise CollisionGuard(
                 f"path reaches z = {z!r} at {where}, below the near-contact "

@@ -272,6 +272,19 @@ def test_collision_guard_trips():
         coarse_grained_potential(TWO_LEVEL, Constant1D(1e-10), 0.0, z_min=1e-9)
 
 
+def test_delay_window_past_the_window_is_checked_at_its_lowest_sample():
+    # the sample just past t_end dips below z_min inside the delay windows
+    # of the last outer nodes; the check names that sample and its exact z
+    traj = SampledPolyline1D((0.0, 1e-12, 1e-12 + 2e-15, 1e-12 + 2e-14),
+                             (1e-6, 1e-6, 0.899e-6, 1e-6))
+    scen = MirrorScenario(TWO_LEVEL, (traj,), TimeWindow(0.0, 1e-12), z_min=0.9e-6)
+    quasi_static_phase(scen)
+    with pytest.raises(CollisionGuard) as info:
+        motional_phase_mirror(scen)
+    assert str(info.value) == (f"path reaches z = {0.899e-6!r} at sample t = {1e-12 + 2e-15!r}, "
+                               f"below the near-contact cutoff {0.9e-6!r}")
+
+
 # -- total ----------------------------------------------------------------------
 
 def test_total_identical_paths():

@@ -4,7 +4,8 @@ Each example writes one generated scenario document to a file and gives it
 to ``casq run``, in-process through ``casq.cli.main``. Documents cover all
 nine kinds: well-formed ones with typical or extreme numbers, ones with a
 key deleted, misspelled, added or given a value of the wrong type, all-time
-windows on mirror kinds, and top levels that are not scenarios. The exit
+windows on mirror kinds, and top levels that are not scenarios. A sampled
+``Sagnac`` path runs over the window of its own sample times. The exit
 code must be 0, 2, 3 or 4, stderr must hold no traceback, a report of
 exit 0 must hold only finite numbers, and a ``Sagnac`` run of exit 0 must
 keep its path outside the particle's radius. An exception escaping
@@ -55,9 +56,9 @@ def vector(lo, hi):
     return st.lists(num(lo, hi), min_size=3, max_size=3)
 
 
-def samples(value, most):
+def samples(value, most, least=1):
     """A sampled path's [t, value] rows, in time order."""
-    return st.lists(st.tuples(num(0.0, 2e-7), value), min_size=1, max_size=most).map(
+    return st.lists(st.tuples(num(0.0, 2e-7), value), min_size=least, max_size=most).map(
         lambda rows: [list(row) for row in sorted(rows, key=lambda row: row[0])])
 
 
@@ -85,11 +86,21 @@ particle = st.fixed_dictionaries(
      "omega_rad_per_s": vector(-1e5, 1e5)},
     optional={"gamma_rad_per_s": num(0.0, 1e12), "radius_m": num(0.0, 1e-7)},
 )
-trajectory = st.one_of(
-    st.fixed_dictionaries({"kind": st.just("straight_line"), "r0_m": vector(-1e-6, 1e-6),
-                           "v_m_per_s": vector(-1e3, 1e3)}),
-    st.fixed_dictionaries({"kind": st.just("sampled"),
-                           "points_t_s_r_m": samples(vector(-1e-6, 1e-6), 3)}),
+
+
+def over_its_samples(rows):
+    """A sampled path and the window from its first to its last sample time."""
+    return {"trajectory": {"kind": "sampled", "points_t_s_r_m": rows},
+            "window": {"t_start_s": rows[0][0], "t_end_s": rows[-1][0]}}
+
+
+sagnac_path = st.one_of(
+    st.fixed_dictionaries({
+        "trajectory": st.fixed_dictionaries({"kind": st.just("straight_line"),
+                                             "r0_m": vector(-1e-6, 1e-6),
+                                             "v_m_per_s": vector(-1e3, 1e3)}),
+        "window": window}),
+    samples(vector(-1e-6, 1e-6), 3, least=2).map(over_its_samples),
 )
 oscillation = st.fixed_dictionaries(
     {"r_max_m": num(0.0, 1e-6), "omega_cm_rad_per_s": num(1e3, 1e9)},
@@ -112,7 +123,7 @@ def mirror_kinds(window):
 
 well_formed = st.one_of(
     mirror_kinds(window),
-    kind("Sagnac", particle=particle, trajectory=trajectory, window=window),
+    st.builds(lambda doc, path: {**doc, **path}, kind("Sagnac", particle=particle), sagnac_path),
     kind("SagnacStraightLine", particle=particle, y_m=num(1e-8, 1e-6)),
     kind("SagnacSymmetric", particle=particle, y1_m=num(1e-8, 1e-6)),
     kind("DceClosed", oscillation=oscillation),
@@ -222,9 +233,8 @@ near_paths = st.one_of(
         "window": st.fixed_dictionaries({"t_start_s": st.floats(-1e-8, 0.0),
                                          "t_end_s": st.floats(1e-9, 1e-8)})}),
     st.lists(st.tuples(st.floats(0.0, 2e-7), position), min_size=2, max_size=4,
-             unique_by=lambda row: row[0]).map(lambda rows: sorted(rows)).map(lambda rows: {
-        "trajectory": {"kind": "sampled", "points_t_s_r_m": [[t, r] for t, r in rows]},
-        "window": {"t_start_s": rows[0][0], "t_end_s": rows[-1][0]}}),
+             unique_by=lambda row: row[0]).map(
+        lambda rows: over_its_samples([[t, r] for t, r in sorted(rows)])),
 )
 
 

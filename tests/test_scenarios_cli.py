@@ -940,6 +940,22 @@ def test_cli_sagnac_overflowed_closest_approach_exit_3(tmp_path, capsys):
     assert out.err == "numerical error: integrate_adaptive: integrand returned -inf at x = 1.0\n"
 
 
+@pytest.mark.parametrize("y", [1e-60, 1e-40])
+def test_cli_sagnac_underflowing_closest_approach_exit_3(tmp_path, capsys, y):
+    # d^8 below the smallest normal float: r^-8 cannot be evaluated at d
+    code, out = _main_run(tmp_path, capsys, _with("sagnac_numeric.json", "trajectory.r0_m.1", y))
+    assert code == 3 and out.out == ""
+    assert out.err == (f"numerical error: sagnac_phase: closest approach {y!r} m puts r^-8 "
+                       "beyond the float range (d^8 underflows)\n")
+
+
+def test_cli_sagnac_closest_approach_just_inside_the_float_range_exit_0(tmp_path, capsys):
+    code, out = _main_run(tmp_path, capsys, _with("sagnac_numeric.json", "trajectory.r0_m.1", 1e-38))
+    assert code == 0
+    report = json.loads(out.out)
+    assert report["converged"] is True and math.isfinite(report["value"])
+
+
 @pytest.mark.filterwarnings("ignore::casq.errors.NearFieldValidityWarning")
 def test_sweep_records_a_centre_crossing_row():
     data = _bundled("sagnac_numeric.json")

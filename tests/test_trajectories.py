@@ -348,9 +348,22 @@ def test_mirror_layer_has_no_all_time_branch():
     assert all("improper" not in _names(fn) for fn in lowest)
 
 
+def test_mirror_integrands_run_no_guard():
+    """Each mirror window is checked once, before its integral runs: no
+    function nested in mirror_phases.py, which is where its integrands live,
+    names a guard or the errors a guard raises."""
+    tree = ast.parse((pathlib.Path(casq.__file__).parent / "mirror_phases.py").read_text())
+    nested = [inner for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+              for inner in ast.walk(outer)
+              if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.Lambda))]
+    assert len(nested) >= 5
+    guards = {"CollisionGuard", "NonPositiveDistance", "_guarded_z"}
+    assert [fn.lineno for fn in nested if guards & _names(fn)] == []
+
+
 def test_all_time_window_refused_before_the_path_is_asked():
     class Unasked:
-        def _lowest(self, window):
+        def _lowest(self, t0, t1):
             pytest.fail("path asked for its lowest points")
 
     with pytest.raises(ImproperWindow, match="over all time the phases of a path kept off "
