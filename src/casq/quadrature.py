@@ -7,6 +7,13 @@ pair with bisection of the worst interval, QUADPACK-style error
 estimation, and correctly rounded sums over the panels. Identical inputs
 give bit-identical outputs; there is no randomized cubature anywhere.
 
+The panel (``_gk15``, QUADPACK's ``dqk15``) runs for every 15 integrand
+evaluations, so it is written out node by node rather than as a loop over
+the tables: the same nodes in the same order, and sums that add their
+terms in the loop's order, so every panel has the loop's bits.
+``tests/test_quadrature.py`` keeps the loop as the reference it is
+checked against.
+
 Each bisection costs O(log n) in the number n of live panels, so a run of
 n bisections costs O(n log n). The panels sit in a binary heap keyed by
 (-error, left end): the worst panel comes first, and of equal errors the
@@ -81,6 +88,10 @@ _WG = (
     0.3818300505051189,
     0.4179591836734694,
 )
+# the same tables as names, for the written-out panel in :func:`_gk15`
+_X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -108,44 +119,89 @@ class _Panel:
         self.resabs = resabs  # integral of |f| over the panel, by the Kronrod rule
 
 
+def _nonfinite(ctx: str, fx: float, x: float) -> NonFiniteEvaluation:
+    return NonFiniteEvaluation(f"{ctx}: integrand returned {fx!r} at x = {x!r}")
+
+
 def _gk15(f, a: float, b: float, ctx: str) -> _Panel:
     """One Gauss-Kronrod 7/15 panel on [a, b] with QUADPACK error scaling.
 
     Raises :class:`NonFiniteEvaluation` at the first node (centre first,
     then each pair from the outside in) where ``f`` is not finite; no later
-    node is evaluated.
+    node is evaluated. Written out node by node, every panel's hottest code:
+    each sum adds its terms in the order of QUADPACK's ``dqk15`` loop, which
+    ``tests/test_quadrature.py`` keeps as the reference.
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
 
     fc = f(center)
     if not isfinite(fc):
-        raise NonFiniteEvaluation(f"{ctx}: integrand returned {fc!r} at x = {center!r}")
-    resg = fc * _WG[3]
-    resk = fc * _WGK[7]
-    resabs = abs(fc) * _WGK[7]
-    fv = []
-    for j in range(7):
-        dx = half * _XGK[j]
-        x = center - dx
-        f1 = f(x)
-        if not isfinite(f1):
-            raise NonFiniteEvaluation(f"{ctx}: integrand returned {f1!r} at x = {x!r}")
-        x = center + dx
-        f2 = f(x)
-        if not isfinite(f2):
-            raise NonFiniteEvaluation(f"{ctx}: integrand returned {f2!r} at x = {x!r}")
-        fv.append((f1, f2))
-        resk += _WGK[j] * (f1 + f2)
-        resabs += _WGK[j] * (abs(f1) + abs(f2))
-        if j % 2 == 1:
-            resg += _WG[j // 2] * (f1 + f2)
+        raise _nonfinite(ctx, fc, center)
+    # fl<j>, fr<j>: f at center -/+ half * _XGK[j]
+    dx = half * _X0
+    fl0 = f(center - dx)
+    if not isfinite(fl0):
+        raise _nonfinite(ctx, fl0, center - dx)
+    fr0 = f(center + dx)
+    if not isfinite(fr0):
+        raise _nonfinite(ctx, fr0, center + dx)
+    dx = half * _X1
+    fl1 = f(center - dx)
+    if not isfinite(fl1):
+        raise _nonfinite(ctx, fl1, center - dx)
+    fr1 = f(center + dx)
+    if not isfinite(fr1):
+        raise _nonfinite(ctx, fr1, center + dx)
+    dx = half * _X2
+    fl2 = f(center - dx)
+    if not isfinite(fl2):
+        raise _nonfinite(ctx, fl2, center - dx)
+    fr2 = f(center + dx)
+    if not isfinite(fr2):
+        raise _nonfinite(ctx, fr2, center + dx)
+    dx = half * _X3
+    fl3 = f(center - dx)
+    if not isfinite(fl3):
+        raise _nonfinite(ctx, fl3, center - dx)
+    fr3 = f(center + dx)
+    if not isfinite(fr3):
+        raise _nonfinite(ctx, fr3, center + dx)
+    dx = half * _X4
+    fl4 = f(center - dx)
+    if not isfinite(fl4):
+        raise _nonfinite(ctx, fl4, center - dx)
+    fr4 = f(center + dx)
+    if not isfinite(fr4):
+        raise _nonfinite(ctx, fr4, center + dx)
+    dx = half * _X5
+    fl5 = f(center - dx)
+    if not isfinite(fl5):
+        raise _nonfinite(ctx, fl5, center - dx)
+    fr5 = f(center + dx)
+    if not isfinite(fr5):
+        raise _nonfinite(ctx, fr5, center + dx)
+    dx = half * _X6
+    fl6 = f(center - dx)
+    if not isfinite(fl6):
+        raise _nonfinite(ctx, fl6, center - dx)
+    fr6 = f(center + dx)
+    if not isfinite(fr6):
+        raise _nonfinite(ctx, fr6, center + dx)
 
-    reskh = resk * 0.5
-    resasc = _WGK[7] * abs(fc - reskh)
-    for j in range(7):
-        f1, f2 = fv[j]
-        resasc += _WGK[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+    # Python adds left to right: each sum below is the loop's running sum
+    resg = fc * _G3 + _G0 * (fl1 + fr1) + _G1 * (fl3 + fr3) + _G2 * (fl5 + fr5)
+    resk = (fc * _K7 + _K0 * (fl0 + fr0) + _K1 * (fl1 + fr1) + _K2 * (fl2 + fr2)
+            + _K3 * (fl3 + fr3) + _K4 * (fl4 + fr4) + _K5 * (fl5 + fr5) + _K6 * (fl6 + fr6))
+    resabs = (abs(fc) * _K7 + _K0 * (abs(fl0) + abs(fr0)) + _K1 * (abs(fl1) + abs(fr1))
+              + _K2 * (abs(fl2) + abs(fr2)) + _K3 * (abs(fl3) + abs(fr3))
+              + _K4 * (abs(fl4) + abs(fr4)) + _K5 * (abs(fl5) + abs(fr5))
+              + _K6 * (abs(fl6) + abs(fr6)))
+    h = resk * 0.5
+    resasc = (_K7 * abs(fc - h) + _K0 * (abs(fl0 - h) + abs(fr0 - h))
+              + _K1 * (abs(fl1 - h) + abs(fr1 - h)) + _K2 * (abs(fl2 - h) + abs(fr2 - h))
+              + _K3 * (abs(fl3 - h) + abs(fr3 - h)) + _K4 * (abs(fl4 - h) + abs(fr4 - h))
+              + _K5 * (abs(fl5 - h) + abs(fr5 - h)) + _K6 * (abs(fl6 - h) + abs(fr6 - h)))
 
     value = resk * half
     resabs *= abs(half)
@@ -322,6 +378,29 @@ def integrate_improper(
     return result
 
 
+def integrate_over_window(
+    f: Callable[[float], float],
+    traj,
+    window,
+    spec: QuadratureSpec | None = None,
+) -> IntegralResult:
+    """Time integral of ``f`` over a path's window.
+
+    An improper window goes to :func:`integrate_improper`, centred and
+    scaled by the path's ``improper_time_scale()`` (the window's
+    ``improper`` flag is the caller's decay certification); a bounded one
+    to :func:`integrate_adaptive`, with the path's ``breakpoints`` in the
+    window as panel edges.
+    """
+    if window.improper:
+        center, scale = traj.improper_time_scale()
+        return integrate_improper(f, spec, center=center, scale=scale)
+    return integrate_adaptive(
+        f, window.t_start, window.t_end, spec,
+        traj.breakpoints(window.t_start, window.t_end),
+    )
+
+
 def line_integral(
     field: Callable[[Vec3], Vec3],
     traj,
@@ -331,23 +410,15 @@ def line_integral(
     """Line integral of a vector field along a parametric path.
 
     Evaluates int_P dr . F(r) as the time integral of v(t) . F(r(t)) over
-    the window, asking the path only for its position, velocity,
-    breakpoints (panel edges in a bounded window) and, for an improper
-    window, the ``improper_time_scale()`` that centres and scales the
-    tangent map (the window's ``improper`` flag is the caller's decay
-    certification). The caller checks where the path goes.
+    the window (:func:`integrate_over_window`), asking the path only for its
+    position and velocity beyond what that needs. The caller checks where
+    the path goes.
     """
 
     def integrand(t: float) -> float:
         return dot3(traj.velocity(t), field(traj.position(t)))
 
-    if window.improper:
-        center, scale = traj.improper_time_scale()
-        return integrate_improper(integrand, spec, center=center, scale=scale)
-    return integrate_adaptive(
-        integrand, window.t_start, window.t_end, spec,
-        traj.breakpoints(window.t_start, window.t_end),
-    )
+    return integrate_over_window(integrand, traj, window, spec)
 
 
 #: Per-level tightening factor for iterated integrals, so inner-level noise

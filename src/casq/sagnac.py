@@ -47,11 +47,11 @@ from .errors import (
     PoleProximity,
     ZeroImpactParameter,
 )
-from .quadrature import line_integral
+from .quadrature import integrate_over_window
 from .species import POLE_GUARD_DEFAULT, AtomSpecies, two_level_transition
 from .trajectories import TimeWindow
 from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, check_fields, set_field
-from .vec3 import Vec3, cross3, norm3, vec3
+from .vec3 import Vec3, norm3, vec3
 
 __all__ = [
     "SpinningParticle",
@@ -160,15 +160,20 @@ def sagnac_phase(
     Improper windows are admitted because the integrand decays like r^-7
     along any straight line; the window's ``improper`` flag is the caller's
     decay certification. The path is checked once, at its exact closest approach
-    d: :class:`NonPositiveDistance` at d = 0, :class:`CollisionGuard` below
-    ``particle.radius``, :class:`NonFiniteEvaluation` where d^8 underflows
-    (r^-8 leaves the float range), a :class:`NearFieldValidityWarning` far out.
+    d: :class:`NonFiniteEvaluation` where d is NaN (the path's coordinates
+    overflow), :class:`NonPositiveDistance` at d = 0, :class:`CollisionGuard`
+    below ``particle.radius``, :class:`NonFiniteEvaluation` where d^8
+    underflows (r^-8 leaves the float range), a
+    :class:`NearFieldValidityWarning` far out. Where r^8 overflows, r^-8 is
+    taken as (1/r^2)^4, which is subnormal or 0 there.
     """
     spec = spec or DEFAULT_SPEC
     pref = _prefactor(species, particle)
-    omega_vec = particle.omega
 
     d = traj.closest_approach(window)
+    if math.isnan(d):
+        raise NonFiniteEvaluation("sagnac_phase: closest approach nan: the path's coordinates "
+                                  "overflow the float range")
     if d == 0.0:
         raise NonPositiveDistance("sagnac_phase: the path passes through the particle's centre")
     if d < particle.radius:
@@ -187,13 +192,24 @@ def sagnac_phase(
             stacklevel=2,
         )
 
-    def field(r: Vec3) -> Vec3:
-        rr = r[0] * r[0] + r[1] * r[1] + r[2] * r[2]
-        w = 1.0 / rr**4
-        c = cross3(omega_vec, r)
-        return (c[0] * w, c[1] * w, c[2] * w)
+    ox, oy, oz = particle.omega
+    velocity = traj.velocity
+    position = traj.position
 
-    res = line_integral(field, traj, window, spec)
+    def integrand(t: float) -> float:
+        # v . (Omega x r) / r^8, in the order of dot3(v, cross3(Omega, r) * w)
+        vx, vy, vz = velocity(t)
+        rx, ry, rz = position(t)
+        rr = rx * rx + ry * ry + rz * rz
+        try:
+            w = 1.0 / rr**4
+        except OverflowError:  # r^8 past the float range: r^-8 is subnormal or 0
+            s = 1.0 / rr
+            w = s * s * s * s
+        return (vx * ((oy * rz - oz * ry) * w) + vy * ((oz * rx - ox * rz) * w)
+                + vz * ((ox * ry - oy * rx) * w))
+
+    res = integrate_over_window(integrand, traj, window, spec)
     return res.replace(
         value=pref * res.value,
         error_estimate=abs(pref) * res.error_estimate,

@@ -17,13 +17,13 @@ runs of one scenario file are byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
 import time
 import warnings
 from importlib import import_module
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .constants import CONSTANTS_HASH, Z_MIN_DEFAULT
@@ -573,8 +573,8 @@ def _json_fragment(obj, out: list, indent: int | None) -> None:
         out.append("{" + nl)
         items = sorted(obj.items())
         for i, (k, v) in enumerate(items):
-            out.append(f"{pad}{step}{json.dumps(str(k))}: " if indent is not None
-                       else f"{json.dumps(str(k))}:")
+            key = encode_basestring_ascii(str(k))
+            out.append(f"{pad}{step}{key}: " if indent is not None else f"{key}:")
             _json_fragment(v, out, child)
             out.append(("," + nl) if i < len(items) - 1 else nl)
         out.append(pad + "}")
@@ -595,7 +595,8 @@ def _json_fragment(obj, out: list, indent: int | None) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        # what json.dumps writes for a str: same bytes, without its dispatch
+        out.append(encode_basestring_ascii(obj))
     elif obj is None:
         out.append("null")
     else:

@@ -154,6 +154,129 @@ def test_spec_validation():
 
 # -- the engine against its quadratic-time reference -----------------------------
 
+def _reference_gk15(f, a, b, ctx):
+    """The panel as a loop over QUADPACK's tables, as ``dqk15`` writes it:
+    the reference for the engine's written-out ``_gk15``."""
+    xgk, wgk, wg = quadrature._XGK, quadrature._WGK, quadrature._WG
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+
+    fc = f(center)
+    if not math.isfinite(fc):
+        raise NonFiniteEvaluation(f"{ctx}: integrand returned {fc!r} at x = {center!r}")
+    resg = fc * wg[3]
+    resk = fc * wgk[7]
+    resabs = abs(fc) * wgk[7]
+    fv = []
+    for j in range(7):
+        dx = half * xgk[j]
+        x = center - dx
+        f1 = f(x)
+        if not math.isfinite(f1):
+            raise NonFiniteEvaluation(f"{ctx}: integrand returned {f1!r} at x = {x!r}")
+        x = center + dx
+        f2 = f(x)
+        if not math.isfinite(f2):
+            raise NonFiniteEvaluation(f"{ctx}: integrand returned {f2!r} at x = {x!r}")
+        fv.append((f1, f2))
+        resk += wgk[j] * (f1 + f2)
+        resabs += wgk[j] * (abs(f1) + abs(f2))
+        if j % 2 == 1:
+            resg += wg[j // 2] * (f1 + f2)
+
+    reskh = resk * 0.5
+    resasc = wgk[7] * abs(fc - reskh)
+    for j in range(7):
+        f1, f2 = fv[j]
+        resasc += wgk[j] * (abs(f1 - reskh) + abs(f2 - reskh))
+
+    value = resk * half
+    resabs *= abs(half)
+    resasc *= abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    eps, tiny = quadrature._EPMACH, quadrature._UFLOW
+    if resabs > tiny / (50.0 * eps):
+        err = max(eps * 50.0 * resabs, err)
+    return quadrature._Panel(a, b, value, err, resabs)
+
+
+def _panel_bits(p):
+    return [float.hex(x) for x in (p.a, p.b, p.value, p.error, p.resabs)]
+
+
+def _integrand(rng):
+    """A smooth, oscillating, kinked, stepped, constant or zero integrand, at a
+    scale from 1e-300 to 1e300."""
+    c = [rng.uniform(-3.0, 3.0) for _ in range(4)]
+    scale = 10.0 ** rng.uniform(-300, 300)
+    k = rng.choice([
+        lambda x: c[0] + x * (c[1] + x * (c[2] + x * c[3])),
+        lambda x: math.exp(c[0] * math.tanh(x)),
+        lambda x: math.sin(c[1] * 20.0 * x + c[2]),
+        lambda x: 1.0 / (1.0 + (c[0] * x) ** 2),
+        lambda x: abs(x - c[3]),
+        lambda x: 1.0 if x > c[2] else -0.5,
+        lambda x: c[0],
+        lambda x: 0.0,
+    ])
+    return lambda x: scale * k(x)
+
+
+def _panel_cases(n, seed=20):
+    """``n`` (integrand, a, b) on wide, narrow, ulp-wide, subnormal and
+    reversed intervals."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        f = _integrand(rng)
+        a = rng.choice([rng.uniform(-10.0, 10.0), 0.0, rng.uniform(-1e-300, 1e-300)])
+        width = rng.choice([
+            rng.uniform(-10.0, 10.0),           # reversed half the time
+            rng.uniform(1e-9, 1e-3) * rng.choice([-1.0, 1.0]),
+            1e-15 * (abs(a) + 1e-300),
+            math.nextafter(a, math.inf) - a,    # one ulp
+            5e-324 * rng.randint(1, 64),        # subnormal
+        ])
+        yield f, a, a + width
+
+
+def test_panel_matches_loop_reference():
+    cases = 0
+    for f, a, b in _panel_cases(1500):
+        got = quadrature._gk15(f, a, b, "ctx")
+        assert _panel_bits(got) == _panel_bits(_reference_gk15(f, a, b, "ctx")), (a, b)
+        cases += 1
+    assert cases >= 1000
+
+
+def test_panel_evaluates_the_reference_abscissae_in_order():
+    for f, a, b in _panel_cases(300, seed=21):
+        seen, ref = [], []
+        quadrature._gk15(lambda x: seen.append(x) or f(x), a, b, "ctx")
+        _reference_gk15(lambda x: ref.append(x) or f(x), a, b, "ctx")
+        assert [float.hex(x) for x in seen] == [float.hex(x) for x in ref]
+        assert len(seen) == 15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k", range(15))
+def test_panel_stops_at_the_first_non_finite_node(k, bad):
+    a, b = -0.3, 1.7
+    nodes = []
+    _reference_gk15(lambda x: nodes.append(x) or 1.0, a, b, "ctx")
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return bad if len(calls) == k + 1 else 1.0
+
+    with pytest.raises(NonFiniteEvaluation) as err:
+        quadrature._gk15(f, a, b, "ctx")
+    assert str(err.value) == f"ctx: integrand returned {bad!r} at x = {nodes[k]!r}"
+    assert calls == nodes[:k + 1]
+
+
 def _reference_core(f, breaks, sign, spec):
     """The engine's loop as it stood before its heap and running sums: every
     bisection rescans the panels for the worst one and re-sums them all."""
@@ -166,7 +289,7 @@ def _reference_core(f, breaks, sign, spec):
 
     ctx = "integrate_adaptive"
     panels = [
-        quadrature._gk15(counted, breaks[i], breaks[i + 1], ctx)
+        _reference_gk15(counted, breaks[i], breaks[i + 1], ctx)
         for i in range(len(breaks) - 1)
     ]
     resabs = math.fsum(p.resabs for p in panels)
@@ -189,8 +312,8 @@ def _reference_core(f, breaks, sign, spec):
         if mid <= worst.a or mid >= worst.b:
             panels.append(worst)
             break
-        left = quadrature._gk15(counted, worst.a, mid, ctx)
-        right = quadrature._gk15(counted, mid, worst.b, ctx)
+        left = _reference_gk15(counted, worst.a, mid, ctx)
+        right = _reference_gk15(counted, mid, worst.b, ctx)
         panels += (left, right)
         resabs += left.resabs + right.resabs - worst.resabs
         nsub += 1

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import warnings
 from importlib.resources import files
 
@@ -18,7 +19,7 @@ from casq.errors import (
     PoleProximity,
     ZeroImpactParameter,
 )
-from casq.quadrature import QuadratureSpec
+from casq.quadrature import QuadratureSpec, line_integral
 from casq.sagnac import (
     SpinningParticle,
     alpha_s,
@@ -32,7 +33,7 @@ from casq.scenarios import parse_scenario_dict, run_scenario
 from casq.schema import load_json
 from casq.species import AtomSpecies, Transition, default_species_db
 from casq.trajectories import SampledPolyline3D, StraightLine3D, TimeWindow
-from casq.vec3 import dot3
+from casq.vec3 import cross3, dot3
 
 TWO_LEVEL = AtomSpecies("two-level", (Transition(2.0e15, 1.0e-58),))
 PARTICLE = SpinningParticle(alpha0=1.0e-32, omega_s=8.0e15, omega=(0.0, 0.0, 1.0e5))
@@ -201,6 +202,59 @@ def test_phase_linear_in_rotation():
     assert res.value == pytest.approx(2.0 * base.value, rel=1e-9)
 
 
+def test_phase_integrand_is_v_dot_field_bit_for_bit(monkeypatch):
+    # the fused integrand keeps the arithmetic of dot3(v, F(r)) with this
+    # field, node for node, and the integral line_integral gives
+    omega = (3e4, -2e4, 1e5)
+    particle = SpinningParticle(1e-32, 8e15, omega)
+
+    def field(r):
+        w = 1.0 / dot3(r, r) ** 4
+        c = cross3(omega, r)
+        return (c[0] * w, c[1] * w, c[2] * w)
+
+    cases = [
+        (StraightLine3D((1e-8, 3e-7, -2e-8), (100.0, 20.0, -5.0)), TimeWindow.all_time()),
+        (StraightLine3D((-1e-6, 2e-7, 1e-7), (300.0, 0.0, 10.0)), TimeWindow(0.0, 6e-9)),
+        (SampledPolyline3D((0.0, 1e-9, 3e-9), ((-2e-7, 3e-7, 0.0), (1e-7, 2e-7, 5e-8),
+                                               (4e-7, 4e-7, 1e-7))), TimeWindow(0.0, 3e-9)),
+    ]
+    rng = random.Random(3)
+    for traj, window in cases:
+        res = sagnac_phase(TWO_LEVEL, particle, traj, window, TIGHT)
+        assert res.breakdown["line_integral"] == line_integral(field, traj, window, TIGHT).value
+        seen = []
+        monkeypatch.setattr("casq.sagnac.integrate_over_window",
+                            lambda f, *args: seen.append(f) or res)
+        sagnac_phase(TWO_LEVEL, particle, traj, window, TIGHT)
+        lo, hi = (-1e-8, 1e-8) if window.improper else (window.t_start, window.t_end)
+        for t in [rng.uniform(lo, hi) for _ in range(2000)]:
+            assert seen[0](t) == dot3(traj.velocity(t), field(traj.position(t))), t
+        monkeypatch.undo()
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.filterwarnings("ignore::casq.errors.NearFieldValidityWarning")
+def test_phase_integrand_past_r8_overflow(monkeypatch):
+    # where r^8 overflows, r^-8 is (1/r^2)^4: subnormal at |r|^2 = 1e78, 0 at 1e160
+    def capture(f, *args):
+        raise _Captured(f)
+
+    monkeypatch.setattr("casq.sagnac.integrate_over_window", capture)
+    inv = 1.0 / 1e78
+    w = inv * inv * inv * inv
+    assert 0.0 < w < sys.float_info.min
+    for y, expected in [(1e39, 100.0 * (-(1e5 * 1e39) * w)), (1e80, 0.0)]:
+        traj = StraightLine3D((0.0, y, 0.0), (100.0, 0.0, 0.0))
+        with pytest.raises(_Captured) as captured:
+            sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow(0.0, 1e-9))
+        assert captured.value.args[0](0.0) == expected
+    assert 100.0 * (-(1e5 * 1e39) * w) != 0.0
+
+
 def _rotation_matrix(axis, angle):
     x, y, z = axis
     c, s = math.cos(angle), math.sin(angle)
@@ -278,7 +332,7 @@ def _line_must_not_run(monkeypatch):
     def must_not_run(*args, **kwargs):
         pytest.fail("the line integral ran")
 
-    monkeypatch.setattr("casq.sagnac.line_integral", must_not_run)
+    monkeypatch.setattr("casq.sagnac.integrate_over_window", must_not_run)
 
 
 @pytest.mark.parametrize("depth", [1e-2, 1e-3, 1e-4, 1e-9])

@@ -5,7 +5,9 @@ to ``casq run``, in-process through ``casq.cli.main``. Documents cover all
 nine kinds: well-formed ones with typical or extreme numbers, ones with a
 key deleted, misspelled, added or given a value of the wrong type, all-time
 windows on mirror kinds, and top levels that are not scenarios. A sampled
-``Sagnac`` path runs over the window of its own sample times. The exit
+``Sagnac`` path runs over the window of its own sample times, and some
+``Sagnac`` documents hold only typical numbers and a particle radius below
+their path's closest approach, so they reach the integral. The exit
 code must be 0, 2, 3 or 4, stderr must hold no traceback, a report of
 exit 0 must hold only finite numbers, and a ``Sagnac`` run of exit 0 must
 keep its path outside the particle's radius. An exception escaping
@@ -94,6 +96,20 @@ def over_its_samples(rows):
             "window": {"t_start_s": rows[0][0], "t_end_s": rows[-1][0]}}
 
 
+position = st.lists(st.floats(-1e-6, 1e-6), min_size=3, max_size=3)
+near_paths = st.one_of(
+    st.fixed_dictionaries({
+        "trajectory": st.fixed_dictionaries({
+            "kind": st.just("straight_line"), "r0_m": position,
+            "v_m_per_s": st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)}),
+        "window": st.fixed_dictionaries({"t_start_s": st.floats(-1e-8, 0.0),
+                                         "t_end_s": st.floats(1e-9, 1e-8)})}),
+    st.lists(st.tuples(st.floats(0.0, 2e-7), position), min_size=2, max_size=4,
+             unique_by=lambda row: row[0]).map(
+        lambda rows: over_its_samples([[t, r] for t, r in sorted(rows)])),
+)
+
+
 sagnac_path = st.one_of(
     st.fixed_dictionaries({
         "trajectory": st.fixed_dictionaries({"kind": st.just("straight_line"),
@@ -102,6 +118,22 @@ sagnac_path = st.one_of(
         "window": window}),
     samples(vector(-1e-6, 1e-6), 3, least=2).map(over_its_samples),
 )
+typical_particle = st.fixed_dictionaries(
+    {"alpha0_F_m2": st.floats(1e-33, 1e-31), "omega_s_rad_per_s": st.floats(1e15, 1e16),
+     "omega_rad_per_s": st.lists(st.floats(-1e5, 1e5), min_size=3, max_size=3)},
+    optional={"gamma_rad_per_s": st.floats(0.0, 1e12)},
+)
+
+
+def radius_inside_its_path(doc, fraction):
+    """``doc`` with its particle's radius a ``fraction`` (below 1) of its
+    path's exact closest approach: a run may compute, and must keep its
+    path outside that radius."""
+    traj, window = _path_and_window(doc)
+    doc["particle"]["radius_m"] = fraction * traj.closest_approach(window)
+    return doc
+
+
 oscillation = st.fixed_dictionaries(
     {"r_max_m": num(0.0, 1e-6), "omega_cm_rad_per_s": num(1e3, 1e9)},
     optional={"direction": vector(-1.0, 1.0)},
@@ -124,6 +156,10 @@ def mirror_kinds(window):
 well_formed = st.one_of(
     mirror_kinds(window),
     st.builds(lambda doc, path: {**doc, **path}, kind("Sagnac", particle=particle), sagnac_path),
+    st.builds(radius_inside_its_path,
+              st.builds(lambda doc, path: {**doc, **path},
+                        kind("Sagnac", particle=typical_particle), near_paths),
+              st.floats(0.0, 1.0, exclude_max=True)),
     kind("SagnacStraightLine", particle=particle, y_m=num(1e-8, 1e-6)),
     kind("SagnacSymmetric", particle=particle, y1_m=num(1e-8, 1e-6)),
     kind("DceClosed", oscillation=oscillation),
@@ -223,20 +259,6 @@ def test_generated_scenario_ends_in_documented_exit(tmp_path_factory, document):
 
 
 # -- a Sagnac path against the particle's radius ----------------------------------
-
-position = st.lists(st.floats(-1e-6, 1e-6), min_size=3, max_size=3)
-near_paths = st.one_of(
-    st.fixed_dictionaries({
-        "trajectory": st.fixed_dictionaries({
-            "kind": st.just("straight_line"), "r0_m": position,
-            "v_m_per_s": st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)}),
-        "window": st.fixed_dictionaries({"t_start_s": st.floats(-1e-8, 0.0),
-                                         "t_end_s": st.floats(1e-9, 1e-8)})}),
-    st.lists(st.tuples(st.floats(0.0, 2e-7), position), min_size=2, max_size=4,
-             unique_by=lambda row: row[0]).map(
-        lambda rows: over_its_samples([[t, r] for t, r in sorted(rows)])),
-)
-
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(path=near_paths, ratio=st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0]))

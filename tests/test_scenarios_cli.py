@@ -329,6 +329,16 @@ def test_canonical_json_17_digits():
     assert "0.10000000000000001" in text
 
 
+@pytest.mark.parametrize("text", ['say "hi"', "back\\slash", "\x00\t\n\r\x1f\x7f", "Ωmega ü 😀",
+                                  "lone \ud800 surrogate", ""],
+                         ids=["quote", "backslash", "control", "non-ascii", "lone-surrogate",
+                              "empty"])
+def test_canonical_json_strings_are_json_dumps(text):
+    quoted = json.dumps(text)
+    assert to_canonical_json({text: text}) == f"{{\n  {quoted}: {quoted}\n}}\n"
+    assert to_canonical_json({text: [text]}, compact=True) == f"{{{quoted}:[{quoted}]}}"
+
+
 # -- CLI subprocess --------------------------------------------------------------
 
 def _casq(*args, cwd=None):
@@ -931,13 +941,29 @@ def test_cli_sagnac_path_inside_the_particle_exit_2(tmp_path, capsys, data, mess
     assert out.err == f"error: sagnac_phase: {message}\n"
 
 
+#: Paths whose closest approach overflows to NaN: r0 . v overflows on each
+#: straight line, the squares of each segment on each sampled path. All but
+#: the first pass inside the particle's radius, where no integration node
+#: lands, so they would integrate to 0.
+_NAN_CLOSEST_APPROACH = [
+    _sagnac_line([-1e300, 3e-7, 0.0], [1e300, 0.0, 0.0], {"t_start_s": 0.0, "t_end_s": 2.0}),
+    _sagnac_line([-1e154, 1e-9, 0.0], [1e155, 0.0, 0.0], {"t_start_s": 0.0, "t_end_s": 1.0},
+                 radius_m=1e-7),
+    _sagnac_line([-1e300, 1e-9, 0.0], [1e300, 0.0, 0.0], {"t_start_s": 0.0, "t_end_s": 2.1},
+                 radius_m=1e-7),
+    {**_sampled_sagnac([[0.0, [0.0, 1e-9, -1e200]], [1e-9, [0.0, 1e-9, 1e200]]]),
+     "particle": {**PARTICLE_JSON, "radius_m": 1e-7}},
+    _sampled_sagnac([[0.0, [0.0, 0.0, 1e300]], [1e-9, [0.0, 0.0, 0.0]]]),
+]
+
+
 def test_cli_sagnac_overflowed_closest_approach_exit_3(tmp_path, capsys):
-    # r0 . v overflows, so t* and the closest approach are NaN: the check
-    # passes the path on and the engine reports the blow-up at t = 1 s
-    data = _sagnac_line([-1e300, 3e-7, 0.0], [1e300, 0.0, 0.0], {"t_start_s": 0.0, "t_end_s": 2.0})
-    code, out = _main_run(tmp_path, capsys, data)
-    assert code == 3 and out.out == ""
-    assert out.err == "numerical error: integrate_adaptive: integrand returned -inf at x = 1.0\n"
+    # a NaN closest approach is refused before any integral runs
+    for data in _NAN_CLOSEST_APPROACH:
+        code, out = _main_run(tmp_path, capsys, data)
+        assert code == 3 and out.out == ""
+        assert out.err == ("numerical error: sagnac_phase: closest approach nan: the path's "
+                           "coordinates overflow the float range\n"), data
 
 
 @pytest.mark.parametrize("y", [1e-60, 1e-40])
@@ -954,6 +980,15 @@ def test_cli_sagnac_closest_approach_just_inside_the_float_range_exit_0(tmp_path
     assert code == 0
     report = json.loads(out.out)
     assert report["converged"] is True and math.isfinite(report["value"])
+
+
+def test_cli_sagnac_path_whose_r8_underflows_exit_0(tmp_path, capsys):
+    # |r|^2 >= 1e160 at every node: r^8 overflows and (1/r^2)^4 is 0, not an error
+    code, out = _main_run(tmp_path, capsys, _with("sagnac_numeric.json", "trajectory.r0_m.1", 1e80))
+    assert code == 0, out.err
+    report = json.loads(out.out)
+    assert report["value"] == 0 and report["converged"] is True
+    assert out.err.startswith("casq: warning: NearFieldValidityWarning: closest approach 1e+80 m")
 
 
 @pytest.mark.filterwarnings("ignore::casq.errors.NearFieldValidityWarning")
