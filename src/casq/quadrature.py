@@ -10,7 +10,9 @@ give bit-identical outputs; there is no randomized cubature anywhere.
 The panel (``_gk15``, QUADPACK's ``dqk15``) runs for every 15 integrand
 evaluations, so it is written out node by node rather than as a loop over
 the tables: the same nodes in the same order, and sums that add their
-terms in the loop's order, so every panel has the loop's bits.
+terms in the loop's order, so every panel has the loop's bits. Its one
+check of the 15 values is its own integral of |f|: not finite only when a
+node is NaN or +-inf, or finite values overflow the sum.
 ``tests/test_quadrature.py`` keeps the loop as the reference it is
 checked against.
 
@@ -92,6 +94,8 @@ _WG = (
 _X0, _X1, _X2, _X3, _X4, _X5, _X6 = _XGK[:7]
 _K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
 _G0, _G1, _G2, _G3 = _WG
+#: abscissae of the panel's nodes on [-1, 1], in the order it evaluates them
+_NODES = (0.0, *(u for x in _XGK[:7] for u in (-x, x)))
 
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
@@ -119,84 +123,51 @@ class _Panel:
         self.resabs = resabs  # integral of |f| over the panel, by the Kronrod rule
 
 
-def _nonfinite(ctx: str, fx: float, x: float) -> NonFiniteEvaluation:
-    return NonFiniteEvaluation(f"{ctx}: integrand returned {fx!r} at x = {x!r}")
-
-
 def _gk15(f, a: float, b: float, ctx: str) -> _Panel:
     """One Gauss-Kronrod 7/15 panel on [a, b] with QUADPACK error scaling.
 
-    Raises :class:`NonFiniteEvaluation` at the first node (centre first,
-    then each pair from the outside in) where ``f`` is not finite; no later
-    node is evaluated. Written out node by node, every panel's hottest code:
-    each sum adds its terms in the order of QUADPACK's ``dqk15`` loop, which
-    ``tests/test_quadrature.py`` keeps as the reference.
+    Evaluates all 15 nodes (centre first, then each pair from the outside
+    in), then tests its integral of |f| once: if that is not finite, raises
+    :class:`NonFiniteEvaluation` naming the first non-finite node, if any
+    (finite values that only overflow the sum carry on). Written out node by
+    node, every panel's hottest code: each sum adds its terms in the order
+    of QUADPACK's ``dqk15`` loop, which ``tests/test_quadrature.py`` keeps.
     """
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
 
     fc = f(center)
-    if not isfinite(fc):
-        raise _nonfinite(ctx, fc, center)
     # fl<j>, fr<j>: f at center -/+ half * _XGK[j]
     dx = half * _X0
-    fl0 = f(center - dx)
-    if not isfinite(fl0):
-        raise _nonfinite(ctx, fl0, center - dx)
-    fr0 = f(center + dx)
-    if not isfinite(fr0):
-        raise _nonfinite(ctx, fr0, center + dx)
+    fl0, fr0 = f(center - dx), f(center + dx)
     dx = half * _X1
-    fl1 = f(center - dx)
-    if not isfinite(fl1):
-        raise _nonfinite(ctx, fl1, center - dx)
-    fr1 = f(center + dx)
-    if not isfinite(fr1):
-        raise _nonfinite(ctx, fr1, center + dx)
+    fl1, fr1 = f(center - dx), f(center + dx)
     dx = half * _X2
-    fl2 = f(center - dx)
-    if not isfinite(fl2):
-        raise _nonfinite(ctx, fl2, center - dx)
-    fr2 = f(center + dx)
-    if not isfinite(fr2):
-        raise _nonfinite(ctx, fr2, center + dx)
+    fl2, fr2 = f(center - dx), f(center + dx)
     dx = half * _X3
-    fl3 = f(center - dx)
-    if not isfinite(fl3):
-        raise _nonfinite(ctx, fl3, center - dx)
-    fr3 = f(center + dx)
-    if not isfinite(fr3):
-        raise _nonfinite(ctx, fr3, center + dx)
+    fl3, fr3 = f(center - dx), f(center + dx)
     dx = half * _X4
-    fl4 = f(center - dx)
-    if not isfinite(fl4):
-        raise _nonfinite(ctx, fl4, center - dx)
-    fr4 = f(center + dx)
-    if not isfinite(fr4):
-        raise _nonfinite(ctx, fr4, center + dx)
+    fl4, fr4 = f(center - dx), f(center + dx)
     dx = half * _X5
-    fl5 = f(center - dx)
-    if not isfinite(fl5):
-        raise _nonfinite(ctx, fl5, center - dx)
-    fr5 = f(center + dx)
-    if not isfinite(fr5):
-        raise _nonfinite(ctx, fr5, center + dx)
+    fl5, fr5 = f(center - dx), f(center + dx)
     dx = half * _X6
-    fl6 = f(center - dx)
-    if not isfinite(fl6):
-        raise _nonfinite(ctx, fl6, center - dx)
-    fr6 = f(center + dx)
-    if not isfinite(fr6):
-        raise _nonfinite(ctx, fr6, center + dx)
+    fl6, fr6 = f(center - dx), f(center + dx)
 
     # Python adds left to right: each sum below is the loop's running sum
-    resg = fc * _G3 + _G0 * (fl1 + fr1) + _G1 * (fl3 + fr3) + _G2 * (fl5 + fr5)
-    resk = (fc * _K7 + _K0 * (fl0 + fr0) + _K1 * (fl1 + fr1) + _K2 * (fl2 + fr2)
-            + _K3 * (fl3 + fr3) + _K4 * (fl4 + fr4) + _K5 * (fl5 + fr5) + _K6 * (fl6 + fr6))
     resabs = (abs(fc) * _K7 + _K0 * (abs(fl0) + abs(fr0)) + _K1 * (abs(fl1) + abs(fr1))
               + _K2 * (abs(fl2) + abs(fr2)) + _K3 * (abs(fl3) + abs(fr3))
               + _K4 * (abs(fl4) + abs(fr4)) + _K5 * (abs(fl5) + abs(fr5))
               + _K6 * (abs(fl6) + abs(fr6)))
+    if not isfinite(resabs):
+        for u, fx in zip(_NODES, (fc, fl0, fr0, fl1, fr1, fl2, fr2, fl3, fr3,
+                                  fl4, fr4, fl5, fr5, fl6, fr6)):
+            if not isfinite(fx):
+                # the centre as evaluated: center + half * 0.0 drops a -0.0, is NaN if half is inf
+                x = center + half * u if u else center
+                raise NonFiniteEvaluation(f"{ctx}: integrand returned {fx!r} at x = {x!r}")
+    resg = fc * _G3 + _G0 * (fl1 + fr1) + _G1 * (fl3 + fr3) + _G2 * (fl5 + fr5)
+    resk = (fc * _K7 + _K0 * (fl0 + fr0) + _K1 * (fl1 + fr1) + _K2 * (fl2 + fr2)
+            + _K3 * (fl3 + fr3) + _K4 * (fl4 + fr4) + _K5 * (fl5 + fr5) + _K6 * (fl6 + fr6))
     h = resk * 0.5
     resasc = (_K7 * abs(fc - h) + _K0 * (abs(fl0 - h) + abs(fr0 - h))
               + _K1 * (abs(fl1 - h) + abs(fr1 - h)) + _K2 * (abs(fl2 - h) + abs(fr2 - h))

@@ -538,6 +538,8 @@ def sweep(
     process runs no other threads, which holds for the CLI. The caller resolves the
     species database once; each worker task carries it, and ``pool.map``
     pickles it once per chunk of tasks."""
+    if not values:
+        raise ValidationError("sweep: a sweep needs at least one value")
     # fail fast on a path that resolves nowhere (per-value validation still
     # happens inside the workers)
     _with_value(scenario_data, param, float(values[0]), "<sweep>")

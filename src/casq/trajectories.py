@@ -267,7 +267,10 @@ class SampledPolyline1D(_Sampled, Value):
         i = _bracket(self.times, t)
         t0, t1 = self.times[i], self.times[i + 1]
         z0, z1 = self.values[i], self.values[i + 1]
-        return z0 + (z1 - z0) * (t - t0) / (t1 - t0)
+        # from the nearer sample, so every sample time gives its sample exactly
+        if t - t0 <= t1 - t:
+            return z0 + (z1 - z0) * (t - t0) / (t1 - t0)
+        return z1 + (z0 - z1) * (t1 - t) / (t1 - t0)
 
     def velocity(self, t: float) -> float:
         lo, hi, width = _fd_stencil(self.times, t)
@@ -369,8 +372,12 @@ class SampledPolyline3D(_Sampled, Value):
     def position(self, t: float) -> Vec3:
         i = _bracket(self.times, t)
         t0, t1 = self.times[i], self.times[i + 1]
-        w = (t - t0) / (t1 - t0)
         p0, p1 = self.points[i], self.points[i + 1]
+        # from the nearer sample, so every sample time gives its sample exactly
+        if t - t0 <= t1 - t:
+            w = (t - t0) / (t1 - t0)
+        else:
+            p0, p1, w = p1, p0, (t1 - t) / (t1 - t0)
         return (
             p0[0] + (p1[0] - p0[0]) * w,
             p0[1] + (p1[1] - p0[1]) * w,
@@ -404,13 +411,20 @@ class SampledPolyline3D(_Sampled, Value):
         t0, t1 = window.t_start, window.t_end
         inner = self.points[self._inside(t0, t1)]
         pts = [self.position(t0), *inner, self.position(t1)]
-        return min(_segment_distance(p, sub3(q, p)) for p, q in zip(pts, pts[1:]))
+        return min(_segment_distance(p, q) for p, q in zip(pts, pts[1:]))
 
 
-def _segment_distance(p: Vec3, d: Vec3) -> float:
-    """Distance from the origin to the segment p + s d, 0 <= s <= 1."""
+def _segment_distance(p: Vec3, q: Vec3) -> float:
+    """Distance from the origin to the segment p + s (q - p), 0 <= s <= 1.
+
+    The closest point is taken from the nearer end, so an end that is the
+    closest point gives its own distance exactly.
+    """
+    d = sub3(q, p)
     dd = dot3(d, d)
     s = min(max(-dot3(p, d) / dd, 0.0), 1.0) if dd > 0.0 else 0.0
+    if s > 0.5:
+        return norm3(sub3(q, scale3(1.0 - s, d)))
     return norm3(sub3(p, scale3(-s, d)))
 
 

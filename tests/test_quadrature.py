@@ -262,6 +262,7 @@ def test_panel_evaluates_the_reference_abscissae_in_order():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("k", range(15))
 def test_panel_stops_at_the_first_non_finite_node(k, bad):
+    # the panel evaluates all 15 nodes, then raises naming the non-finite one
     a, b = -0.3, 1.7
     nodes = []
     _reference_gk15(lambda x: nodes.append(x) or 1.0, a, b, "ctx")
@@ -274,7 +275,41 @@ def test_panel_stops_at_the_first_non_finite_node(k, bad):
     with pytest.raises(NonFiniteEvaluation) as err:
         quadrature._gk15(f, a, b, "ctx")
     assert str(err.value) == f"ctx: integrand returned {bad!r} at x = {nodes[k]!r}"
-    assert calls == nodes[:k + 1]
+    assert [float.hex(x) for x in calls] == [float.hex(x) for x in nodes]
+
+
+@pytest.mark.parametrize("a, b", [(-5e-324, 0.0), (-1.7e308, 1.7e308)],
+                         ids=["centre-minus-zero", "width-overflows"])
+def test_panel_names_each_node_as_the_loop_does(a, b):
+    # the centre of the first is -0.0, and the second's half-width is inf:
+    # center + half * 0.0 would name 0.0 and nan
+    for k in range(15):
+        messages = []
+        for panel in (quadrature._gk15, _reference_gk15):
+            calls = []
+
+            def f(x):
+                calls.append(x)
+                return math.nan if len(calls) == k + 1 else 1.0
+
+            with pytest.raises(NonFiniteEvaluation) as err:
+                panel(f, a, b, "ctx")
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], k
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: 1.7e308,
+    lambda x: 1.7e308 if x > 0.4 else -1.7e308,
+    lambda x: -1.7e308 if x > -0.25 else 1.7e308,
+], ids=["constant", "step-up", "step-down"])
+def test_panel_whose_abs_sum_overflows_carries_on(f):
+    # every node finite, but the integral of |f| overflows: no error is raised,
+    # and the panel keeps the loop's bits (its value and estimate may be inf)
+    a, b = -0.3, 1.7
+    got = quadrature._gk15(f, a, b, "ctx")
+    assert not math.isfinite(got.resabs)
+    assert _panel_bits(got) == _panel_bits(_reference_gk15(f, a, b, "ctx"))
 
 
 def _reference_core(f, breaks, sign, spec):

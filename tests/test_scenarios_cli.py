@@ -16,7 +16,7 @@ import pytest
 
 from casq.constants import EPSILON_0, HBAR
 from casq.cli import main
-from casq.errors import BadParameterPath, ParseError, UnitMismatch, UnknownSpecies
+from casq.errors import BadParameterPath, ParseError, UnitMismatch, UnknownSpecies, ValidationError
 from casq.sagnac import SpinningParticle, ell_omega
 from casq.scenarios import (
     emit,
@@ -282,6 +282,11 @@ def test_sweep_nested_path():
         straightline_scenario(3e-7), "particle.omega_rad_per_s.2", [1e5, 2e5], DB
     )
     assert rows[1].report.result.value == pytest.approx(2.0 * rows[0].report.result.value, rel=1e-11)
+
+
+def test_sweep_needs_at_least_one_value():
+    with pytest.raises(ValidationError, match="a sweep needs at least one value"):
+        sweep(straightline_scenario(3e-7), "y_m", [], DB)
 
 
 def test_sweep_orders_nan_values_last():
@@ -943,8 +948,8 @@ def test_cli_sagnac_path_inside_the_particle_exit_2(tmp_path, capsys, data, mess
 
 #: Paths whose closest approach overflows to NaN: r0 . v overflows on each
 #: straight line, the squares of each segment on each sampled path. All but
-#: the first pass inside the particle's radius, where no integration node
-#: lands, so they would integrate to 0.
+#: the first and the last pass inside the particle's radius, where no
+#: integration node lands, so they would integrate to 0.
 _NAN_CLOSEST_APPROACH = [
     _sagnac_line([-1e300, 3e-7, 0.0], [1e300, 0.0, 0.0], {"t_start_s": 0.0, "t_end_s": 2.0}),
     _sagnac_line([-1e154, 1e-9, 0.0], [1e155, 0.0, 0.0], {"t_start_s": 0.0, "t_end_s": 1.0},
@@ -954,6 +959,8 @@ _NAN_CLOSEST_APPROACH = [
     {**_sampled_sagnac([[0.0, [0.0, 1e-9, -1e200]], [1e-9, [0.0, 1e-9, 1e200]]]),
      "particle": {**PARTICLE_JSON, "radius_m": 1e-7}},
     _sampled_sagnac([[0.0, [0.0, 0.0, 1e300]], [1e-9, [0.0, 0.0, 0.0]]]),
+    {**_sampled_sagnac([[0.0, [0.0, 0.0, -1e300]], [1e-9, [3e-7, 4e-7, -1.0]]]),
+     "particle": {**PARTICLE_JSON, "radius_m": 1e-5}},
 ]
 
 
@@ -964,6 +971,18 @@ def test_cli_sagnac_overflowed_closest_approach_exit_3(tmp_path, capsys):
         assert code == 3 and out.out == ""
         assert out.err == ("numerical error: sagnac_phase: closest approach nan: the path's "
                            "coordinates overflow the float range\n"), data
+
+
+def test_cli_sagnac_sampled_path_keeps_its_near_sample_exit_0(tmp_path, capsys):
+    # the last sample, 1 m out, keeps its z next to the far first sample
+    data = {**_sampled_sagnac([[0.0, [0.0, 0.0, -1e150]], [1e-9, [3e-7, 4e-7, -1.0]]]),
+            "particle": {**PARTICLE_JSON, "radius_m": 1e-5}}
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 0, out.err
+    assert "closest approach 1.000000000000125 m" in out.err
+    report = json.loads(out.out)
+    # the segment is radial about the rotation axis, so v . (Omega x r) = 0
+    assert report["value"] == 0 and report["converged"] is True
 
 
 @pytest.mark.parametrize("y", [1e-60, 1e-40])

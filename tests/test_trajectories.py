@@ -52,6 +52,20 @@ def test_sampled_out_of_window():
         tr.position(1.5)
 
 
+@pytest.mark.parametrize("far", [1.0, 1e150, -1e150])
+def test_sampled_position_at_each_sample_time_is_its_sample(far):
+    # interpolation starts from the nearer sample, so a small sample next to
+    # a far one is not lost to rounding
+    times = (0.0, 1e-9, 2e-9, 3e-9)
+    values = (far, 1e-9, 1.0, far)
+    points = ((0.0, 0.0, far), (3e-7, 4e-7, -1.0), (1e-9, far, 2.0), (far, far, 1e-300))
+    tr1 = SampledPolyline1D(times, values)
+    tr3 = SampledPolyline3D(times, points)
+    for t, z, p in zip(times, values, points):
+        assert tr1.position(t) == z
+        assert tr3.position(t) == p
+
+
 def test_breakpoints_are_sample_times_strictly_inside():
     times = (0.0, 1.0, 2.0, 3.0, 4.0)
     tr1 = SampledPolyline1D(times, (1.0, 2.0, 1.0, 2.0, 1.0))
