@@ -42,16 +42,25 @@ _POINTS_MAX = 100_000
 # `sweep` import casq.scenarios when they start, so `species` and argument
 # errors never compile it.
 
+def _write(obj, fmt: str, out: str | None) -> None:
+    """Write a report or sweep table to the file ``out``, or to stdout when
+    there is none ("-" or None), one row at a time."""
+    from .scenarios import _chunks
+
+    if out in (None, "-"):
+        sys.stdout.writelines(_chunks(obj, fmt))
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(_chunks(obj, fmt))
+
+
 def _cmd_run(args) -> int:
-    from .scenarios import emit, parse_scenario_dict, run_scenario
+    from .scenarios import parse_scenario_dict, run_scenario
 
     data = load_json(args.scenario)
     db = resolve_species_db(args.species_db)
     sc = parse_scenario_dict(data, db, source=args.scenario)
-    report = run_scenario(sc)
-    text = emit(report, args.format, args.out)
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
+    _write(run_scenario(sc), args.format, args.out)
     return EXIT_OK
 
 
@@ -88,15 +97,12 @@ def _sweep_values(args) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    from .scenarios import emit, sweep
+    from .scenarios import sweep
 
     data = load_json(args.scenario)
     db = resolve_species_db(args.species_db)
     values = _sweep_values(args)
-    rows = sweep(data, args.param, values, db, jobs=args.jobs)
-    text = emit(rows, args.format, args.out)
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
+    _write(sweep(data, args.param, values, db, jobs=args.jobs), args.format, args.out)
     return EXIT_OK
 
 

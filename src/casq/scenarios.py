@@ -647,6 +647,15 @@ def _csv_row(row: SweepRow) -> str:
     return ",".join(_csv_cell(c) for c in cells) + "\n"
 
 
+def _axis(lo: float, hi: float, length: float):
+    """The map of [lo, hi] onto [0, length]. Where ``length * (hi - lo)``
+    overflows, both ends are first scaled by 2**-11: a power of two scales
+    exactly, so the map is unchanged wherever it was finite."""
+    k = 1.0 if math.isfinite(length * (hi - lo)) else 2.0 ** -11
+    span = (k * hi - k * lo) or 1.0
+    return lambda v: length * (k * v - k * lo) / span
+
+
 def _to_svg(rows: list[SweepRow]) -> str:
     pts = [
         (0.0 if row.param_value is None else row.param_value, row.report.result.value)
@@ -658,16 +667,10 @@ def _to_svg(rows: list[SweepRow]) -> str:
     ys = [p[1] for p in pts] or [0.0]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    xspan = (x1 - x0) or 1.0
-    yspan = (y1 - y0) or 1.0
+    sx = _axis(x0, x1, width - 2 * margin)
+    sy = _axis(y0, y1, height - 2 * margin)
 
-    def sx(x):
-        return margin + (width - 2 * margin) * (x - x0) / xspan
-
-    def sy(y):
-        return height - margin - (height - 2 * margin) * (y - y0) / yspan
-
-    coords = " ".join(f"{sx(x):.8g},{sy(y):.8g}" for x, y in pts)
+    coords = " ".join(f"{margin + sx(x):.8g},{height - margin - sy(y):.8g}" for x, y in pts)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
@@ -687,23 +690,43 @@ def _to_svg(rows: list[SweepRow]) -> str:
     return "".join(lines)
 
 
+def _chunks(obj, fmt: str):
+    """The text of a report or sweep table, in pieces: one for the head of
+    the table, one per row and one for its tail, or one for the whole of a
+    single JSON report or an SVG. Each row is rendered when its piece is
+    asked for, so a writer holds one row's text at a time."""
+    single = isinstance(obj, Report)
+    rows = [SweepRow("", None, obj)] if single else obj
+    if fmt == "csv":
+        yield _CSV_HEADER
+        for row in rows:
+            yield _csv_row(row)
+    elif fmt == "json":
+        if single:
+            yield to_canonical_json(obj.to_dict())
+            return
+        # the frame to_canonical_json writes around {"rows": [...]}
+        yield '{\n  "rows": ['
+        for i, row in enumerate(rows):
+            out = [",\n    " if i else "\n    "]
+            _json_fragment(row.to_dict(), out, 2)
+            yield "".join(out)
+        yield "\n  ]\n}\n" if rows else "]\n}\n"
+    elif fmt == "svg-plotdata":
+        yield _to_svg(rows)
+    else:
+        raise ValueError(f"unknown format {fmt!r} (expected csv, json or svg-plotdata)")
+
+
 def emit(obj, fmt: str, path: str | None = None) -> str:
     """Render a report or sweep table as csv / json / svg-plotdata.
 
     A single report is rendered as the one-row table of a sweep, except in
     JSON, which prints the bare report. Returns the rendered text; writes
-    it to ``path`` when given ("-" means return-only, the CLI prints it).
+    it to ``path`` when given ("-" means return-only). The CLI writes the
+    same text row by row, never holding all of it.
     """
-    single = isinstance(obj, Report)
-    rows = [SweepRow("", None, obj)] if single else obj
-    if fmt == "csv":
-        text = _CSV_HEADER + "".join(_csv_row(row) for row in rows)
-    elif fmt == "json":
-        text = to_canonical_json(obj.to_dict() if single else {"rows": [r.to_dict() for r in rows]})
-    elif fmt == "svg-plotdata":
-        text = _to_svg(rows)
-    else:
-        raise ValueError(f"unknown format {fmt!r} (expected csv, json or svg-plotdata)")
+    text = "".join(_chunks(obj, fmt))
     if path is not None and path != "-":
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

@@ -499,6 +499,31 @@ def _write_json(tmp_path, data):
     return str(p)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_sweep_prints_the_bytes_it_writes(tmp_path, fmt):
+    # three rows, one of them an error
+    argv = [sys.executable, "-m", "casq", "sweep", _scenario_path("sagnac_straightline.json"),
+            "--param", "y_m", "--values=1e-7,nan,3e-7", "--format", fmt]
+    printed = subprocess.run(argv, capture_output=True, check=True).stdout
+    out = tmp_path / f"sweep.{fmt}"
+    written = subprocess.run(argv + ["--out", str(out)], capture_output=True, check=True)
+    assert written.stdout == b""
+    assert out.read_bytes() == printed
+    rows = json.loads(printed)["rows"] if fmt == "json" else printed.splitlines()[1:]
+    assert len(rows) == 3
+
+
+@pytest.mark.parametrize("end", ["1e306", "1e308"])
+def test_cli_svg_of_a_range_beyond_the_float_range_stays_on_the_plot(tmp_path, capsys, end):
+    # 520 * (x1 - x0) overflows at +-1e306, and x1 - x0 itself at +-1e308
+    data = _with("dce_numeric.json", "oscillation.direction", [1.0, 0.0, 0.0])
+    capsys.readouterr()
+    argv = ["sweep", _write_json(tmp_path, data), "--param", "oscillation.direction.0",
+            f"--values=-{end},{end}", "--format", "svg-plotdata"]
+    assert main(argv) == 0
+    assert 'points="60,420 580,420"' in capsys.readouterr().out
+
+
 def test_cli_symmetric_nonpositive_y1_exit_2(tmp_path):
     data = json.loads(files("casq.data").joinpath("scenarios/sagnac_symmetric.json").read_text())
     data["y1_m"] = -1e-7
