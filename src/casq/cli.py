@@ -67,10 +67,7 @@ def _cmd_run(args) -> int:
 def _sweep_values(args) -> list[float]:
     try:
         if args.values:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            if not values:
-                raise ValidationError("--values: a sweep needs at least one value")
-            return values
+            return [float(v) for v in args.values.split(",") if v.strip()]
         missing = [
             name
             for name, val in (("--from", args.start), ("--to", args.stop), ("--points", args.points))

@@ -21,6 +21,10 @@ The motional term is the finite-interaction-time correction and is smaller
 than phi_qs by O(v/c); the nonlocal term is geometric: reparametrizing
 time drops out of (zdot dt) and reversing both paths flips its sign.
 
+The motional phase's leading-order local form, a total derivative, is
+exact; each phase integral over the scenario window is one
+:func:`integrate_over_window` call.
+
 Each integrated window is checked once, exactly, before its integral runs:
 a :class:`MirrorScenario` checks its paths over its window, and each delay
 window [t, t + tau(t)] of the motional term, which reaches past it, is
@@ -34,11 +38,11 @@ import warnings
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR, Z_MIN_DEFAULT
 from .errors import NonPositiveDistance, ParallelVelocityMismatchWarning
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, integrate_over_window
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
 from .trajectories import (TimeWindow, light_delay, validate_positive_between,
                            validate_positive_over_window)
-from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, check_fields, set_field
+from .value import IntegralResult, QuadratureSpec, Value, check_fields, set_field
 
 __all__ = [
     "MirrorScenario",
@@ -89,26 +93,19 @@ def _c3(species: AtomSpecies) -> float:
     return mean_square_dipole(species) / (48.0 * math.pi * EPSILON_0)
 
 
-def _integrate_window(f, window: TimeWindow, spec: QuadratureSpec, *paths):
-    """Integral of f over the bounded window, with the paths' kinks on panel edges."""
-    breaks = [t for p in paths for t in p.breakpoints(window.t_start, window.t_end)]
-    return integrate_adaptive(f, window.t_start, window.t_end, spec, breaks)
-
-
 def quasi_static_phase(
     scenario: MirrorScenario,
     path_index: int = 0,
     spec: QuadratureSpec | None = None,
 ) -> IntegralResult:
     """phi_qs = -(1/hbar) int U(z(t)) dt along one path."""
-    spec = spec or DEFAULT_SPEC
     traj = scenario.paths[path_index]
     c3 = _c3(scenario.species)
 
     def integrand(t: float) -> float:
         return c3 / (HBAR * traj.position(t) ** 3)  # = -U/hbar
 
-    res = _integrate_window(integrand, scenario.window, spec, traj)
+    res = integrate_over_window(integrand, scenario.window, spec, traj)
     return res.replace(breakdown={"quasi_static": res.value})
 
 
@@ -153,11 +150,12 @@ def motional_phase_mirror(
     """phi_mot = -(1/hbar) int (Ubar - U) dt along one path.
 
     The breakdown also reports the first-order-in-velocity local form
-    -(3 C3 / hbar c) int zdot / z^3 dt and the ratio of the full result to
-    it; the two agree up to O((v/c)^2) but carry no exact common prefactor,
-    so both are reported instead of asserting equality.
+    -(3 C3 / hbar c) int zdot / z^3 dt, exactly, as (3 C3 / 2 hbar c)
+    (1/z(t1)^2 - 1/z(t0)^2) (z is continuous on every path kind), and the
+    ratio of the full result to it; the two agree up to O((v/c)^2) but carry
+    no exact common prefactor, so both are reported instead of asserting
+    equality.
     """
-    spec = spec or DEFAULT_SPEC
     traj = scenario.paths[path_index]
     c3 = _c3(scenario.species)
     inner_evals = [0]
@@ -169,21 +167,14 @@ def motional_phase_mirror(
             return 0.0
         return -(ubar - u_t) / HBAR
 
-    res = _integrate_window(integrand, scenario.window, spec, traj)
-
-    def lead_integrand(t: float) -> float:
-        return -(3.0 * c3 / (HBAR * C_LIGHT)) * traj.velocity(t) / traj.position(t) ** 3
-
-    lead = _integrate_window(lead_integrand, scenario.window, spec, traj)
-
-    breakdown = {"motional": res.value, "leading_order_local": lead.value}
-    if lead.value != 0.0:
-        breakdown["ratio_to_leading"] = res.value / lead.value
-    return res.replace(
-        evaluations=res.evaluations + inner_evals[0] + lead.evaluations,
-        converged=res.converged and lead.converged,
-        breakdown=breakdown,
-    )
+    res = integrate_over_window(integrand, scenario.window, spec, traj)
+    w = scenario.window
+    lead = (3.0 * c3 / (2.0 * HBAR * C_LIGHT)) * (1.0 / traj.position(w.t_end) ** 2
+                                                  - 1.0 / traj.position(w.t_start) ** 2)
+    breakdown = {"motional": res.value, "leading_order_local": lead}
+    if lead != 0.0:
+        breakdown["ratio_to_leading"] = res.value / lead
+    return res.replace(evaluations=res.evaluations + inner_evals[0], breakdown=breakdown)
 
 
 def nonlocal_phase(
@@ -196,7 +187,6 @@ def nonlocal_phase(
     Antisymmetric under swapping the paths; invariant under a common time
     reparametrization; flips sign when both paths are reversed.
     """
-    spec = spec or DEFAULT_SPEC
     if len(scenario.paths) != 2:
         raise ValueError("the nonlocal phase needs a scenario with exactly two paths")
     tr = two_level_transition(scenario.species)
@@ -214,7 +204,7 @@ def nonlocal_phase(
     def integrand(t: float) -> float:
         return k * (p1.velocity(t) - p2.velocity(t)) / (p1.position(t) + p2.position(t)) ** 3
 
-    res = _integrate_window(integrand, scenario.window, spec, p1, p2)
+    res = integrate_over_window(integrand, scenario.window, spec, p1, p2)
     return res.replace(breakdown={"nonlocal": res.value})
 
 
@@ -223,7 +213,6 @@ def total_phase_difference(
     spec: QuadratureSpec | None = None,
 ) -> IntegralResult:
     """Total two-path observable: (phi1_qs + phi1_mot) - (phi2_qs + phi2_mot) + phi_12."""
-    spec = spec or DEFAULT_SPEC
     # first: it refuses one path or a species not two-level before any other phase runs
     nl = nonlocal_phase(scenario, spec)
     qs1 = quasi_static_phase(scenario, 0, spec)

@@ -351,25 +351,24 @@ def integrate_improper(
 
 def integrate_over_window(
     f: Callable[[float], float],
-    traj,
     window,
     spec: QuadratureSpec | None = None,
+    *paths,
 ) -> IntegralResult:
-    """Time integral of ``f`` over a path's window.
+    """Time integral of ``f`` over a window: the one window integrator.
 
-    An improper window goes to :func:`integrate_improper`, centred and
-    scaled by the path's ``improper_time_scale()`` (the window's
-    ``improper`` flag is the caller's decay certification); a bounded one
-    to :func:`integrate_adaptive`, with the path's ``breakpoints`` in the
-    window as panel edges.
+    Pass every path whose kinks are kinks of ``f``. A bounded window goes
+    to :func:`integrate_adaptive`, with the ``breakpoints`` of each path
+    in the window as panel edges; an improper one to
+    :func:`integrate_improper`, centred and scaled by the first path's
+    ``improper_time_scale()`` (the window's ``improper`` flag is the
+    caller's decay certification).
     """
     if window.improper:
-        center, scale = traj.improper_time_scale()
+        center, scale = paths[0].improper_time_scale()
         return integrate_improper(f, spec, center=center, scale=scale)
-    return integrate_adaptive(
-        f, window.t_start, window.t_end, spec,
-        traj.breakpoints(window.t_start, window.t_end),
-    )
+    t0, t1 = window.t_start, window.t_end
+    return integrate_adaptive(f, t0, t1, spec, [t for p in paths for t in p.breakpoints(t0, t1)])
 
 
 def line_integral(
@@ -389,7 +388,7 @@ def line_integral(
     def integrand(t: float) -> float:
         return dot3(traj.velocity(t), field(traj.position(t)))
 
-    return integrate_over_window(integrand, traj, window, spec)
+    return integrate_over_window(integrand, window, spec, traj)
 
 
 #: Per-level tightening factor for iterated integrals, so inner-level noise

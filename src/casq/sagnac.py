@@ -50,7 +50,7 @@ from .errors import (
 from .quadrature import integrate_over_window
 from .species import POLE_GUARD_DEFAULT, AtomSpecies, two_level_transition
 from .trajectories import TimeWindow
-from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec, Value, check_fields, set_field
+from .value import IntegralResult, QuadratureSpec, Value, check_fields, set_field
 from .vec3 import Vec3, norm3, vec3
 
 __all__ = [
@@ -167,7 +167,6 @@ def sagnac_phase(
     :class:`NearFieldValidityWarning` far out. Where r^8 overflows, r^-8 is
     taken as (1/r^2)^4, which is subnormal or 0 there.
     """
-    spec = spec or DEFAULT_SPEC
     pref = _prefactor(species, particle)
 
     d = traj.closest_approach(window)
@@ -209,7 +208,7 @@ def sagnac_phase(
         return (vx * ((oy * rz - oz * ry) * w) + vy * ((oz * rx - ox * rz) * w)
                 + vz * ((ox * ry - oy * rx) * w))
 
-    res = integrate_over_window(integrand, traj, window, spec)
+    res = integrate_over_window(integrand, window, spec, traj)
     return res.replace(
         value=pref * res.value,
         error_estimate=abs(pref) * res.error_estimate,

@@ -718,16 +718,11 @@ def _chunks(obj, fmt: str):
         raise ValueError(f"unknown format {fmt!r} (expected csv, json or svg-plotdata)")
 
 
-def emit(obj, fmt: str, path: str | None = None) -> str:
+def emit(obj, fmt: str) -> str:
     """Render a report or sweep table as csv / json / svg-plotdata.
 
     A single report is rendered as the one-row table of a sweep, except in
-    JSON, which prints the bare report. Returns the rendered text; writes
-    it to ``path`` when given ("-" means return-only). The CLI writes the
-    same text row by row, never holding all of it.
+    JSON, which prints the bare report. Returns the rendered text; the CLI
+    writes the same text row by row, never holding all of it.
     """
-    text = "".join(_chunks(obj, fmt))
-    if path is not None and path != "-":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    return "".join(_chunks(obj, fmt))

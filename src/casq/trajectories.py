@@ -267,10 +267,11 @@ class SampledPolyline1D(_Sampled, Value):
         i = _bracket(self.times, t)
         t0, t1 = self.times[i], self.times[i + 1]
         z0, z1 = self.values[i], self.values[i + 1]
-        # from the nearer sample, so every sample time gives its sample exactly
+        # from the nearer sample, so every sample time gives its sample
+        # exactly; the weight first, so (z1 - z0) * (t - t0) cannot overflow
         if t - t0 <= t1 - t:
-            return z0 + (z1 - z0) * (t - t0) / (t1 - t0)
-        return z1 + (z0 - z1) * (t1 - t) / (t1 - t0)
+            return z0 + (z1 - z0) * ((t - t0) / (t1 - t0))
+        return z1 + (z0 - z1) * ((t1 - t) / (t1 - t0))
 
     def velocity(self, t: float) -> float:
         lo, hi, width = _fd_stencil(self.times, t)

@@ -169,7 +169,25 @@ def test_motional_linear_leading_order_oracle():
     delta = 1.0 / h**2 - 1.0 / (h + v * t_end) ** 2
     lead = -(3.0 * C3 / (2.0 * HBAR * C_LIGHT)) * delta
     assert res.value == pytest.approx(lead, rel=20.0 * v / C_LIGHT)
-    assert res.breakdown["leading_order_local"] == pytest.approx(lead, rel=1e-9)
+    assert abs(res.breakdown["leading_order_local"] - lead) <= 4.0 * math.ulp(lead)
+
+
+@pytest.mark.parametrize("traj", [
+    Constant1D(1e-6),
+    Linear1D(1e-6, 3e4),
+    Harmonic1D(1e-6, 2e-7, 2e9),
+    # the local form of a sampled path integrated its central-difference
+    # velocity and read -3.2083e-13 where the exact value is -3.3037e-13
+    SampledPolyline1D((0.0, 1e-9, 2e-9, 3e-9), (1e-6, 1.2e-6, 1.1e-6, 1.05e-6)),
+], ids=["constant", "linear", "harmonic", "sampled"])
+def test_motional_leading_order_is_the_exact_antiderivative(traj):
+    # -(3 C3 / hbar c) int zdot / z^3 dt = (3 C3 / 2 hbar c) (1/z(t1)^2 - 1/z(t0)^2)
+    t0, t1 = 0.0, 3e-9
+    scen = MirrorScenario(TWO_LEVEL, (traj,), TimeWindow(t0, t1))
+    res = motional_phase_mirror(scen, 0, QuadratureSpec(rel_tol=1e-10))
+    z0, z1 = traj.position(t0), traj.position(t1)
+    exact = (3.0 * C3 / (2.0 * HBAR * C_LIGHT)) * (1.0 / z1**2 - 1.0 / z0**2)
+    assert abs(res.breakdown["leading_order_local"] - exact) <= 4.0 * math.ulp(exact)
 
 
 def test_motional_antisymmetric_in_velocity_at_leading_order():
@@ -323,14 +341,18 @@ def test_total_far_field_decoupling():
 
 def test_sampled_paths_put_their_samples_on_panel_edges(monkeypatch):
     import casq.mirror_phases as mp
+    import casq.quadrature as quadrature
 
     seen = []
-    engine = mp.integrate_adaptive
+    engine = quadrature.integrate_adaptive
 
     def spy(f, a, b, spec=None, breaks=()):
         seen.append(sorted(set(breaks)))
         return engine(f, a, b, spec, breaks)
 
+    # the window integrals run through quadrature.integrate_over_window,
+    # the delay averages call the engine from mirror_phases
+    monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
     monkeypatch.setattr(mp, "integrate_adaptive", spy)
     p1 = SampledPolyline1D((0.0, 1e-9, 2e-9, 3e-9), (1e-6, 1.2e-6, 1.1e-6, 1e-6))
     p2 = SampledPolyline1D((0.0, 1.5e-9, 3e-9), (1.3e-6, 1.4e-6, 1.3e-6))
@@ -342,9 +364,9 @@ def test_sampled_paths_put_their_samples_on_panel_edges(monkeypatch):
     assert seen == [[1e-9, 1.5e-9, 2e-9]]
     seen.clear()
     motional_phase_mirror(scen, 0)
-    # the outer and the leading-order integral; the delay averages seen
-    # here are the ones whose short window holds no sample
-    assert seen.count([1e-9, 2e-9]) == 2
+    # the outer integral (the leading-order term is exact); the delay
+    # averages seen here are the ones whose short window holds no sample
+    assert seen.count([1e-9, 2e-9]) == 1
     assert all(b in ([], [1e-9, 2e-9]) for b in seen)
     # a delay window [t, t + tau] across the sample at 1 ns
     seen.clear()

@@ -305,13 +305,12 @@ def test_sweep_leaves_the_document_unchanged():
 
 # -- emission --------------------------------------------------------------------
 
-def test_emit_csv_shape(tmp_path):
+def test_emit_csv_shape():
     report = run_scenario(parse_scenario_dict(minimal_quasi_static(), DB))
-    text = emit(report, "csv", str(tmp_path / "out.csv"))
+    text = emit(report, "csv")
     lines = text.strip().split("\n")
     assert len(lines) == 2
     assert lines[0].startswith("scenario_kind,species,param_name,param_value")
-    assert (tmp_path / "out.csv").read_text() == text
 
 
 def test_emit_json_round_trip():
@@ -320,9 +319,9 @@ def test_emit_json_round_trip():
     assert json.loads(text) == report.to_dict()
 
 
-def test_emit_svg_wellformed(tmp_path):
+def test_emit_svg_wellformed():
     rows = sweep(straightline_scenario(3e-7), "y_m", [3e-7, 4e-7, 5e-7], DB)
-    text = emit(rows, "svg-plotdata", str(tmp_path / "plot.svg"))
+    text = emit(rows, "svg-plotdata")
     root = ET.fromstring(text)
     polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
     assert len(polylines) == 1
@@ -827,6 +826,17 @@ def test_cli_extreme_finite_input_exit_code(tmp_path, capsys, name, path, code, 
     assert message in out.err
 
 
+def test_cli_sampled_path_of_huge_heights_is_out_of_window(tmp_path, capsys):
+    # interpolating 1e300 m over 1e10 s must not overflow to -inf and blame
+    # z: the run's true refusal is the delay window past the last sample
+    data = {"kind": "MotionalMirror", "species": "two-level-demo",
+            "path": {"kind": "sampled", "points_t_s_z_m": [[0.0, 1e300], [1e10, 1e-6]]},
+            "window": {"t_start_s": 0.0, "t_end_s": 1e10}}
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 2 and out.out == ""
+    assert "exceeds sample range" in out.err and "inf" not in out.err
+
+
 def test_cli_sweep_records_overflow_row(tmp_path, capsys):
     capsys.readouterr()
     argv = ["sweep", _scenario_path("quasi_static_linear.json"),
@@ -1083,6 +1093,7 @@ def _engine_must_not_run(monkeypatch):
         pytest.fail("an integral ran")
 
     monkeypatch.setattr("casq.mirror_phases.integrate_adaptive", must_not_run)
+    monkeypatch.setattr("casq.quadrature.integrate_adaptive", must_not_run)
     monkeypatch.setattr("casq.quadrature.integrate_improper", must_not_run)
 
 
@@ -1242,7 +1253,7 @@ def _main_sweep(capsys, scenario, param, values="1e-7,2e-7"):
 
 def test_cli_sweep_empty_values_exit_2(capsys):
     code, out = _main_sweep(capsys, _scenario_path("sagnac_straightline.json"), "y_m", ",")
-    assert code == 2 and "--values" in out.err and out.out == ""
+    assert code == 2 and "a sweep needs at least one value" in out.err and out.out == ""
 
 
 @pytest.mark.parametrize("index", ["-3", "+1"])
