@@ -25,10 +25,11 @@ The motional phase's leading-order local form, a total derivative, is
 exact; each phase integral over the scenario window is one
 :func:`integrate_over_window` call.
 
-Each integrated window is checked once, exactly, before its integral runs:
-a :class:`MirrorScenario` checks its paths over its window, and each delay
-window [t, t + tau(t)] of the motional term, which reaches past it, is
-checked before its inner integral. The integrands read z(t) unguarded.
+Each span of a path that a phase reads is checked once, exactly, before
+its integral runs: a :class:`MirrorScenario` checks its window, and a
+motional phase the reach [t_end, t_end + tau(t_end)] of its delay windows
+[t, t + tau(t)]. As d(t + tau)/dt = 1 + 2 zdot/c, only a path nearing the
+mirror faster than c/2 reads past the reach; its integrand checks that span.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ import math
 import warnings
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR, Z_MIN_DEFAULT
-from .errors import NonPositiveDistance, ParallelVelocityMismatchWarning
+from .errors import (ImproperWindow, NonConvergent, NonPositiveDistance,
+                     ParallelVelocityMismatchWarning)
 from .quadrature import integrate_adaptive, integrate_over_window
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
-from .trajectories import (TimeWindow, light_delay, validate_positive_between,
-                           validate_positive_over_window)
+from .trajectories import TimeWindow, light_delay, validate_positive_between
 from .value import IntegralResult, QuadratureSpec, Value, check_fields, set_field
 
 __all__ = [
@@ -73,8 +74,11 @@ class MirrorScenario(Value):
         paths = tuple(paths)
         if not 1 <= len(paths) <= 2:
             raise ValueError(f"MirrorScenario: need 1 or 2 paths, got {len(paths)}")
+        if window.improper:
+            raise ImproperWindow("mirror phases need a bounded window: over all time the "
+                                 "phases of a path kept off the mirror diverge")
         for p in paths:
-            validate_positive_over_window(p, window, z_min=z_min)
+            validate_positive_between(p, window.t_start, window.t_end, z_min)
         set_field(self, "species", species)
         set_field(self, "paths", paths)
         set_field(self, "window", window)
@@ -109,23 +113,22 @@ def quasi_static_phase(
     return res.replace(breakdown={"quasi_static": res.value})
 
 
-def _delay_average(c3: float, traj, t: float, z_min: float):
-    """U(t), its average Ubar(t) over [t, t + tau(t)] and the evaluations
-    the average took; Ubar is None when the delay window is below float
-    resolution at t. The path is checked over the delay window first."""
-    z = traj.position(t)
-    t_hi = t + light_delay(z)
-    validate_positive_between(traj, t, t_hi, z_min)
-    u_t = -c3 / z**3
+def _delay_average(c3: float, traj, t: float, t_hi: float):
+    """Ubar(t), the average of U over the checked delay window [t, t_hi],
+    and the evaluations it took; Ubar is None when the window is below
+    float resolution at t."""
     # normalize by the realized float width of [t, t + tau]: dividing by the
     # exact tau instead would inject a spurious eps*t/tau relative offset
     tau_eff = t_hi - t
     if tau_eff <= 0.0:
-        return u_t, None, 0
+        return None, 0
     # a sample time inside the delay window is a kink of U(z(t'))
     avg = integrate_adaptive(lambda tp: -c3 / traj.position(tp) ** 3, t, t_hi, _INNER_SPEC,
                              traj.breakpoints(t, t_hi))
-    return u_t, avg.value / tau_eff, avg.evaluations
+    if not avg.converged:
+        raise NonConvergent(f"delay average over [{t!r}, {t_hi!r}] missed its tolerance "
+                            f"(value={avg.value!r}, error_estimate={avg.error_estimate!r})")
+    return avg.value / tau_eff, avg.evaluations
 
 
 def coarse_grained_potential(
@@ -138,8 +141,11 @@ def coarse_grained_potential(
     :class:`OutOfWindow` rather than clamping, because clamping would bias
     the motional phase near window edges.
     """
-    u_t, ubar, _ = _delay_average(_c3(species), traj, t, z_min)
-    return u_t if ubar is None else ubar
+    c3, z = _c3(species), traj.position(t)
+    t_hi = t + light_delay(z)
+    validate_positive_between(traj, t, t_hi, z_min)
+    ubar, _ = _delay_average(c3, traj, t, t_hi)
+    return -c3 / z**3 if ubar is None else ubar
 
 
 def motional_phase_mirror(
@@ -158,17 +164,24 @@ def motional_phase_mirror(
     """
     traj = scenario.paths[path_index]
     c3 = _c3(scenario.species)
+    w = scenario.window
+    # the scenario checked [t_start, t_end]; the delay windows read on to here
+    reach = w.t_end + light_delay(traj.position(w.t_end))
+    validate_positive_between(traj, w.t_end, reach, scenario.z_min)
     inner_evals = [0]
 
     def integrand(t: float) -> float:
-        u_t, ubar, evals = _delay_average(c3, traj, t, scenario.z_min)
+        z = traj.position(t)
+        t_hi = t + light_delay(z)
+        if t_hi > reach:  # the path nears the mirror faster than c/2
+            validate_positive_between(traj, reach, t_hi, scenario.z_min)
+        ubar, evals = _delay_average(c3, traj, t, t_hi)
         inner_evals[0] += evals
         if ubar is None:
             return 0.0
-        return -(ubar - u_t) / HBAR
+        return -(ubar + c3 / z**3) / HBAR  # -(Ubar - U) / hbar, U = -C3 / z^3
 
-    res = integrate_over_window(integrand, scenario.window, spec, traj)
-    w = scenario.window
+    res = integrate_over_window(integrand, w, spec, traj)
     lead = (3.0 * c3 / (2.0 * HBAR * C_LIGHT)) * (1.0 / traj.position(w.t_end) ** 2
                                                   - 1.0 / traj.position(w.t_start) ** 2)
     breakdown = {"motional": res.value, "leading_order_local": lead}

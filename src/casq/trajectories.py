@@ -28,9 +28,8 @@ the same geometric path at a new pace to the kind's ``_reparametrized`` and
 ``_reversed``, exact on the analytic kinds, which is what the
 geometric-phase invariance tests lean on. :func:`validate_positive_between`
 checks the points a 1D kind's ``_lowest(t0, t1)`` names as candidates for its
-minimum over [t0, t1]; :func:`validate_positive_over_window` first refuses an
-all-time window. A 3D kind gives its exact ``closest_approach(window)`` to the
-origin and the ``improper_time_scale()`` of an all-time line integral.
+minimum over [t0, t1]. A 3D kind gives its exact ``closest_approach(window)``
+to the origin and the ``improper_time_scale()`` of an all-time line integral.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "reparametrize_window",
     "reverse",
     "light_delay",
-    "validate_positive_over_window",
     "validate_positive_between",
 ]
 
@@ -65,7 +63,7 @@ class TimeWindow(Value):
 
     ``improper=True`` means (-inf, inf), the window of an all-time Sagnac
     line integral along a straight line, whose integrand decays as r^-7.
-    Mirror phases refuse it (:func:`validate_positive_over_window`).
+    Mirror phases refuse it (:class:`casq.mirror_phases.MirrorScenario`).
     """
 
     __slots__ = ("t_start", "t_end", "improper")
@@ -469,15 +467,6 @@ def reverse(traj, window: TimeWindow):
     if window.improper:
         raise ImproperWindow("reverse requires a bounded window")
     return traj._reversed(window.t_start + window.t_end)
-
-
-def validate_positive_over_window(traj, window: TimeWindow, z_min: float = 0.0) -> None:
-    """:func:`validate_positive_between` over a bounded window; an all-time
-    window raises :class:`ImproperWindow` before the path is asked anything."""
-    if window.improper:
-        raise ImproperWindow("mirror phases need a bounded window: over all time the "
-                             "phases of a path kept off the mirror diverge")
-    validate_positive_between(traj, window.t_start, window.t_end, z_min)
 
 
 def validate_positive_between(traj, t0: float, t1: float, z_min: float = 0.0) -> None:

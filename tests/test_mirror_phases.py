@@ -7,8 +7,10 @@ import pytest
 from casq.constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
 from casq.errors import (
     CollisionGuard,
+    NonConvergent,
     NonPositiveDistance,
     NotTwoLevel,
+    OutOfWindow,
     ParallelVelocityMismatchWarning,
 )
 from casq.mirror_phases import (
@@ -177,8 +179,9 @@ def test_motional_linear_leading_order_oracle():
     Linear1D(1e-6, 3e4),
     Harmonic1D(1e-6, 2e-7, 2e9),
     # the local form of a sampled path integrated its central-difference
-    # velocity and read -3.2083e-13 where the exact value is -3.3037e-13
-    SampledPolyline1D((0.0, 1e-9, 2e-9, 3e-9), (1e-6, 1.2e-6, 1.1e-6, 1.05e-6)),
+    # velocity and read -3.2083e-13 where the exact value is -3.3037e-13;
+    # the sample at 4 ns covers the delay windows past the window end
+    SampledPolyline1D((0.0, 1e-9, 2e-9, 3e-9, 4e-9), (1e-6, 1.2e-6, 1.1e-6, 1.05e-6, 1e-6)),
 ], ids=["constant", "linear", "harmonic", "sampled"])
 def test_motional_leading_order_is_the_exact_antiderivative(traj):
     # -(3 C3 / hbar c) int zdot / z^3 dt = (3 C3 / 2 hbar c) (1/z(t1)^2 - 1/z(t0)^2)
@@ -303,6 +306,46 @@ def test_delay_window_past_the_window_is_checked_at_its_lowest_sample():
                                f"below the near-contact cutoff {0.9e-6!r}")
 
 
+@pytest.mark.parametrize("rel_tol", [1e-8, 1e-10, 1e-12])
+def test_motional_on_a_window_ending_at_the_last_sample_is_out_of_window(rel_tol):
+    # the delay windows of the last outer nodes read past the last sample;
+    # whether a node landed there used to depend on the tolerance
+    traj = SampledPolyline1D((0.0, 1.5e-9, 3e-9), (1e-6, 1.2e-6, 1.05e-6))
+    scen = MirrorScenario(TWO_LEVEL, (traj,), TimeWindow(0.0, 3e-9))
+    with pytest.raises(OutOfWindow, match="exceeds sample range"):
+        motional_phase_mirror(scen, 0, QuadratureSpec(rel_tol=rel_tol, max_subdivisions=5000))
+
+
+def test_motional_checks_its_window_and_its_reach_once(monkeypatch):
+    # a path nearing the mirror slower than c/2: its last delay window ends
+    # furthest out, so one check past the window covers every delay window
+    import casq.mirror_phases as mp
+
+    spans = []
+    check = mp.validate_positive_between
+
+    def spy(traj, t0, t1, z_min=0.0):
+        spans.append((t0, t1))
+        return check(traj, t0, t1, z_min)
+
+    monkeypatch.setattr(mp, "validate_positive_between", spy)
+    traj = Harmonic1D(1e-6, 2e-7, 2e9)
+    scen = MirrorScenario(TWO_LEVEL, (traj,), TimeWindow(0.0, 3e-9))
+    res = motional_phase_mirror(scen, 0, QuadratureSpec(rel_tol=1e-10))
+    assert res.converged and res.evaluations > 1000
+    assert spans == [(0.0, 3e-9), (3e-9, 3e-9 + light_delay(traj.position(3e-9)))]
+
+
+def test_motional_delay_average_that_misses_its_tolerance_raises():
+    # 79 delay averages missed their tolerance inside a result reported as
+    # converged; the first one now ends the run, named with its window
+    traj = Harmonic1D(1e-6, 8e-7, 3e15)
+    scen = MirrorScenario(TWO_LEVEL, (traj,), TimeWindow(0.0, 1e-15))
+    with pytest.raises(NonConvergent, match=r"^delay average over \[.*\] missed its "
+                                            r"tolerance \(value=.*, error_estimate=.*\)$"):
+        motional_phase_mirror(scen, 0, QuadratureSpec(rel_tol=1e-4, max_subdivisions=50))
+
+
 # -- total ----------------------------------------------------------------------
 
 def test_total_identical_paths():
@@ -354,7 +397,8 @@ def test_sampled_paths_put_their_samples_on_panel_edges(monkeypatch):
     # the delay averages call the engine from mirror_phases
     monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
     monkeypatch.setattr(mp, "integrate_adaptive", spy)
-    p1 = SampledPolyline1D((0.0, 1e-9, 2e-9, 3e-9), (1e-6, 1.2e-6, 1.1e-6, 1e-6))
+    # the sample at 4 ns covers p1's motional delay windows past 3 ns
+    p1 = SampledPolyline1D((0.0, 1e-9, 2e-9, 3e-9, 4e-9), (1e-6, 1.2e-6, 1.1e-6, 1e-6, 1e-6))
     p2 = SampledPolyline1D((0.0, 1.5e-9, 3e-9), (1.3e-6, 1.4e-6, 1.3e-6))
     scen = MirrorScenario(TWO_LEVEL, (p1, p2), TimeWindow(0.0, 3e-9))
     quasi_static_phase(scen, 1)

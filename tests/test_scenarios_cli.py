@@ -837,6 +837,19 @@ def test_cli_sampled_path_of_huge_heights_is_out_of_window(tmp_path, capsys):
     assert "exceeds sample range" in out.err and "inf" not in out.err
 
 
+def test_cli_delay_average_that_misses_its_tolerance_exits_3(tmp_path, capsys):
+    # a motional phase whose delay averages miss their tolerance used to
+    # exit 0 with "converged": true
+    data = {"kind": "MotionalMirror", "species": "two-level-demo",
+            "path": {"kind": "harmonic", "h_m": 1e-6, "amplitude_m": 8e-7,
+                     "omega_cm_rad_per_s": 3e15},
+            "window": {"t_start_s": 0.0, "t_end_s": 1e-15},
+            "quadrature": {"rel_tol": 1e-4, "max_subdivisions": 50}}
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 3 and out.out == ""
+    assert "delay average over [" in out.err and "error_estimate=" in out.err
+
+
 def test_cli_sweep_records_overflow_row(tmp_path, capsys):
     capsys.readouterr()
     argv = ["sweep", _scenario_path("quasi_static_linear.json"),

@@ -11,6 +11,8 @@ import pytest
 import casq
 from casq.constants import C_LIGHT
 from casq.errors import CollisionGuard, ImproperWindow, NonPositiveDistance, OutOfWindow
+from casq.mirror_phases import MirrorScenario
+from casq.species import AtomSpecies, Transition
 from casq.trajectories import (
     Constant1D,
     Harmonic1D,
@@ -23,7 +25,6 @@ from casq.trajectories import (
     reparametrize,
     reparametrize_window,
     reverse,
-    validate_positive_over_window,
 )
 
 
@@ -302,24 +303,28 @@ _LOWEST_POINTS = (
 )
 
 
+_ATOM = AtomSpecies("two-level", (Transition(2.0e15, 1.0e-58),))
+
+
+def _mirror_scenario(traj, window, z_min=0.0):
+    """A mirror scenario, which checks its path over its window."""
+    return MirrorScenario(_ATOM, (traj,), window, z_min=z_min)
+
+
 def test_positive_over_window():
-    validate_positive_over_window(Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0))
-    validate_positive_over_window(_DIP, TimeWindow(0.0, 2.0), z_min=0.25)
+    _mirror_scenario(Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0))
+    _mirror_scenario(_DIP, TimeWindow(0.0, 2.0), z_min=0.25)
     with pytest.raises(NonPositiveDistance):
-        validate_positive_over_window(Linear1D(1.0, -0.3), TimeWindow(0.0, 5.0))
+        _mirror_scenario(Linear1D(1.0, -0.3), TimeWindow(0.0, 5.0))
     with pytest.raises(CollisionGuard):
-        validate_positive_over_window(
-            Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0), z_min=0.9
-        )
+        _mirror_scenario(Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0), z_min=0.9)
     with pytest.raises(OutOfWindow):
-        validate_positive_over_window(
-            SampledPolyline1D((0.0, 1.0), (1.0, 1.0)), TimeWindow(0.0, 2.0)
-        )
+        _mirror_scenario(SampledPolyline1D((0.0, 1.0), (1.0, 1.0)), TimeWindow(0.0, 2.0))
     with pytest.raises(ImproperWindow):
-        validate_positive_over_window(Linear1D(1.0, -1e-3), TimeWindow.all_time())
+        _mirror_scenario(Linear1D(1.0, -1e-3), TimeWindow.all_time())
     for traj, window, z_min, error, where in _LOWEST_POINTS:
         with pytest.raises(error, match=re.escape(where)) as info:
-            validate_positive_over_window(traj, window, z_min=z_min)
+            _mirror_scenario(traj, window, z_min=z_min)
         assert type(info.value) is error
         if error is CollisionGuard:
             assert str(info.value).endswith(f"below the near-contact cutoff {z_min!r}")
@@ -362,7 +367,7 @@ def _names(tree):
 
 
 def test_mirror_layer_has_no_all_time_branch():
-    """An all-time window is refused once, by validate_positive_over_window:
+    """An all-time window is refused once, by MirrorScenario:
     the mirror phases never reach integrate_improper, and no 1D kind's
     ``_lowest`` reads ``window.improper``."""
     src = pathlib.Path(casq.__file__).parent
@@ -408,6 +413,21 @@ def test_one_window_integrator():
     assert not engine & _names(ast.parse((src / "sagnac.py").read_text()))
 
 
+def test_one_clearance_check_per_span():
+    """Mirror phases check each span they read once: only the scenario (its
+    window), the bare coarse-grained potential (its delay window) and the
+    motional phase (its reach, and a delay window past it) call
+    validate_positive_between, never the delay average an integrand runs;
+    the all-time refusal lives in mirror_phases.py alone."""
+    src = pathlib.Path(casq.__file__).parent
+    mirror = ast.parse((src / "mirror_phases.py").read_text())
+    assert sorted({fn for fn, _ in _calls_by_function(mirror, {"validate_positive_between"})}) \
+        == ["MirrorScenario", "coarse_grained_potential", "motional_phase_mirror"]
+    strings = [node.value for node in ast.walk(ast.parse((src / "trajectories.py").read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert [s for s in strings if "diverge" in s] == []
+
+
 def test_all_time_window_refused_before_the_path_is_asked():
     class Unasked:
         def _lowest(self, t0, t1):
@@ -415,4 +435,4 @@ def test_all_time_window_refused_before_the_path_is_asked():
 
     with pytest.raises(ImproperWindow, match="over all time the phases of a path kept off "
                                              "the mirror diverge"):
-        validate_positive_over_window(Unasked(), TimeWindow.all_time())
+        _mirror_scenario(Unasked(), TimeWindow.all_time())
