@@ -115,8 +115,8 @@ def quasi_static_phase(
 
 def _delay_average(c3: float, traj, t: float, t_hi: float):
     """Ubar(t), the average of U over the checked delay window [t, t_hi],
-    and the evaluations it took; Ubar is None when the window is below
-    float resolution at t."""
+    and the evaluations it took; None when the window is below float
+    resolution at t, :class:`NonConvergent` when it misses _INNER_SPEC."""
     # normalize by the realized float width of [t, t + tau]: dividing by the
     # exact tau instead would inject a spurious eps*t/tau relative offset
     tau_eff = t_hi - t

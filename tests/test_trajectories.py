@@ -421,8 +421,8 @@ def test_one_clearance_check_per_span():
     the all-time refusal lives in mirror_phases.py alone."""
     src = pathlib.Path(casq.__file__).parent
     mirror = ast.parse((src / "mirror_phases.py").read_text())
-    assert sorted({fn for fn, _ in _calls_by_function(mirror, {"validate_positive_between"})}) \
-        == ["MirrorScenario", "coarse_grained_potential", "motional_phase_mirror"]
+    callers = {fn for fn, _ in _calls_by_function(mirror, {"validate_positive_between"})}
+    assert callers == {"MirrorScenario", "coarse_grained_potential", "motional_phase_mirror"}
     strings = [node.value for node in ast.walk(ast.parse((src / "trajectories.py").read_text()))
                if isinstance(node, ast.Constant) and isinstance(node.value, str)]
     assert [s for s in strings if "diverge" in s] == []
