@@ -28,8 +28,8 @@ exact; each phase integral over the scenario window is one
 Each span of a path that a phase reads is checked once, exactly, before
 its integral runs: a :class:`MirrorScenario` checks its window, and a
 motional phase the reach [t_end, t_end + tau(t_end)] of its delay windows
-[t, t + tau(t)]. As d(t + tau)/dt = 1 + 2 zdot/c, only a path nearing the
-mirror faster than c/2 reads past the reach; its integrand checks that span.
+[t, t + tau(t)]. A motional phase refuses a path as fast as c/2, so
+d(t + tau)/dt = 1 + 2 zdot/c > 0 and no delay window reads past the reach.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import warnings
 
 from .constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR, Z_MIN_DEFAULT
 from .errors import (ImproperWindow, NonConvergent, NonPositiveDistance,
-                     ParallelVelocityMismatchWarning)
+                     ParallelVelocityMismatchWarning, ValidationError)
 from .quadrature import integrate_adaptive, integrate_over_window
 from .species import AtomSpecies, alpha_static, mean_square_dipole, two_level_transition
 from .trajectories import TimeWindow, light_delay, validate_positive_between
@@ -115,13 +115,13 @@ def quasi_static_phase(
 
 def _delay_average(c3: float, traj, t: float, t_hi: float):
     """Ubar(t), the average of U over the checked delay window [t, t_hi],
-    and the evaluations it took; None when the window is below float
-    resolution at t, :class:`NonConvergent` when it misses _INNER_SPEC."""
+    and the evaluations it took; :class:`NonConvergent` when the window is
+    below float resolution at t or the average misses _INNER_SPEC."""
     # normalize by the realized float width of [t, t + tau]: dividing by the
     # exact tau instead would inject a spurious eps*t/tau relative offset
     tau_eff = t_hi - t
     if tau_eff <= 0.0:
-        return None, 0
+        raise NonConvergent(f"delay window at t = {t!r} is below float resolution")
     # a sample time inside the delay window is a kink of U(z(t'))
     avg = integrate_adaptive(lambda tp: -c3 / traj.position(tp) ** 3, t, t_hi, _INNER_SPEC,
                              traj.breakpoints(t, t_hi))
@@ -144,8 +144,7 @@ def coarse_grained_potential(
     c3, z = _c3(species), traj.position(t)
     t_hi = t + light_delay(z)
     validate_positive_between(traj, t, t_hi, z_min)
-    ubar, _ = _delay_average(c3, traj, t, t_hi)
-    return -c3 / z**3 if ubar is None else ubar
+    return _delay_average(c3, traj, t, t_hi)[0]
 
 
 def motional_phase_mirror(
@@ -160,11 +159,16 @@ def motional_phase_mirror(
     (1/z(t1)^2 - 1/z(t0)^2) (z is continuous on every path kind), and the
     ratio of the full result to it; the two agree up to O((v/c)^2) but carry
     no exact common prefactor, so both are reported instead of asserting
-    equality.
+    equality. A path as fast as c/2 is refused (:class:`ValidationError`):
+    below it t + tau(t) grows with t, so one reach covers every delay window.
     """
     traj = scenario.paths[path_index]
     c3 = _c3(scenario.species)
     w = scenario.window
+    fastest = traj._fastest()
+    if not fastest < 0.5 * C_LIGHT:
+        raise ValidationError(f"motional phase: the path moves at up to {fastest!r} m/s, "
+                              f"not below c/2 = {0.5 * C_LIGHT!r} m/s")
     # the scenario checked [t_start, t_end]; the delay windows read on to here
     reach = w.t_end + light_delay(traj.position(w.t_end))
     validate_positive_between(traj, w.t_end, reach, scenario.z_min)
@@ -172,13 +176,8 @@ def motional_phase_mirror(
 
     def integrand(t: float) -> float:
         z = traj.position(t)
-        t_hi = t + light_delay(z)
-        if t_hi > reach:  # the path nears the mirror faster than c/2
-            validate_positive_between(traj, reach, t_hi, scenario.z_min)
-        ubar, evals = _delay_average(c3, traj, t, t_hi)
+        ubar, evals = _delay_average(c3, traj, t, t + 2.0 * z / C_LIGHT)
         inner_evals[0] += evals
-        if ubar is None:
-            return 0.0
         return -(ubar + c3 / z**3) / HBAR  # -(Ubar - U) / hbar, U = -C3 / z^3
 
     res = integrate_over_window(integrand, w, spec, traj)

@@ -46,7 +46,7 @@ import heapq
 import math
 import sys
 from math import isfinite
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import NonConvergent, NonFiniteEvaluation
 from .value import DEFAULT_SPEC, IntegralResult, QuadratureSpec

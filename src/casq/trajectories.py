@@ -28,8 +28,9 @@ the same geometric path at a new pace to the kind's ``_reparametrized`` and
 ``_reversed``, exact on the analytic kinds, which is what the
 geometric-phase invariance tests lean on. :func:`validate_positive_between`
 checks the points a 1D kind's ``_lowest(t0, t1)`` names as candidates for its
-minimum over [t0, t1]. A 3D kind gives its exact ``closest_approach(window)``
-to the origin and the ``improper_time_scale()`` of an all-time line integral.
+minimum over [t0, t1], and ``_fastest()`` its greatest |dz/dt| over all
+time. A 3D kind gives its exact ``closest_approach(window)`` to the origin
+and the ``improper_time_scale()`` of an all-time line integral.
 """
 
 from __future__ import annotations
@@ -136,6 +137,9 @@ class Constant1D(_Analytic, Value):
     def _lowest(self, t0: float, t1: float):
         yield self.h, "all t"
 
+    def _fastest(self) -> float:
+        return 0.0
+
 
 class Linear1D(_Analytic, Value):
     __slots__ = ("h", "v", "v_parallel")
@@ -162,6 +166,9 @@ class Linear1D(_Analytic, Value):
     def _lowest(self, t0: float, t1: float):
         yield self.position(t0), "window start"
         yield self.position(t1), "window end"
+
+    def _fastest(self) -> float:
+        return abs(self.v)
 
 
 class Harmonic1D(_Analytic, Value):
@@ -204,6 +211,9 @@ class Harmonic1D(_Analytic, Value):
 
     def _lowest(self, t0: float, t1: float):
         yield self.h - self.amplitude, "harmonic minimum"
+
+    def _fastest(self) -> float:
+        return abs(self.amplitude * self.omega_cm)
 
 
 def _check_sampled_times(times) -> None:
@@ -295,6 +305,10 @@ class SampledPolyline1D(_Sampled, Value):
             yield z, f"sample t = {t!r}"
         yield self.position(t0), "window start"
         yield self.position(t1), "window end"
+
+    def _fastest(self) -> float:
+        t, z = self.times, self.values
+        return max(abs((z[i + 1] - z[i]) / (t[i + 1] - t[i])) for i in range(len(t) - 1))
 
 
 # -- 3D kinds -----------------------------------------------------------------

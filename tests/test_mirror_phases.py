@@ -12,6 +12,7 @@ from casq.errors import (
     NotTwoLevel,
     OutOfWindow,
     ParallelVelocityMismatchWarning,
+    ValidationError,
 )
 from casq.mirror_phases import (
     MirrorScenario,
@@ -337,13 +338,61 @@ def test_motional_checks_its_window_and_its_reach_once(monkeypatch):
 
 
 def test_motional_delay_average_that_misses_its_tolerance_raises():
-    # 79 delay averages missed their tolerance inside a result reported as
-    # converged; the first one now ends the run, named with its window
-    traj = Harmonic1D(1e-6, 8e-7, 3e15)
+    # delay averages used to miss their tolerance inside a result reported
+    # as converged; the first one now ends the run, named with its window
+    # (peak speed 1e8 m/s, a third of c)
+    traj = Harmonic1D(1e-6, 1e-9, 1e17)
     scen = MirrorScenario(TWO_LEVEL, (traj,), TimeWindow(0.0, 1e-15))
     with pytest.raises(NonConvergent, match=r"^delay average over \[.*\] missed its "
                                             r"tolerance \(value=.*, error_estimate=.*\)$"):
         motional_phase_mirror(scen, 0, QuadratureSpec(rel_tol=1e-4, max_subdivisions=50))
+
+
+def test_motional_refuses_a_faster_than_light_path():
+    # a linear path at 3.3 c used to give a motional phase reported converged
+    scen = MirrorScenario(TWO_LEVEL, (Linear1D(1e-6, 1e9),), TimeWindow(0.0, 1e-15))
+    with pytest.raises(ValidationError, match=r"^motional phase: the path moves at up to "
+                                              r"1000000000\.0 m/s, not below c/2 = "):
+        motional_phase_mirror(scen)
+
+
+@pytest.mark.parametrize("traj", [
+    Linear1D(1.0, -0.5 * C_LIGHT),
+    Harmonic1D(1.0, 0.5, C_LIGHT),
+    # the fast segment lies outside the window: the bound covers the whole path
+    SampledPolyline1D((0.0, 1.0, 2.0), (1.0, 1.0, 1.0 + 0.5 * C_LIGHT)),
+], ids=["linear", "harmonic", "sampled"])
+def test_motional_refuses_a_path_as_fast_as_half_c(traj):
+    assert traj._fastest() == 0.5 * C_LIGHT
+    scen = MirrorScenario(TWO_LEVEL, (traj,), TimeWindow(0.0, 1e-15))
+    with pytest.raises(ValidationError, match="not below c/2"):
+        motional_phase_mirror(scen)
+
+
+@pytest.mark.parametrize("v", [0.999 * 0.5 * C_LIGHT, -0.999 * 0.5 * C_LIGHT])
+def test_motional_runs_a_path_just_below_half_c(v):
+    # nearing the mirror below c/2, t + tau(t) still grows with t, so the
+    # one reach covers every delay window
+    scen = MirrorScenario(TWO_LEVEL, (Linear1D(1e-6, v),), TimeWindow(0.0, 1e-15), z_min=0.0)
+    assert motional_phase_mirror(scen).converged
+
+
+def test_only_the_motional_phase_refuses_a_fast_path():
+    # quasi-static and nonlocal phases have no c in them
+    scen = MirrorScenario(TWO_LEVEL, (Linear1D(1e-6, 1e9), Constant1D(2e-6)),
+                          TimeWindow(0.0, 1e-15))
+    assert quasi_static_phase(scen).converged and nonlocal_phase(scen).converged
+    with pytest.raises(ValidationError, match="not below c/2"):
+        total_phase_difference(scen)
+
+
+def test_delay_window_below_float_resolution_raises():
+    # at t = 1000 s a 2 fs delay window rounds to nothing; its average used
+    # to fall back to U(t), and the motional phase to a converged 0
+    traj = Linear1D(-99999.999999, 100.0)
+    with pytest.raises(NonConvergent, match=r"^delay window at t = 1000\.0 is below float "
+                                            r"resolution$"):
+        coarse_grained_potential(TWO_LEVEL, traj, 1000.0)
 
 
 # -- total ----------------------------------------------------------------------

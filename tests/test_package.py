@@ -1,5 +1,6 @@
 """The public names of the ``casq`` package, served lazily from its submodules."""
 
+import os
 import subprocess
 import sys
 from importlib import import_module
@@ -57,6 +58,16 @@ def test_import_casq_loads_no_submodule():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_quadrature_imports_no_typing():
+    # without site's start-up imports, casq's one engine module loads no typing
+    code = "import sys, casq.quadrature; print('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(casq.__file__))}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_constants_hash_matches_the_stamped_one():

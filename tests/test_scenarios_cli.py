@@ -826,23 +826,53 @@ def test_cli_extreme_finite_input_exit_code(tmp_path, capsys, name, path, code, 
     assert message in out.err
 
 
-def test_cli_sampled_path_of_huge_heights_is_out_of_window(tmp_path, capsys):
-    # interpolating 1e300 m over 1e10 s must not overflow to -inf and blame
-    # z: the run's true refusal is the delay window past the last sample
+def test_cli_sampled_path_of_huge_heights_is_refused_for_its_speed(tmp_path, capsys):
+    # falling 1e300 m in 1e10 s is 1e290 m/s: the motional phase refuses it
+    # by its segment slope, which must not overflow to inf
     data = {"kind": "MotionalMirror", "species": "two-level-demo",
             "path": {"kind": "sampled", "points_t_s_z_m": [[0.0, 1e300], [1e10, 1e-6]]},
             "window": {"t_start_s": 0.0, "t_end_s": 1e10}}
     code, out = _main_run(tmp_path, capsys, data)
     assert code == 2 and out.out == ""
-    assert "exceeds sample range" in out.err and "inf" not in out.err
+    assert "not below c/2" in out.err and "inf" not in out.err
+
+
+FAST_PATH = {"kind": "linear", "h_m": 1e-6, "v_m_per_s": 1e9}
+
+
+@pytest.mark.parametrize("kind,code", [("MotionalMirror", 2), ("TotalMirror", 2),
+                                       ("QuasiStatic", 0), ("Nonlocal", 0)])
+def test_cli_only_motional_phases_refuse_a_faster_than_light_path(tmp_path, capsys, kind, code):
+    # a motional phase at 3.3 c used to exit 0 with "converged": true;
+    # quasi-static and nonlocal phases have no c in them
+    data = {"kind": kind, "species": "two-level-demo",
+            "window": {"t_start_s": 0.0, "t_end_s": 1e-15}}
+    if kind in ("TotalMirror", "Nonlocal"):
+        data["paths"] = [FAST_PATH, {"kind": "constant", "h_m": 2e-6}]
+    else:
+        data["path"] = FAST_PATH
+    got, out = _main_run(tmp_path, capsys, data)
+    assert got == code
+    assert ("not below c/2" in out.err) == (code == 2)
+
+
+def test_cli_delay_window_below_float_resolution_exits_3(tmp_path, capsys):
+    # the same geometry at t = 0 gives a motional phase of -6.167e-13; at
+    # t = 1000 s it used to exit 0 with a converged "motional": 0
+    data = {"kind": "MotionalMirror", "species": "two-level-demo",
+            "path": {"kind": "linear", "h_m": -99999.999999, "v_m_per_s": 100.0},
+            "window": {"t_start_s": 1000.0, "t_end_s": 1000.000000001}}
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 3 and out.out == ""
+    assert re.search(r"delay window at t = 1000\.\d+ is below float resolution", out.err)
 
 
 def test_cli_delay_average_that_misses_its_tolerance_exits_3(tmp_path, capsys):
     # a motional phase whose delay averages miss their tolerance used to
     # exit 0 with "converged": true
     data = {"kind": "MotionalMirror", "species": "two-level-demo",
-            "path": {"kind": "harmonic", "h_m": 1e-6, "amplitude_m": 8e-7,
-                     "omega_cm_rad_per_s": 3e15},
+            "path": {"kind": "harmonic", "h_m": 1e-6, "amplitude_m": 1e-9,
+                     "omega_cm_rad_per_s": 1e17},
             "window": {"t_start_s": 0.0, "t_end_s": 1e-15},
             "quadrature": {"rel_tol": 1e-4, "max_subdivisions": 50}}
     code, out = _main_run(tmp_path, capsys, data)

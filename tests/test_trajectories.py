@@ -413,12 +413,30 @@ def test_one_window_integrator():
     assert not engine & _names(ast.parse((src / "sagnac.py").read_text()))
 
 
+def test_motional_integrand_runs_no_check():
+    """The motional phase decides everything before its outer integral runs:
+    the integrand nested in motional_phase_mirror branches on nothing and
+    calls neither a clearance check nor light_delay's guard; the speed it
+    refuses on is each 1D kind's own ``_fastest``."""
+    src = pathlib.Path(casq.__file__).parent
+    motional, = [node for node in ast.walk(ast.parse((src / "mirror_phases.py").read_text()))
+                 if isinstance(node, ast.FunctionDef) and node.name == "motional_phase_mirror"]
+    nested = [node for node in ast.walk(motional)
+              if node is not motional and isinstance(node, ast.FunctionDef)]
+    assert [fn.name for fn in nested] == ["integrand"]
+    assert not any(isinstance(node, ast.If) for node in ast.walk(nested[0]))
+    assert not {"validate_positive_between", "light_delay"} & _names(nested[0])
+    fastest = [node for node in ast.walk(ast.parse((src / "trajectories.py").read_text()))
+               if isinstance(node, ast.FunctionDef) and node.name == "_fastest"]
+    assert len(fastest) == 4
+
+
 def test_one_clearance_check_per_span():
     """Mirror phases check each span they read once: only the scenario (its
     window), the bare coarse-grained potential (its delay window) and the
-    motional phase (its reach, and a delay window past it) call
-    validate_positive_between, never the delay average an integrand runs;
-    the all-time refusal lives in mirror_phases.py alone."""
+    motional phase (its reach) call validate_positive_between, never the
+    delay average an integrand runs; the all-time refusal lives in
+    mirror_phases.py alone."""
     src = pathlib.Path(casq.__file__).parent
     mirror = ast.parse((src / "mirror_phases.py").read_text())
     callers = {fn for fn, _ in _calls_by_function(mirror, {"validate_positive_between"})}
