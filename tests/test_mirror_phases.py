@@ -377,15 +377,6 @@ def test_motional_runs_a_path_just_below_half_c(v):
     assert motional_phase_mirror(scen).converged
 
 
-def test_only_the_motional_phase_refuses_a_fast_path():
-    # quasi-static and nonlocal phases have no c in them
-    scen = MirrorScenario(TWO_LEVEL, (Linear1D(1e-6, 1e9), Constant1D(2e-6)),
-                          TimeWindow(0.0, 1e-15))
-    assert quasi_static_phase(scen).converged and nonlocal_phase(scen).converged
-    with pytest.raises(ValidationError, match="not below c/2"):
-        total_phase_difference(scen)
-
-
 def test_delay_window_below_float_resolution_raises():
     # at t = 1000 s a 2 fs delay window rounds to nothing; its average used
     # to fall back to U(t), and the motional phase to a converged 0
