@@ -100,9 +100,53 @@ class _Analytic:
 
 
 class _Sampled:
-    """A piecewise-linear kind: its kinks are its sample times."""
+    """A piecewise-linear kind through strictly increasing sample times.
+
+    Its kinks are its sample times, and evaluation outside their range raises
+    :class:`OutOfWindow`. ``velocity`` is a central finite difference of the
+    interpolant with step max(1e-6 * span, spacing / 2), which balances
+    truncation against cancellation without per-call tuning; within one step
+    of either end the difference is one-sided, so it never leaves the samples.
+    """
 
     __slots__ = ()
+
+    def _set_samples(self, times: tuple[float, ...], name: str, samples: tuple) -> None:
+        if len(times) < 2:
+            raise ValueError("sampled trajectory needs at least two samples")
+        for i in range(1, len(times)):
+            if not times[i] > times[i - 1]:
+                raise ValueError("sampled trajectory times must be strictly increasing")
+        if len(times) != len(samples):
+            raise ValueError(f"times and {name} must have equal length")
+        set_field(self, "times", times)
+        set_field(self, name, samples)
+
+    def _nearer(self, t: float) -> tuple[int, int, float]:
+        """(i, j, w): t lies on the segment [t_i, t_j] at weight w of j.
+
+        i is the nearer sample, so every sample time gives its sample exactly;
+        an interior sample time lies on the segment that starts there.
+        """
+        times = self.times
+        if t < times[0] or t > times[-1]:
+            raise OutOfWindow(f"t = {t!r} outside sample range [{times[0]!r}, {times[-1]!r}]")
+        j = min(bisect_right(times, t), len(times) - 1)
+        t0, t1 = times[j - 1], times[j]
+        if t - t0 <= t1 - t:
+            return j - 1, j, (t - t0) / (t1 - t0)
+        return j, j - 1, (t1 - t) / (t1 - t0)
+
+    def _stencil(self, t: float) -> tuple[float, float, float]:
+        """Nodes (t_minus, t_plus) and divisor of the velocity difference at t."""
+        times = self.times
+        span = times[-1] - times[0]
+        dt = max(1e-6 * span, 0.5 * (span / (len(times) - 1)))
+        if t - dt < times[0]:
+            return t, t + dt, dt
+        if t + dt > times[-1]:
+            return t - dt, t, dt
+        return t - dt, t + dt, 2.0 * dt
 
     def _inside(self, t0: float, t1: float) -> slice:
         """Indices of the sample times strictly inside (t0, t1)."""
@@ -216,46 +260,8 @@ class Harmonic1D(_Analytic, Value):
         return abs(self.amplitude * self.omega_cm)
 
 
-def _check_sampled_times(times) -> None:
-    if len(times) < 2:
-        raise ValueError("sampled trajectory needs at least two samples")
-    for i in range(1, len(times)):
-        if not times[i] > times[i - 1]:
-            raise ValueError("sampled trajectory times must be strictly increasing")
-
-
-def _bracket(times: tuple[float, ...], t: float) -> int:
-    """Index i of the sample interval [t_i, t_i+1] holding t."""
-    if t < times[0] or t > times[-1]:
-        raise OutOfWindow(f"t = {t!r} outside sample range [{times[0]!r}, {times[-1]!r}]")
-    i = bisect_right(times, t) - 1
-    return min(max(i, 0), len(times) - 2)
-
-
-def _fd_stencil(times: tuple[float, ...], t: float) -> tuple[float, float, float]:
-    """Nodes (t_minus, t_plus) and divisor of the velocity difference at t.
-
-    Central with step dt = max(1e-6 * span, spacing / 2); one-sided with
-    step dt where a central node would leave the sample range.
-    """
-    span = times[-1] - times[0]
-    dt = max(1e-6 * span, 0.5 * (span / (len(times) - 1)))
-    if t - dt < times[0]:
-        return t, t + dt, dt
-    if t + dt > times[-1]:
-        return t - dt, t, dt
-    return t - dt, t + dt, 2.0 * dt
-
-
 class SampledPolyline1D(_Sampled, Value):
-    """Piecewise-linear z(t) through strictly increasing sample times.
-
-    Velocity is a central finite difference of the interpolant with step
-    max(1e-6 * span, spacing / 2), which balances truncation against
-    cancellation without per-call tuning; within one step of either end
-    the difference is one-sided, so it never leaves the samples.
-    Evaluation outside the sample range raises :class:`OutOfWindow`.
-    """
+    """Piecewise-linear z(t) through (t_i, z_i)."""
 
     __slots__ = ("times", "values", "v_parallel")
 
@@ -264,25 +270,16 @@ class SampledPolyline1D(_Sampled, Value):
         times = tuple(map(float, times))
         values = tuple(map(float, values))
         check_fields("SampledPolyline1D", times=times, values=values, v_parallel=v_parallel)
-        _check_sampled_times(times)
-        if len(times) != len(values):
-            raise ValueError("times and values must have equal length")
-        set_field(self, "times", times)
-        set_field(self, "values", values)
+        self._set_samples(times, "values", values)
         set_field(self, "v_parallel", v_parallel)
 
     def position(self, t: float) -> float:
-        i = _bracket(self.times, t)
-        t0, t1 = self.times[i], self.times[i + 1]
-        z0, z1 = self.values[i], self.values[i + 1]
-        # from the nearer sample, so every sample time gives its sample
-        # exactly; the weight first, so (z1 - z0) * (t - t0) cannot overflow
-        if t - t0 <= t1 - t:
-            return z0 + (z1 - z0) * ((t - t0) / (t1 - t0))
-        return z1 + (z0 - z1) * ((t1 - t) / (t1 - t0))
+        i, j, w = self._nearer(t)
+        # the weight first, so (z_j - z_i) * (t - t_i) cannot overflow
+        return self.values[i] + (self.values[j] - self.values[i]) * w
 
     def velocity(self, t: float) -> float:
-        lo, hi, width = _fd_stencil(self.times, t)
+        lo, hi, width = self._stencil(t)
         return (self.position(hi) - self.position(lo)) / width
 
     def _reparametrized(self, lam: float) -> "SampledPolyline1D":
@@ -376,21 +373,11 @@ class SampledPolyline3D(_Sampled, Value):
         times = tuple(map(float, times))
         points = tuple(vec3(p, f"SampledPolyline3D: points[{i}]") for i, p in enumerate(points))
         check_fields("SampledPolyline3D", times=times, points=points)
-        _check_sampled_times(times)
-        if len(times) != len(points):
-            raise ValueError("times and points must have equal length")
-        set_field(self, "times", times)
-        set_field(self, "points", points)
+        self._set_samples(times, "points", points)
 
     def position(self, t: float) -> Vec3:
-        i = _bracket(self.times, t)
-        t0, t1 = self.times[i], self.times[i + 1]
-        p0, p1 = self.points[i], self.points[i + 1]
-        # from the nearer sample, so every sample time gives its sample exactly
-        if t - t0 <= t1 - t:
-            w = (t - t0) / (t1 - t0)
-        else:
-            p0, p1, w = p1, p0, (t1 - t) / (t1 - t0)
+        i, j, w = self._nearer(t)
+        p0, p1 = self.points[i], self.points[j]
         return (
             p0[0] + (p1[0] - p0[0]) * w,
             p0[1] + (p1[1] - p0[1]) * w,
@@ -398,7 +385,7 @@ class SampledPolyline3D(_Sampled, Value):
         )
 
     def velocity(self, t: float) -> Vec3:
-        lo, hi, width = _fd_stencil(self.times, t)
+        lo, hi, width = self._stencil(t)
         pp = self.position(hi)
         pm = self.position(lo)
         return (
