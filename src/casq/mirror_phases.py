@@ -214,7 +214,7 @@ def nonlocal_phase(
     k = 3.0 * tr.omega_eg * alpha_static(scenario.species) / (FOUR_PI_EPS0 * C_LIGHT)
 
     def integrand(t: float) -> float:
-        return k * (p1.velocity(t) - p2.velocity(t)) / (p1.position(t) + p2.position(t)) ** 3
+        return k * (p1.tangent(t) - p2.tangent(t)) / (p1.position(t) + p2.position(t)) ** 3
 
     res = integrate_over_window(integrand, scenario.window, spec, p1, p2)
     return res.replace(breakdown={"nonlocal": res.value})

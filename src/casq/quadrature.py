@@ -379,14 +379,14 @@ def line_integral(
 ) -> IntegralResult:
     """Line integral of a vector field along a parametric path.
 
-    Evaluates int_P dr . F(r) as the time integral of v(t) . F(r(t)) over
+    Evaluates int_P dr . F(r) as the time integral of r'(t) . F(r(t)) over
     the window (:func:`integrate_over_window`), asking the path only for its
-    position and velocity beyond what that needs. The caller checks where
-    the path goes.
+    position and its ``tangent`` r'(t), the exact derivative of that
+    position, beyond what that needs. The caller checks where the path goes.
     """
 
     def integrand(t: float) -> float:
-        return dot3(traj.velocity(t), field(traj.position(t)))
+        return dot3(traj.tangent(t), field(traj.position(t)))
 
     return integrate_over_window(integrand, window, spec, traj)
 

@@ -192,12 +192,12 @@ def sagnac_phase(
         )
 
     ox, oy, oz = particle.omega
-    velocity = traj.velocity
+    tangent = traj.tangent
     position = traj.position
 
     def integrand(t: float) -> float:
         # v . (Omega x r) / r^8, in the order of dot3(v, cross3(Omega, r) * w)
-        vx, vy, vz = velocity(t)
+        vx, vy, vz = tangent(t)
         rx, ry, rz = position(t)
         rr = rx * rx + ry * ry + rz * rz
         try:

@@ -3,8 +3,8 @@
 The atomic center of mass is the external parameter steering every
 Hamiltonian in the toolkit, so trajectories are plain immutable data:
 analytic kinds evaluate positions and velocities exactly (and extrapolate
-beyond any window), sampled polylines interpolate linearly and
-differentiate by central finite differences with a documented step. Every
+beyond any window), sampled polylines interpolate linearly and take their
+velocity as a central finite difference with a documented step. Every
 number a path holds is finite: its constructor, and so ``replace``, raises
 ``ValueError`` otherwise.
 
@@ -20,17 +20,21 @@ Axial (1D) kinds describe the distance z(t) > 0 to a mirror at z = 0:
 * ``StraightLine3D(r0, v)``    r = r0 + v t
 * ``SampledPolyline3D``        piecewise-linear through (t_i, r_i)
 
-Each kind answers every question asked of a path, so no caller switches
-on the kind. ``breakpoints(t0, t1)`` names its kinks (the sample times of a
-polyline, none for an analytic kind). :func:`reparametrize` (t -> lambda t)
-and :func:`reverse` (t -> t_start + t_end - t across a bounded window) hand
-the same geometric path at a new pace to the kind's ``_reparametrized`` and
-``_reversed``, exact on the analytic kinds, which is what the
-geometric-phase invariance tests lean on. :func:`validate_positive_between`
-checks the points a 1D kind's ``_lowest(t0, t1)`` names as candidates for its
-minimum over [t0, t1], and ``_fastest()`` its greatest |dz/dt| over all
-time. A 3D kind gives its exact ``closest_approach(window)`` to the origin
-and the ``improper_time_scale()`` of an all-time line integral.
+Each kind answers every question asked of a path, so no caller switches on
+the kind. ``tangent(t)`` is the exact derivative of ``position``, which line
+integrals read: ``velocity`` itself on an analytic kind, the slope of the
+segment holding t on a polyline. ``breakpoints(t0, t1)`` names its kinks
+(the sample times of a polyline, none for an analytic kind). Both polylines
+share the sample checks, segment lookup and difference stencil of their base
+``_Sampled``. :func:`reparametrize` (t -> lambda t) and :func:`reverse`
+(t -> t_start + t_end - t across a bounded window) hand the same geometric
+path at a new pace to the kind's ``_reparametrized`` and ``_reversed``, exact
+on the analytic kinds, which is what the geometric-phase invariance tests
+lean on. :func:`validate_positive_between` checks the points a 1D kind's
+``_lowest(t0, t1)`` names as candidates for its minimum over [t0, t1], and
+``_fastest()`` its greatest |dz/dt| over all time. A 3D kind gives its exact
+``closest_approach(window)`` to the origin and the ``improper_time_scale()``
+of an all-time line integral.
 """
 
 from __future__ import annotations
@@ -84,10 +88,6 @@ class TimeWindow(Value):
     @classmethod
     def all_time(cls) -> "TimeWindow":
         return cls(improper=True)
-
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
 
 
 class _Analytic:
@@ -172,6 +172,8 @@ class Constant1D(_Analytic, Value):
     def velocity(self, t: float) -> float:
         return 0.0
 
+    tangent = velocity
+
     def _reparametrized(self, lam: float) -> "Constant1D":
         return self.replace(v_parallel=_scaled(self.v_parallel, lam))
 
@@ -199,6 +201,8 @@ class Linear1D(_Analytic, Value):
 
     def velocity(self, t: float) -> float:
         return self.v
+
+    tangent = velocity
 
     def _reparametrized(self, lam: float) -> "Linear1D":
         return self.replace(v=self.v * lam, v_parallel=_scaled(self.v_parallel, lam))
@@ -243,6 +247,8 @@ class Harmonic1D(_Analytic, Value):
     def velocity(self, t: float) -> float:
         return self.amplitude * self.omega_cm * math.cos(self.omega_cm * t + self.phase0)
 
+    tangent = velocity
+
     def _reparametrized(self, lam: float) -> "Harmonic1D":
         return self.replace(omega_cm=self.omega_cm * lam,
                             v_parallel=_scaled(self.v_parallel, lam))
@@ -281,6 +287,10 @@ class SampledPolyline1D(_Sampled, Value):
     def velocity(self, t: float) -> float:
         lo, hi, width = self._stencil(t)
         return (self.position(hi) - self.position(lo)) / width
+
+    def tangent(self, t: float) -> float:
+        i, j, _ = self._nearer(t)
+        return (self.values[j] - self.values[i]) / (self.times[j] - self.times[i])
 
     def _reparametrized(self, lam: float) -> "SampledPolyline1D":
         return self.replace(times=tuple(t / lam for t in self.times),
@@ -331,6 +341,8 @@ class StraightLine3D(_Analytic, Value):
 
     def velocity(self, t: float) -> Vec3:
         return self.v
+
+    tangent = velocity
 
     def closest_time(self) -> float:
         """Time t* = -(r0 . v)/|v|^2 of closest approach to the origin; 0 at rest."""
@@ -393,6 +405,11 @@ class SampledPolyline3D(_Sampled, Value):
             (pp[1] - pm[1]) / width,
             (pp[2] - pm[2]) / width,
         )
+
+    def tangent(self, t: float) -> Vec3:
+        i, j, _ = self._nearer(t)
+        p0, p1, dt = self.points[i], self.points[j], self.times[j] - self.times[i]
+        return ((p1[0] - p0[0]) / dt, (p1[1] - p0[1]) / dt, (p1[2] - p0[2]) / dt)
 
     def improper_time_scale(self) -> tuple[float, float]:
         """A polyline ends at its samples, so it has no all-time line integral."""

@@ -474,17 +474,9 @@ def test_line_integral_constant_field():
     assert abs(r.value - expect) < 1e-12 * abs(expect)
 
 
-def test_line_integral_conservative_closed_loop():
-    # gradient of 1/|r| around a closed triangle far from the origin; the
-    # polyline's finite-difference velocity smooths the corners, leaving a
-    # residual of order (fd step)^2 per corner, hence the dense sampling
-    def field(r):
-        n = math.sqrt(r[0] ** 2 + r[1] ** 2 + r[2] ** 2)
-        s = -1.0 / n**3
-        return (s * r[0], s * r[1], s * r[2])
-
+def _triangle(n_per_edge):
+    """Closed triangle far from the origin, n_per_edge segments per edge."""
     verts = [(3.0, 0.0, 1.0), (4.0, 2.0, 1.5), (2.5, 1.0, 2.0), (3.0, 0.0, 1.0)]
-    n_per_edge = 2000
     times, points = [], []
     for k in range(3):
         p, q = verts[k], verts[k + 1]
@@ -494,10 +486,22 @@ def test_line_integral_conservative_closed_loop():
             points.append(tuple(pi + (qi - pi) * w for pi, qi in zip(p, q)))
     times.append(3.0)
     points.append(verts[3])
-    traj = SampledPolyline3D(tuple(times), tuple(points))
+    return SampledPolyline3D(tuple(times), tuple(points))
+
+
+def test_line_integral_conservative_closed_loop():
+    # gradient of 1/|r| around a closed triangle, its 4 vertices alone or
+    # 2000 samples per edge: the integral is 0
+    def field(r):
+        n = math.sqrt(r[0] ** 2 + r[1] ** 2 + r[2] ** 2)
+        s = -1.0 / n**3
+        return (s * r[0], s * r[1], s * r[2])
+
     spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-12)
-    r = line_integral(field, traj, TimeWindow(0.0, 3.0), spec)
-    assert abs(r.value) < 1e-8
+    for n_per_edge in (1, 2000):
+        r = line_integral(field, _triangle(n_per_edge), TimeWindow(0.0, 3.0), spec)
+        assert abs(r.value) < 1e-8, n_per_edge
+        assert abs(r.value) <= r.error_estimate, n_per_edge
 
 
 def test_line_integral_puts_samples_on_panel_edges(monkeypatch):

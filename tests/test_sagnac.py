@@ -203,8 +203,9 @@ def test_phase_linear_in_rotation():
 
 
 def test_phase_integrand_is_v_dot_field_bit_for_bit(monkeypatch):
-    # the fused integrand keeps the arithmetic of dot3(v, F(r)) with this
-    # field, node for node, and the integral line_integral gives
+    # the fused integrand keeps the arithmetic of dot3(r', F(r)) with this
+    # field, r' the path's tangent, node for node, and the integral
+    # line_integral gives
     omega = (3e4, -2e4, 1e5)
     particle = SpinningParticle(1e-32, 8e15, omega)
 
@@ -229,7 +230,7 @@ def test_phase_integrand_is_v_dot_field_bit_for_bit(monkeypatch):
         sagnac_phase(TWO_LEVEL, particle, traj, window, TIGHT)
         lo, hi = (-1e-8, 1e-8) if window.improper else (window.t_start, window.t_end)
         for t in [rng.uniform(lo, hi) for _ in range(2000)]:
-            assert seen[0](t) == dot3(traj.velocity(t), field(traj.position(t))), t
+            assert seen[0](t) == dot3(traj.tangent(t), field(traj.position(t))), t
         monkeypatch.undo()
 
 

@@ -14,7 +14,7 @@ loses digits to cancellation, so its soundness check waits for that fix.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casq.constants import C_LIGHT, EPSILON_0, FOUR_PI_EPS0, HBAR
@@ -22,7 +22,15 @@ from casq.mirror_phases import MirrorScenario, nonlocal_phase, quasi_static_phas
 from casq.quadrature import QuadratureSpec
 from casq.sagnac import SpinningParticle, ell_omega, sagnac_phase
 from casq.species import AtomSpecies, Transition, alpha_static, mean_square_dipole
-from casq.trajectories import Harmonic1D, Linear1D, SampledPolyline1D, StraightLine3D, TimeWindow
+from casq.trajectories import (
+    Constant1D,
+    Harmonic1D,
+    Linear1D,
+    SampledPolyline1D,
+    SampledPolyline3D,
+    StraightLine3D,
+    TimeWindow,
+)
 
 TWO_LEVEL = AtomSpecies("two-level", (Transition(2.0e15, 1.0e-58),))
 #: C3 / hbar of TWO_LEVEL, with U(z) = -C3 / z^3
@@ -109,6 +117,61 @@ def test_counterpropagating_nonlocal_estimate_is_sound(h, duration, reach, spec)
     res = nonlocal_phase(MirrorScenario(TWO_LEVEL, paths, TimeWindow(0.0, duration), z_min=0.0),
                          spec)
     assert_sound(res, exact)
+
+
+@SOUNDNESS
+@given(h=decades(-8, -5), ratios=st.lists(decades(-1, 1), min_size=1, max_size=5),
+       step=decades(-15, -6), partner=decades(-1, 1), spec=specs())
+@example(h=1e-6, ratios=[1.2, 1.1 / 1.2, 1.05 / 1.1], step=1e-9, partner=2.0,
+         spec=QuadratureSpec(rel_tol=1e-12, abs_tol=0.0))
+def test_polyline_nonlocal_estimate_is_sound(h, ratios, step, partner, spec):
+    # beside a constant partner at h2 the integrand z1'/(z1 + h2)^3 is a total
+    # derivative: phi_12 = k (b - a)(a + b) / (2 a^2 b^2), with a and b the
+    # sums z1 + h2 at the window's ends, whatever the path does in between
+    heights = [h]
+    for ratio in ratios:
+        heights.append(heights[-1] * ratio)
+    path = SampledPolyline1D([i * step for i in range(len(heights))], heights)
+    h2 = partner * h
+    za, zb = path.values[0], path.values[-1]
+    a, b = za + h2, zb + h2
+    k = 3.0 * TWO_LEVEL.transitions[0].omega_eg * alpha_static(TWO_LEVEL) / (FOUR_PI_EPS0 * C_LIGHT)
+    exact = k * (zb - za) * (a + b) / (2.0 * a * a * b * b)
+    window = TimeWindow(path.times[0], path.times[-1])
+    res = nonlocal_phase(MirrorScenario(TWO_LEVEL, (path, Constant1D(h2)), window, z_min=0.0),
+                         spec)
+    assert_sound(res, exact)
+
+
+#: The path along y = 3e-7 m of ``test_polyline_sagnac_is_geometric``.
+SAGNAC_XS = (-3e-6, -1e-6, 0.0, 1e-6, 3e-6)
+
+
+@pytest.mark.filterwarnings("ignore::casq.errors.NearFieldValidityWarning")
+@SOUNDNESS
+@given(steps=st.lists(decades(-9, -7), min_size=4, max_size=4), spec=specs())
+@example(steps=[1e-8, 2e-8, 5e-9, 2.5e-8], spec=QuadratureSpec(rel_tol=1e-12, abs_tol=0.0))
+def test_polyline_sagnac_is_geometric(steps, spec):
+    # the line integral of a field along a path does not depend on its pace:
+    # any timing of one polyline gives the sum of the straight-line phases of
+    # its segments, each taken over its own segment's window
+    particle = SpinningParticle(alpha0=1.0e-32, omega_s=8.0e15, omega=(0.0, 0.0, 1.0e5))
+    points = [(x, 3e-7, 0.0) for x in SAGNAC_XS]
+    times = [0.0]
+    for dt in steps:
+        times.append(times[-1] + dt)
+    path = SampledPolyline3D(times, points)
+    segments = [
+        sagnac_phase(TWO_LEVEL, particle,
+                     StraightLine3D(p, tuple((qi - pi) / (tb - ta) for pi, qi in zip(p, q))),
+                     TimeWindow(0.0, tb - ta), spec)
+        for ta, tb, p, q in zip(path.times, path.times[1:], path.points, path.points[1:])
+    ]
+    res = sagnac_phase(TWO_LEVEL, particle, path, TimeWindow(path.times[0], path.times[-1]), spec)
+    if res.converged and all(seg.converged for seg in segments):
+        oracle = math.fsum(seg.value for seg in segments)
+        bound = res.error_estimate + math.fsum(seg.error_estimate for seg in segments)
+        assert abs(res.value - oracle) <= bound, (res, oracle)
 
 
 @pytest.mark.filterwarnings("ignore::casq.errors.NearFieldValidityWarning")

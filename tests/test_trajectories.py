@@ -222,7 +222,7 @@ def test_window_validation():
     with pytest.raises(ValueError):
         TimeWindow(1.0, 1.0)
     w = TimeWindow.all_time()
-    assert w.improper and w.duration == math.inf
+    assert w.improper and w.t_end - w.t_start == math.inf
 
 
 def test_harmonic_must_stay_positive():
@@ -411,6 +411,47 @@ def test_one_window_integrator():
     assert [fn for fn, _ in _calls_by_function(mirror, {"integrate_over_window"})] == [
         "quasi_static_phase", "motional_phase_mirror", "nonlocal_phase"]
     assert not engine & _names(ast.parse((src / "sagnac.py").read_text()))
+
+
+def test_line_integrals_read_the_tangent():
+    """The phases that integrate dr along a path read its exact derivative
+    ``tangent``, never ``velocity``; the sampled kinds' segment arithmetic
+    lives in their base, and an analytic kind's tangent is its velocity."""
+    src = pathlib.Path(casq.__file__).parent
+    for module, function in [("mirror_phases.py", "nonlocal_phase"),
+                             ("sagnac.py", "sagnac_phase"), ("quadrature.py", "line_integral")]:
+        fn, = [node for node in ast.parse((src / module).read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == function]
+        assert "tangent" in _names(fn) and "velocity" not in _names(fn), function
+    tree = ast.parse((src / "trajectories.py").read_text())
+    top = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not {"_bracket", "_fd_stencil", "_check_sampled_times"} & top
+    for kind in (Constant1D, Linear1D, Harmonic1D, StraightLine3D):
+        assert kind.tangent is kind.velocity, kind.__name__
+
+
+@pytest.mark.parametrize("traj", [k for k in ALL_KINDS if hasattr(k, "times")],
+                         ids=lambda k: type(k).__name__)
+def test_sampled_tangent_is_the_slope_of_the_segment_holding_t(traj):
+    samples = getattr(traj, "values", None) or traj.points
+
+    def slope(k):
+        dt = traj.times[k + 1] - traj.times[k]
+        a, b = samples[k], samples[k + 1]
+        if isinstance(a, tuple):
+            return tuple((q - p) / dt for p, q in zip(a, b))
+        return (b - a) / dt
+
+    rng = random.Random(5)
+    for k in range(len(traj.times) - 1):
+        lo, hi = traj.times[k], traj.times[k + 1]
+        # a sample time lies on the segment that starts there; the last, on the last
+        for t in [lo, hi if k == len(traj.times) - 2 else lo]:
+            assert traj.tangent(t) == slope(k), t
+        for t in [rng.uniform(lo, hi) for _ in range(50)]:
+            assert traj.tangent(t) == slope(k), t
+    with pytest.raises(OutOfWindow):
+        traj.tangent(traj.times[-1] + 1.0)
 
 
 def test_motional_integrand_runs_no_check():
