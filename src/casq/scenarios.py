@@ -6,9 +6,10 @@ convention exists because silent unit errors are the dominant failure mode
 in mixed SI computations, so a key with the right stem but the wrong
 suffix is rejected with :class:`UnitMismatch` rather than guessed at.
 
-Each scenario kind is one entry of ``_KINDS`` (its schema, the operation it
-names and how it runs), and every JSON object, the scenario itself
-included, is read by :func:`casq.schema.read_object` from its field list.
+Each scenario kind is one entry of ``_KINDS`` (its schema, its compute
+module and function, and how it calls that function), and every JSON
+object, the scenario itself included, is read by
+:func:`casq.schema.read_object` from its field list.
 
 Reports are deterministic: floats are emitted with 17 significant digits,
 keys are sorted, and wall time is kept off the serialized form so repeated
@@ -52,9 +53,9 @@ from .species import AtomSpecies, alpha_static, find_species
 from .value import IntegralResult, QuadratureSpec, Record, Value, set_field
 
 # The compute modules (casq.dce, casq.mirror_phases, casq.sagnac and the
-# engine and path modules under them) are imported inside the functions that
-# use them, so a process loads only the modules of the kinds it reads and
-# runs; the annotations that name their classes are never evaluated.
+# engine and path modules under them) are imported by _module when first
+# used, so a process loads only the modules of the kinds it reads and runs;
+# the annotations that name their classes are never evaluated.
 
 __all__ = [
     "Scenario",
@@ -68,6 +69,13 @@ __all__ = [
     "format_float",
     "to_canonical_json",
 ]
+
+
+def _module(name: str):
+    """``casq.<name>``, imported on first use. ``sys.modules`` is read first:
+    ``import_module`` runs in Python, and a sweep asks once per row."""
+    module = sys.modules.get(f"{__package__}.{name}")
+    return import_module(f".{name}", __package__) if module is None else module
 
 
 # -- object schemas ------------------------------------------------------------
@@ -91,7 +99,7 @@ def _constructor(module: str, name: str):
     def build(**fields):
         nonlocal cls
         if cls is None:
-            cls = getattr(import_module(f".{module}", __package__), name)
+            cls = getattr(_module(module), name)
         return cls(**fields)
 
     return build
@@ -247,10 +255,9 @@ class Scenario(Value):
         quadrature: QuadratureSpec | None = None,
     ):
         if isinstance(oscillation, dict):  # as read, without alpha0
-            from .dce import OscillationParams
-
             try:
-                oscillation = OscillationParams(alpha0=alpha_static(species), **oscillation)
+                oscillation = _module("dce").OscillationParams(
+                    alpha0=alpha_static(species), **oscillation)
             except ValueError as exc:
                 raise ValueError(f"oscillation: {exc}") from exc
         set_field(self, "kind", kind)
@@ -268,54 +275,42 @@ class Scenario(Value):
 
 
 # -- kinds ---------------------------------------------------------------------
-# Each run imports its compute module when it runs and calls the compute
-# function as an attribute of that module, looked up at call time: a process
-# loads only the modules of the kinds it runs, and a function replaced
-# (wrapped) on its own module is the one called.
+# A kind's call(op, module, scenario) is handed its compute function ``op``,
+# looked up on the module at each run so that a function replaced (wrapped)
+# on its own module is the one called, and the module for whatever else the
+# call reads from it.
 
-def _mirror_phase(name: str, *args):
-    """Run of ``casq.mirror_phases.<name>(mirror scenario, *args, spec)``."""
+def _mirror(*args):
+    """Call of a mirror phase ``op(mirror scenario, *args, spec)``."""
 
-    def run(sc: Scenario) -> IntegralResult:
-        from . import mirror_phases
-
+    def call(op, mirror_phases, sc: Scenario) -> IntegralResult:
         mirror = mirror_phases.MirrorScenario(sc.species, sc.paths, sc.window, z_min=sc.z_min)
-        return getattr(mirror_phases, name)(mirror, *args, sc.quadrature)
+        return op(mirror, *args, sc.quadrature)
 
-    return run
-
-
-def _sagnac(sc: Scenario) -> IntegralResult:
-    from . import sagnac
-
-    return sagnac.sagnac_phase(sc.species, sc.particle, sc.traj3d, sc.window, sc.quadrature)
+    return call
 
 
-def _sagnac_straightline(sc: Scenario) -> IntegralResult:
-    from . import sagnac
+def _sagnac(op, sagnac, sc: Scenario) -> IntegralResult:
+    return op(sc.species, sc.particle, sc.traj3d, sc.window, sc.quadrature)
 
-    value = sagnac.sagnac_phase_straightline(sc.species, sc.particle, sc.y_m)
+
+def _sagnac_straightline(op, sagnac, sc: Scenario) -> IntegralResult:
+    value = op(sc.species, sc.particle, sc.y_m)
     breakdown = {"ell_omega_m": sagnac.ell_omega(sc.species, sc.particle)}
     return IntegralResult(value, 0.0, breakdown=breakdown)
 
 
-def _sagnac_symmetric(sc: Scenario) -> IntegralResult:
-    from . import sagnac
-
-    return sagnac.sagnac_total_symmetric(sc.species, sc.particle, sc.y1_m)
+def _sagnac_symmetric(op, sagnac, sc: Scenario) -> IntegralResult:
+    return op(sc.species, sc.particle, sc.y1_m)
 
 
-def _dce_closed(sc: Scenario) -> IntegralResult:
-    from . import dce
-
+def _dce_closed(op, dce, sc: Scenario) -> IntegralResult:
     breakdown = {"coefficient": dce.CLOSED_FORM_COEFFICIENT}
-    return IntegralResult(dce.dce_rate_closed(sc.oscillation), 0.0, breakdown=breakdown)
+    return IntegralResult(op(sc.oscillation), 0.0, breakdown=breakdown)
 
 
-def _dce_numeric(sc: Scenario) -> IntegralResult:
-    from . import dce
-
-    res = dce.dce_rate_numeric(sc.oscillation, sc.quadrature, n_spectrum=sc.n_spectrum)
+def _dce_numeric(op, dce, sc: Scenario) -> IntegralResult:
+    res = op(sc.oscillation, sc.quadrature, n_spectrum=sc.n_spectrum)
     closed = dce.dce_rate_closed(sc.oscillation)
     breakdown = {
         **res.breakdown,
@@ -327,23 +322,20 @@ def _dce_numeric(sc: Scenario) -> IntegralResult:
     return res.replace(breakdown=breakdown)
 
 
-#: Scenario kind -> (schema, operation name, run(scenario) -> IntegralResult).
-#: An operation is named "<module>.<function>" after its compute module.
+#: Scenario kind -> (schema, compute module, compute function, call). Its
+#: reports name the operation "<module>.<function>".
 _KINDS = {
-    "QuasiStatic": (_MIRROR_1, "mirror_phases.quasi_static_phase",
-                    _mirror_phase("quasi_static_phase", 0)),
-    "MotionalMirror": (_MIRROR_1, "mirror_phases.motional_phase_mirror",
-                       _mirror_phase("motional_phase_mirror", 0)),
-    "Nonlocal": (_MIRROR_2, "mirror_phases.nonlocal_phase", _mirror_phase("nonlocal_phase")),
-    "TotalMirror": (_MIRROR_2, "mirror_phases.total_phase_difference",
-                    _mirror_phase("total_phase_difference")),
-    "Sagnac": (_SAGNAC, "sagnac.sagnac_phase", _sagnac),
+    "QuasiStatic": (_MIRROR_1, "mirror_phases", "quasi_static_phase", _mirror(0)),
+    "MotionalMirror": (_MIRROR_1, "mirror_phases", "motional_phase_mirror", _mirror(0)),
+    "Nonlocal": (_MIRROR_2, "mirror_phases", "nonlocal_phase", _mirror()),
+    "TotalMirror": (_MIRROR_2, "mirror_phases", "total_phase_difference", _mirror()),
+    "Sagnac": (_SAGNAC, "sagnac", "sagnac_phase", _sagnac),
     "SagnacStraightLine": (_kind_schema(_PARTICLE_FIELD, ("y_m", "y_m", finite, True)),
-                           "sagnac.sagnac_phase_straightline", _sagnac_straightline),
+                           "sagnac", "sagnac_phase_straightline", _sagnac_straightline),
     "SagnacSymmetric": (_kind_schema(_PARTICLE_FIELD, ("y1_m", "y1_m", finite, True)),
-                        "sagnac.sagnac_total_symmetric", _sagnac_symmetric),
-    "DceClosed": (_kind_schema(_OSCILLATION_FIELD), "dce.dce_rate_closed", _dce_closed),
-    "DceNumeric": (_kind_schema(_OSCILLATION_FIELD, _N_SPECTRUM), "dce.dce_rate_numeric",
+                        "sagnac", "sagnac_total_symmetric", _sagnac_symmetric),
+    "DceClosed": (_kind_schema(_OSCILLATION_FIELD), "dce", "dce_rate_closed", _dce_closed),
+    "DceNumeric": (_kind_schema(_OSCILLATION_FIELD, _N_SPECTRUM), "dce", "dce_rate_numeric",
                    _dce_numeric),
 }
 SCENARIO_KINDS = tuple(_KINDS)
@@ -423,9 +415,11 @@ def run_scenario(sc: Scenario) -> Report:
     a compute layer :class:`ValidationError`.
     """
     t0 = time.perf_counter()
-    _, op, run = _KINDS[sc.kind]
+    _, module, function, call = _KINDS[sc.kind]
+    op = f"{module}.{function}"
+    compute = _module(module)
     try:
-        res = run(sc)
+        res = call(getattr(compute, function), compute, sc)
     except ArithmeticError as exc:
         raise NonFiniteEvaluation(f"{op}: {type(exc).__name__}: {exc}") from exc
     except ValueError as exc:
@@ -492,15 +486,6 @@ def _with_value(data, path: str, value: float, source: str):
         node = child
 
 
-def _load_compute_module(scenario_data) -> None:
-    """Import the compute module of the scenario's kind, with the modules it
-    imports; an unknown kind loads nothing (each row then fails to parse)."""
-    kind = scenario_data.get("kind") if isinstance(scenario_data, dict) else None
-    if kind in SCENARIO_KINDS:
-        module = _KINDS[kind][1].split(".", 1)[0]
-        import_module(f".{module}", __package__)
-
-
 def _init_worker() -> None:
     # a worker writes its warnings straight to the user's stderr (workers
     # forked by the CLI inherit this hook; spawned workers, and workers of
@@ -551,8 +536,10 @@ def sweep(
     if jobs <= 1:
         return [_sweep_one(t) for t in tasks]
     # forked workers inherit the kind's compute modules instead of each
-    # compiling them again
-    _load_compute_module(scenario_data)
+    # compiling them again; an unknown kind loads nothing (its rows fail to parse)
+    kind = scenario_data.get("kind") if isinstance(scenario_data, dict) else None
+    if kind in SCENARIO_KINDS:
+        _module(_KINDS[kind][1])
     # imported here: serial sweeps and every other command skip its import cost
     from multiprocessing import get_context
 

@@ -260,7 +260,18 @@ class Harmonic1D(_Analytic, Value):
                             v_parallel=_scaled(self.v_parallel, -1.0))
 
     def _lowest(self, t0: float, t1: float):
-        yield self.h - self.amplitude, "harmonic minimum"
+        # the ends, unless the phase may pass a trough (3 pi/2 mod 2 pi) on
+        # [t0, t1]: a span of 2 pi or more, a non-finite phase, or a trough
+        # within rounding of either end all name the trough
+        w, p = self.omega_cm, self.phase0
+        lo, hi = sorted((w * t0 + p, w * t1 + p))
+        slack = 8.0 * math.ulp(1.0) * (abs(w) * max(abs(t0), abs(t1)) + abs(p) + 2.0 * math.pi)
+        ahead = (1.5 * math.pi - lo) % (2.0 * math.pi)  # from lo to the next trough
+        if hi - lo + slack < ahead < 2.0 * math.pi - slack:
+            yield self.position(t0), "window start"
+            yield self.position(t1), "window end"
+        else:
+            yield self.h - self.amplitude, "harmonic minimum"
 
     def _fastest(self) -> float:
         return abs(self.amplitude * self.omega_cm)
@@ -490,9 +501,10 @@ def reverse(traj, window: TimeWindow):
 def validate_positive_between(traj, t0: float, t1: float, z_min: float = 0.0) -> None:
     """Check z(t) > 0 and z(t) >= z_min for t0 <= t <= t1.
 
-    Exact for every 1D kind: the minimum is analytic (Constant, Harmonic),
-    at an end (Linear), or at a node or an end (a polyline is linear
-    between its nodes). Crossing the mirror raises
+    Exact for every 1D kind: the minimum is the height itself (Constant),
+    the trough h - A when the window may hold one and else an end
+    (Harmonic), at an end (Linear), or at a node or an end (a polyline is
+    linear between its nodes). Crossing the mirror raises
     :class:`NonPositiveDistance`; dipping below a positive ``z_min`` raises
     :class:`CollisionGuard`; both name the point that fails.
     """

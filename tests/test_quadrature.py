@@ -42,6 +42,13 @@ def test_endpoint_singularity_with_offset():
     assert abs(r.value - exact) < 1e-5
 
 
+def test_zero_width_interval_is_zero_without_evaluating():
+    def f(x):
+        pytest.fail("integrand evaluated on a zero-width interval")
+
+    assert integrate_adaptive(f, 0.25, 0.25) == IntegralResult(0.0, 0.0, 0, True)
+
+
 def test_reversed_limits_negate():
     fwd = integrate_adaptive(math.exp, 0.0, 1.0)
     rev = integrate_adaptive(math.exp, 1.0, 0.0)

@@ -170,6 +170,14 @@ def test_phase_zero_rotation():
     assert res.value == 0.0
 
 
+def test_phase_of_a_line_at_rest_is_zero():
+    # at rest the all-time integral is centred on t* = 0 with unit width
+    traj = StraightLine3D((1e-7, 2e-7, 2e-7), (0.0, 0.0, 0.0))
+    assert traj.improper_time_scale() == (0.0, 1.0)
+    res = sagnac_phase(TWO_LEVEL, PARTICLE, traj, TimeWindow.all_time())
+    assert res.value == 0.0 and res.converged
+
+
 def test_phase_radial_path_zero():
     # dr parallel to r: the integrand vanishes identically
     traj = StraightLine3D((1e-7, 1e-7, 1e-8), (10.0, 10.0, 1.0))

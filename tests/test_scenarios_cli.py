@@ -1,13 +1,17 @@
 """Scenario parsing, execution, sweeps, emission, and CLI exit codes."""
 
+import ast
 import contextlib
+import importlib
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
 import textwrap
+import warnings
 import xml.etree.ElementTree as ET
 from importlib.resources import files
 from types import SimpleNamespace
@@ -15,8 +19,17 @@ from types import SimpleNamespace
 import pytest
 
 from casq.constants import EPSILON_0, HBAR
+from casq import scenarios
 from casq.cli import main
-from casq.errors import BadParameterPath, ParseError, UnitMismatch, UnknownSpecies, ValidationError
+from casq.errors import (
+    BadParameterPath,
+    NearFieldValidityWarning,
+    ParseError,
+    UnitMismatch,
+    UnknownSpecies,
+    ValidationError,
+    show_warning,
+)
 from casq.sagnac import SpinningParticle, ell_omega
 from casq.scenarios import (
     emit,
@@ -454,6 +467,13 @@ def test_cli_sweep_points_bounded(monkeypatch, capsys):
     monkeypatch.setattr(casq.scenarios, "sweep", must_not_run)
     assert main(argv + [str(casq.cli._POINTS_MAX + 1)]) == 2
     assert "--points must be <= 100000" in capsys.readouterr().err
+    assert main(argv + ["1"]) == 2
+    assert "--points must be >= 2" in capsys.readouterr().err
+    for start, stop in [("1e-7", "0"), ("-1e-6", "1e-6")]:
+        log = ["sweep", _scenario_path("sagnac_straightline.json"), "--param", "y_m",
+               f"--from={start}", f"--to={stop}", "--points", "3", "--log"]
+        assert main(log) == 2
+        assert "--log sweeps need positive endpoints" in capsys.readouterr().err
 
     built = []
 
@@ -641,6 +661,23 @@ def test_cli_warnings_print_as_one_line(tmp_path, capsys):
     )
 
 
+def test_show_warning_of_other_warnings_and_of_a_lost_stderr(monkeypatch, capsys):
+    message = DeprecationWarning("an old call")
+    show_warning(message, DeprecationWarning, "caller.py", 3)
+    assert capsys.readouterr().err == warnings.formatwarning(
+        message, DeprecationWarning, "caller.py", 3)
+
+    class Gone:
+        def write(self, text):
+            raise OSError("stderr is closed")
+
+    show_warning(message, DeprecationWarning, "caller.py", 3, file=Gone())
+    monkeypatch.setattr(sys, "stderr", Gone())
+    show_warning("near field", NearFieldValidityWarning, "sagnac.py", 1)
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
 #: Modules that only `run`, `sweep` and `selftest` need: the compute layers,
 #: the scenario runner, and hashlib with its OpenSSL extension (~4 ms).
 _COMPUTE_MODULES = (
@@ -699,6 +736,58 @@ def test_run_loads_only_its_kinds_modules(tmp_path, scenario, loaded, absent):
     modules = _loaded_after(f"from casq.cli import main\nassert main({argv!r}) == 0")
     assert loaded in modules
     assert sorted(set(modules) & set(absent)) == []
+
+
+_BUNDLED = sorted(p.name for p in files("casq.data").joinpath("scenarios").iterdir()
+                  if p.name.endswith(".json"))
+
+
+def test_each_kind_names_a_function_on_its_module():
+    for kind, (_, module, function, _) in scenarios._KINDS.items():
+        assert callable(getattr(importlib.import_module(f"casq.{module}"), function)), kind
+    assert {_bundled(name)["kind"] for name in _BUNDLED} == set(scenarios.SCENARIO_KINDS)
+
+
+@pytest.mark.filterwarnings("ignore::casq.errors.NearFieldValidityWarning")
+@pytest.mark.parametrize("name", _BUNDLED)
+def test_run_calls_the_function_on_its_module(monkeypatch, name):
+    # a function replaced on its own module (as a tracer wraps it) is the
+    # one a run calls, and the report names it
+    sc = parse_scenario_dict(_bundled(name), DB, name)
+    _, module_name, function, _ = scenarios._KINDS[sc.kind]
+    module = importlib.import_module(f"casq.{module_name}")
+    original = getattr(module, function)
+    plain = run_scenario(sc)
+    assert plain.operation == f"{module_name}.{function}"
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, function, spy)
+    assert run_scenario(sc).to_dict() == plain.to_dict()
+    assert len(calls) == 1
+
+
+def test_only_the_module_loader_imports_a_compute_module():
+    """Every function of scenarios.py reaches casq's other modules through
+    ``_module``; only module-level code imports them by name."""
+    tree = ast.parse(pathlib.Path(scenarios.__file__).read_text())
+    importers = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                found = node.level > 0 or (node.module or "").startswith("casq")
+            elif isinstance(node, ast.Import):
+                found = any(alias.name.startswith("casq") for alias in node.names)
+            else:
+                found = isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)) in {"import_module",
+                                                                         "__import__"}
+            if found and isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                importers.append(top.name)
+    assert importers == ["_module"]
 
 
 def test_run_reads_bundled_data_without_importlib_resources(tmp_path):
@@ -878,6 +967,23 @@ def test_cli_delay_average_that_misses_its_tolerance_exits_3(tmp_path, capsys):
     code, out = _main_run(tmp_path, capsys, data)
     assert code == 3 and out.out == ""
     assert "delay average over [" in out.err and "error_estimate=" in out.err
+
+
+@pytest.mark.parametrize("t_end, code", [(1e-12, 0), (1e-9, 2)])
+def test_cli_harmonic_clearance_reads_its_window(tmp_path, capsys, t_end, code):
+    # over [0, 1 ps] the path rises from h (phase 0 -> 6.3 mrad) and used to
+    # be refused at h - A = 1e-10 m; a window that passes the trough still is
+    data = {"kind": "QuasiStatic", "species": "two-level-demo",
+            "path": {"kind": "harmonic", "h_m": 1e-8, "amplitude_m": 9.9e-9,
+                     "omega_cm_rad_per_s": 6283185307.179586},
+            "window": {"t_start_s": 0.0, "t_end_s": t_end}}
+    got, out = _main_run(tmp_path, capsys, data)
+    assert got == code, out.err
+    if code == 0:
+        report = json.loads(out.out)
+        assert report["converged"] is True and math.isfinite(report["value"])
+    else:
+        assert "at harmonic minimum, below the near-contact cutoff" in out.err
 
 
 def test_cli_sweep_records_overflow_row(tmp_path, capsys):

@@ -106,6 +106,28 @@ def test_sampled_harmonic_fd_velocity():
         assert abs(fd - ref) <= 1e-6 * max(abs(ref), 1e-3 * vmax)
 
 
+def test_sampled_3d_velocity_is_the_1d_velocity_of_each_coordinate():
+    times = (0.0, 0.3, 1.1, 2.0, 2.2)
+    points = ((1.0, -2.0, 3e-7), (1.5, 0.25, 2e-7), (0.7, 1e3, -4e-7), (2.0, 3.0, 1e-9),
+              (2.5, -1e-3, 5e-7))
+    tr3 = SampledPolyline3D(times, points)
+    coords = [SampledPolyline1D(times, tuple(p[k] for p in points)) for k in range(3)]
+    rng = random.Random(7)
+    for t in [*times, *(rng.uniform(times[0], times[-1]) for _ in range(200))]:
+        assert tr3.velocity(t) == tuple(c.velocity(t) for c in coords), t
+
+
+def test_sampled_velocity_at_the_end_samples_is_the_end_slope():
+    # the difference is one-sided within one step (half the mean spacing) of
+    # either end, so it never leaves the samples
+    times = (0.0, 1.0, 2.0, 3.0)
+    tr1 = SampledPolyline1D(times, (1.0, 3.0, 2.0, 6.0))
+    tr3 = SampledPolyline3D(times, ((1.0, 0.0, -1.0), (3.0, 0.0, 1.0), (2.0, 0.0, 3.0),
+                                    (6.0, 0.0, -5.0)))
+    assert tr1.velocity(0.0) == 2.0 and tr1.velocity(3.0) == 4.0
+    assert tr3.velocity(0.0) == (2.0, 0.0, 2.0) and tr3.velocity(3.0) == (4.0, 0.0, -8.0)
+
+
 def test_light_delay():
     assert light_delay(C_LIGHT / 2.0) == 1.0
     tau = light_delay(1e-6)
@@ -167,6 +189,11 @@ def test_reparametrize_time_map(lam):
         for _ in range(20):
             t = rng.uniform(-2.0, 2.0)
             assert _same_point(fast.position(t), tr.position(lam * t), 1e-12)
+
+
+def test_reparametrize_window_keeps_all_time():
+    w = TimeWindow.all_time()
+    assert reparametrize_window(w, 3.0) is w
 
 
 def test_reparametrize_requires_positive_lambda():
@@ -287,8 +314,12 @@ _DIP = SampledPolyline1D((0.0, 1.0, 2.0, 3.0), (1.0, 0.25, 1.0, -1.0))
 _LOWEST_POINTS = (
     (Constant1D(0.0), TimeWindow(0.0, 1.0), 0.0, NonPositiveDistance, "all t"),
     (Constant1D(0.5), TimeWindow.all_time(), 0.75, ImproperWindow, "bounded window"),
-    (Harmonic1D(1.0, 0.5, 2.0), TimeWindow(0.0, 1.0), 0.75, CollisionGuard,
-     "harmonic minimum"),
+    (Harmonic1D(1.0, 0.5, 2.0), TimeWindow(0.0, 3.0), 0.75, CollisionGuard,
+     "harmonic minimum"),  # the phase runs 0 -> 6 rad, past the trough at 3 pi/2
+    (Harmonic1D(1.0, 0.5, -2.0), TimeWindow(0.0, 1.0), 0.75, CollisionGuard,
+     "harmonic minimum"),  # 0 -> -2 rad, past the trough at -pi/2
+    (Harmonic1D(1.0, 0.5, 2.0), TimeWindow(2.0, 2.3), 0.55, CollisionGuard,
+     "window end"),  # 4 -> 4.6 rad, falling towards the trough at 4.71 rad
     (Linear1D(1.0, 0.3), TimeWindow(-5.0, 0.0), 0.0, NonPositiveDistance, "window start"),
     (Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0), 0.75, CollisionGuard, "window end"),
     (Linear1D(0.5, 0.0), TimeWindow.all_time(), 0.75, ImproperWindow, "bounded window"),
@@ -314,6 +345,8 @@ def _mirror_scenario(traj, window, z_min=0.0):
 def test_positive_over_window():
     _mirror_scenario(Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0))
     _mirror_scenario(_DIP, TimeWindow(0.0, 2.0), z_min=0.25)
+    # the phase runs 0 -> 2 rad, rising then falling: z stays >= 1 on it
+    _mirror_scenario(Harmonic1D(1.0, 0.5, 2.0), TimeWindow(0.0, 1.0), z_min=0.75)
     with pytest.raises(NonPositiveDistance):
         _mirror_scenario(Linear1D(1.0, -0.3), TimeWindow(0.0, 5.0))
     with pytest.raises(CollisionGuard):
