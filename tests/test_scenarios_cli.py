@@ -18,9 +18,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from casq.constants import EPSILON_0, HBAR
 from casq import scenarios
 from casq.cli import main
+from casq.constants import EPSILON_0, HBAR
 from casq.errors import (
     BadParameterPath,
     NearFieldValidityWarning,

@@ -320,6 +320,8 @@ _LOWEST_POINTS = (
      "harmonic minimum"),  # 0 -> -2 rad, past the trough at -pi/2
     (Harmonic1D(1.0, 0.5, 2.0), TimeWindow(2.0, 2.3), 0.55, CollisionGuard,
      "window end"),  # 4 -> 4.6 rad, falling towards the trough at 4.71 rad
+    (Harmonic1D(1.0, 0.5, 1.0), TimeWindow(0.0, math.nextafter(1.5 * math.pi, 0.0)), 0.75,
+     CollisionGuard, "harmonic minimum"),  # one ulp short of the trough: within rounding
     (Linear1D(1.0, 0.3), TimeWindow(-5.0, 0.0), 0.0, NonPositiveDistance, "window start"),
     (Linear1D(1.0, -0.1), TimeWindow(0.0, 5.0), 0.75, CollisionGuard, "window end"),
     (Linear1D(0.5, 0.0), TimeWindow.all_time(), 0.75, ImproperWindow, "bounded window"),
