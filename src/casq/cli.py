@@ -64,10 +64,41 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _numbers(text: str) -> list[float]:
+    """The numbers of a comma-separated ``--values`` list; blanks are skipped."""
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+#: How each sweep option that takes numbers reads them (``ValueError`` if not).
+_NUMBER_OPTIONS = {"--from": float, "--to": float, "--values": _numbers}
+
+
+def _join_signed_numbers(argv: list[str]) -> list[str]:
+    """``--from -1e-7`` as ``--from=-1e-7``, and so for ``--to`` and ``--values``.
+
+    argparse takes a bare minus-signed argument for an option unless it reads
+    as -12 or -1.5, so a value such as -1e-7 needs the ``=`` form; this joins
+    an option and its next argument when that argument reads as its numbers.
+    """
+    out: list[str] = []
+    for arg in argv:
+        read = _NUMBER_OPTIONS.get(out[-1]) if out and arg.startswith("-") else None
+        if read is not None:
+            try:
+                read(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def _sweep_values(args) -> list[float]:
     try:
         if args.values:
-            return [float(v) for v in args.values.split(",") if v.strip()]
+            return _numbers(args.values)
         missing = [
             name
             for name, val in (("--from", args.start), ("--to", args.stop), ("--points", args.points))
@@ -173,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_signed_numbers(argv))
     with warnings.catch_warnings():
         warnings.showwarning = show_warning
         try:

@@ -123,7 +123,7 @@ class _Panel:
         self.resabs = resabs  # integral of |f| over the panel, by the Kronrod rule
 
 
-def _gk15(f, a: float, b: float, ctx: str) -> _Panel:
+def _gk15(f, a: float, b: float) -> _Panel:
     """One Gauss-Kronrod 7/15 panel on [a, b] with QUADPACK error scaling.
 
     Evaluates all 15 nodes (centre first, then each pair from the outside
@@ -164,7 +164,8 @@ def _gk15(f, a: float, b: float, ctx: str) -> _Panel:
             if not isfinite(fx):
                 # the centre as evaluated: center + half * 0.0 drops a -0.0, is NaN if half is inf
                 x = center + half * u if u else center
-                raise NonFiniteEvaluation(f"{ctx}: integrand returned {fx!r} at x = {x!r}")
+                raise NonFiniteEvaluation(
+                    f"integrate_adaptive: integrand returned {fx!r} at x = {x!r}")
     resg = fc * _G3 + _G0 * (fl1 + fr1) + _G1 * (fl3 + fr3) + _G2 * (fl5 + fr5)
     resk = (fc * _K7 + _K0 * (fl0 + fr0) + _K1 * (fl1 + fr1) + _K2 * (fl2 + fr2)
             + _K3 * (fl3 + fr3) + _K4 * (fl4 + fr4) + _K5 * (fl5 + fr5) + _K6 * (fl6 + fr6))
@@ -240,7 +241,8 @@ def integrate_adaptive(
     within twice that floor summed over the panels. A relative tolerance
     below twice the floor (about 2.2e-14) asks for more than any panel can
     certify, and keeps its plain target.
-    Raises :class:`NonFiniteEvaluation` if the integrand returns NaN/inf.
+    Raises :class:`NonFiniteEvaluation` if the integrand returns NaN/inf,
+    and ``OverflowError`` if the summed panels leave the float range.
     """
     a = float(a)
     b = float(b)
@@ -263,11 +265,13 @@ def _adaptive_core(
     spec: QuadratureSpec | None,
 ) -> IntegralResult:
     spec = spec or DEFAULT_SPEC
-    ctx = "integrate_adaptive"
-    panels = [_gk15(f, breaks[i], breaks[i + 1], ctx) for i in range(len(breaks) - 1)]
+    panels = [_gk15(f, breaks[i], breaks[i + 1]) for i in range(len(breaks) - 1)]
     # integral of |f|, kept up to date per bisection: it only sets a floor
     resabs = math.fsum(p.resabs for p in panels)
     total = math.fsum(p.value for p in panels)
+    if not isfinite(total):
+        # its target rel_tol * |total| would be met by any estimate
+        raise OverflowError("integrate_adaptive: running panel sum overflows")
     toterr = math.fsum(p.error for p in panels)
     # built at the first bisection, so integrals that converge on their
     # first panels pay nothing for them
@@ -295,8 +299,8 @@ def _adaptive_core(
         if mid <= worst.a or mid >= worst.b:
             # interval at floating-point resolution: keep it, accept its error
             break
-        left = _gk15(f, worst.a, mid, ctx)
-        right = _gk15(f, mid, worst.b, ctx)
+        left = _gk15(f, worst.a, mid)
+        right = _gk15(f, mid, worst.b)
         heapq.heapreplace(heap, (-left.error, left.a, left))
         heapq.heappush(heap, (-right.error, right.a, right))
         _grow_exact(values, (left.value, right.value, -worst.value))

@@ -331,7 +331,7 @@ def criterion_6() -> CriterionResult:
     iso_spread = max(
         abs(r.value - iso[0].value) for r in iso[1:]
     )
-    iso_tol = 10.0 * sum(r.error_estimate for r in iso) + 1e-8 * iso[0].value
+    iso_tol = 10.0 * math.fsum(r.error_estimate for r in iso) + 1e-8 * iso[0].value
 
     runtime = time.perf_counter() - t0
     ok = (

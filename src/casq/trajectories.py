@@ -25,12 +25,13 @@ the kind. ``tangent(t)`` is the exact derivative of ``position``, which line
 integrals read: ``velocity`` itself on an analytic kind, the slope of the
 segment holding t on a polyline. ``breakpoints(t0, t1)`` names its kinks
 (the sample times of a polyline, none for an analytic kind). Both polylines
-share the sample checks, segment lookup and difference stencil of their base
-``_Sampled``. :func:`reparametrize` (t -> lambda t) and :func:`reverse`
-(t -> t_start + t_end - t across a bounded window) hand the same geometric
-path at a new pace to the kind's ``_reparametrized`` and ``_reversed``, exact
-on the analytic kinds, which is what the geometric-phase invariance tests
-lean on. :func:`validate_positive_between` checks the points a 1D kind's
+share the sample checks, segment lookup, difference stencil and re-timed
+samples of their base ``_Sampled``. :func:`reparametrize` (t -> lambda t)
+and :func:`reverse` (t -> t_start + t_end - t across a bounded window) are
+one affine change of time, t -> a + b t, and each kind's ``_retimed(a, b)``
+returns the same geometric path at the new pace, exact on the analytic
+kinds, which is what the geometric-phase invariance tests lean on.
+:func:`validate_positive_between` checks the points a 1D kind's
 ``_lowest(t0, t1)`` names as candidates for its minimum over [t0, t1], and
 ``_fastest()`` its greatest |dz/dt| over all time. A 3D kind gives its exact
 ``closest_approach(window)`` to the origin and the ``improper_time_scale()``
@@ -155,6 +156,13 @@ class _Sampled:
     def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
         return self.times[self._inside(t0, t1)]
 
+    def _retimed_samples(self, a: float, b: float, samples: tuple) -> tuple[tuple, tuple]:
+        """Sample times and ``samples``, in time order, under t -> a + b t: each
+        t goes to (t - a) / b, written t / b - a / b to be exactly t / b for
+        a = 0 and a - t for b = -1, signed zeros included."""
+        step = 1 if b > 0.0 else -1
+        return tuple(t / b - a / b for t in self.times[::step]), samples[::step]
+
 
 # -- 1D kinds -----------------------------------------------------------------
 
@@ -174,11 +182,8 @@ class Constant1D(_Analytic, Value):
 
     tangent = velocity
 
-    def _reparametrized(self, lam: float) -> "Constant1D":
-        return self.replace(v_parallel=_scaled(self.v_parallel, lam))
-
-    def _reversed(self, s: float) -> "Constant1D":
-        return self.replace(v_parallel=_scaled(self.v_parallel, -1.0))
+    def _retimed(self, a: float, b: float) -> "Constant1D":
+        return self.replace(v_parallel=_scaled(self.v_parallel, b))
 
     def _lowest(self, t0: float, t1: float):
         yield self.h, "all t"
@@ -204,12 +209,9 @@ class Linear1D(_Analytic, Value):
 
     tangent = velocity
 
-    def _reparametrized(self, lam: float) -> "Linear1D":
-        return self.replace(v=self.v * lam, v_parallel=_scaled(self.v_parallel, lam))
-
-    def _reversed(self, s: float) -> "Linear1D":
-        return self.replace(h=self.h + self.v * s, v=-self.v,
-                            v_parallel=_scaled(self.v_parallel, -1.0))
+    def _retimed(self, a: float, b: float) -> "Linear1D":
+        return self.replace(h=self.h + self.v * a, v=self.v * b,
+                            v_parallel=_scaled(self.v_parallel, b))
 
     def _lowest(self, t0: float, t1: float):
         yield self.position(t0), "window start"
@@ -249,15 +251,10 @@ class Harmonic1D(_Analytic, Value):
 
     tangent = velocity
 
-    def _reparametrized(self, lam: float) -> "Harmonic1D":
-        return self.replace(omega_cm=self.omega_cm * lam,
-                            v_parallel=_scaled(self.v_parallel, lam))
-
-    def _reversed(self, s: float) -> "Harmonic1D":
-        # z(s - t) = h + A sin(-w t + (w s + p0))
-        return self.replace(omega_cm=-self.omega_cm,
-                            phase0=self.omega_cm * s + self.phase0,
-                            v_parallel=_scaled(self.v_parallel, -1.0))
+    def _retimed(self, a: float, b: float) -> "Harmonic1D":
+        # z(a + b t) = h + A sin(w b t + (w a + p0))
+        return self.replace(omega_cm=self.omega_cm * b, phase0=self.omega_cm * a + self.phase0,
+                            v_parallel=_scaled(self.v_parallel, b))
 
     def _lowest(self, t0: float, t1: float):
         # the ends, unless the phase may pass a trough (3 pi/2 mod 2 pi) on
@@ -303,14 +300,9 @@ class SampledPolyline1D(_Sampled, Value):
         i, j, _ = self._nearer(t)
         return (self.values[j] - self.values[i]) / (self.times[j] - self.times[i])
 
-    def _reparametrized(self, lam: float) -> "SampledPolyline1D":
-        return self.replace(times=tuple(t / lam for t in self.times),
-                            v_parallel=_scaled(self.v_parallel, lam))
-
-    def _reversed(self, s: float) -> "SampledPolyline1D":
-        return self.replace(times=tuple(s - t for t in reversed(self.times)),
-                            values=tuple(reversed(self.values)),
-                            v_parallel=_scaled(self.v_parallel, -1.0))
+    def _retimed(self, a: float, b: float) -> "SampledPolyline1D":
+        times, values = self._retimed_samples(a, b, self.values)
+        return self.replace(times=times, values=values, v_parallel=_scaled(self.v_parallel, b))
 
     def _lowest(self, t0: float, t1: float):
         if t0 < self.times[0] or t1 > self.times[-1]:
@@ -381,12 +373,9 @@ class StraightLine3D(_Analytic, Value):
             return t0, 1.0
         return t0, (norm3(self.position(t0)) or 1.0) / speed
 
-    def _reparametrized(self, lam: float) -> "StraightLine3D":
-        return self.replace(v=tuple(lam * c for c in self.v))
-
-    def _reversed(self, s: float) -> "StraightLine3D":
-        return self.replace(r0=tuple(r + v * s for r, v in zip(self.r0, self.v)),
-                            v=tuple(-v for v in self.v))
+    def _retimed(self, a: float, b: float) -> "StraightLine3D":
+        return self.replace(r0=tuple(r + v * a for r, v in zip(self.r0, self.v)),
+                            v=tuple(v * b for v in self.v))
 
 
 class SampledPolyline3D(_Sampled, Value):
@@ -426,12 +415,9 @@ class SampledPolyline3D(_Sampled, Value):
         """A polyline ends at its samples, so it has no all-time line integral."""
         raise OutOfWindow("sampled trajectory cannot cover an improper window")
 
-    def _reparametrized(self, lam: float) -> "SampledPolyline3D":
-        return self.replace(times=tuple(t / lam for t in self.times))
-
-    def _reversed(self, s: float) -> "SampledPolyline3D":
-        return self.replace(times=tuple(s - t for t in reversed(self.times)),
-                            points=tuple(reversed(self.points)))
+    def _retimed(self, a: float, b: float) -> "SampledPolyline3D":
+        times, points = self._retimed_samples(a, b, self.points)
+        return self.replace(times=times, points=points)
 
     def closest_approach(self, window: TimeWindow) -> float:
         """Distance to the origin over the segments clipped to the window
@@ -477,7 +463,7 @@ def reparametrize(traj, lam: float):
     :func:`reparametrize_window` to follow the same stretch of path.
     """
     check_fields("reparametrize", positive=("lambda",), **{"lambda": lam})
-    return traj._reparametrized(lam)
+    return traj._retimed(0.0, lam)
 
 
 def reparametrize_window(window: TimeWindow, lam: float) -> TimeWindow:
@@ -495,7 +481,7 @@ def reverse(traj, window: TimeWindow):
     """
     if window.improper:
         raise ImproperWindow("reverse requires a bounded window")
-    return traj._reversed(window.t_start + window.t_end)
+    return traj._retimed(window.t_start + window.t_end, -1.0)
 
 
 def validate_positive_between(traj, t0: float, t1: float, z_min: float = 0.0) -> None:

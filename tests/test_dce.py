@@ -105,6 +105,15 @@ def test_amplitude_longitudinal_polarization_vanishes():
     assert pair_emission_amplitude(PARAMS, ph1, ph2) == 0.0
 
 
+@pytest.mark.parametrize("zero", [0, 1])
+def test_amplitude_refuses_a_zero_wavevector(zero):
+    photons = [_photon((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.5 * OMEGA_CM),
+               _photon((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), 0.5 * OMEGA_CM)]
+    photons[zero] = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="^photon wavevectors must be nonzero$"):
+        pair_emission_amplitude(PARAMS, *photons)
+
+
 def test_amplitude_off_shell_raises():
     ph1 = _photon((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), 0.8 * OMEGA_CM)
     ph2 = _photon((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), 0.8 * OMEGA_CM)

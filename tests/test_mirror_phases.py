@@ -273,6 +273,27 @@ def test_nonlocal_requires_two_level():
         nonlocal_phase(scen)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_scenario_needs_one_or_two_paths(n):
+    with pytest.raises(ValueError, match=f"^MirrorScenario: need 1 or 2 paths, got {n}$"):
+        MirrorScenario(TWO_LEVEL, (Constant1D(1e-6),) * n, TimeWindow(0.0, 1e-7))
+
+
+def test_nonlocal_and_total_need_two_paths(monkeypatch):
+    import casq.mirror_phases
+
+    def must_not_run(*args):
+        pytest.fail("a single-path phase ran before the two-path check")
+
+    scen = MirrorScenario(TWO_LEVEL, (Linear1D(1e-6, 1.0),), TimeWindow(0.0, 1e-7))
+    monkeypatch.setattr(casq.mirror_phases, "quasi_static_phase", must_not_run)
+    monkeypatch.setattr(casq.mirror_phases, "motional_phase_mirror", must_not_run)
+    for phase in (nonlocal_phase, total_phase_difference):
+        with pytest.raises(ValueError, match="^the nonlocal phase needs a scenario with "
+                                             "exactly two paths$"):
+            phase(scen)
+
+
 def test_nonlocal_parallel_velocity_mismatch_warns():
     scen = MirrorScenario(
         TWO_LEVEL,

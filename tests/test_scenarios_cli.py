@@ -341,6 +341,22 @@ def test_emit_svg_wellformed():
     assert polylines[0].get("points")
 
 
+@pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+def test_emit_refuses_an_unknown_format(fmt):
+    report = run_scenario(parse_scenario_dict(minimal_quasi_static(), DB))
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown format {fmt!r} (expected csv, json or svg-plotdata)")):
+        emit(report, fmt)
+
+
+@pytest.mark.parametrize("obj, name", [({1, 2}, "set"), ({"x": [1.0, b"raw"]}, "bytes"),
+                                       (1j, "complex")])
+def test_canonical_json_refuses_a_non_json_object(obj, name):
+    for compact in (False, True):
+        with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+            to_canonical_json(obj, compact)
+
+
 def test_canonical_json_17_digits():
     text = to_canonical_json({"x": 0.1})
     assert "0.10000000000000001" in text
@@ -452,6 +468,34 @@ def test_cli_sweep_bad_values_exit_2():
                  "--param", "y_m", "--from", "1e-7", "--to", "1e-6",
                  "--points", "many")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("bare, joined", [
+    (["--from", "-1e-7", "--to", "1e-7", "--points", "3"],
+     ["--from=-1e-7", "--to=1e-7", "--points", "3"]),
+    (["--to", "-1E-7", "--from", "-3e-7", "--points", "3"],
+     ["--to=-1E-7", "--from=-3e-7", "--points", "3"]),
+    (["--values", "-1e-7,2e-7"], ["--values=-1e-7,2e-7"]),
+])
+def test_cli_sweep_reads_a_bare_signed_number_as_its_value(capsys, bare, joined):
+    # argparse takes a bare -1e-7 for an option; the = form never did
+    argv = ["sweep", _scenario_path("sagnac_straightline.json"), "--param", "y_m"]
+    assert main(argv + joined) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + bare) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--from", "-x"), ("--to", "-1e-7e"), ("--values", "-1e-7,oops"),
+])
+def test_cli_sweep_signed_non_number_is_a_usage_error(capsys, option, value):
+    argv = ["sweep", _scenario_path("sagnac_straightline.json"), "--param", "y_m",
+            "--from", "1e-7", "--to", "2e-7", "--points", "3", option, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: expected one argument" in capsys.readouterr().err
 
 
 def test_cli_sweep_points_bounded(monkeypatch, capsys):

@@ -128,6 +128,17 @@ def test_sampled_velocity_at_the_end_samples_is_the_end_slope():
     assert tr3.velocity(0.0) == (2.0, 0.0, 2.0) and tr3.velocity(3.0) == (4.0, 0.0, -8.0)
 
 
+@pytest.mark.parametrize("build, column", [
+    (lambda: SampledPolyline1D((0.0, 1.0, 2.0), (1.0, 2.0)), "values"),
+    (lambda: SampledPolyline1D((0.0, 1.0), (1.0, 2.0, 3.0)), "values"),
+    (lambda: SampledPolyline3D((0.0, 1.0, 2.0), ((0.0, 1.0, 0.0),) * 2), "points"),
+    (lambda: SampledPolyline3D((0.0, 1.0), ((0.0, 1.0, 0.0),) * 3), "points"),
+])
+def test_sampled_columns_must_have_equal_length(build, column):
+    with pytest.raises(ValueError, match=f"^times and {column} must have equal length$"):
+        build()
+
+
 def test_light_delay():
     assert light_delay(C_LIGHT / 2.0) == 1.0
     tau = light_delay(1e-6)
@@ -241,6 +252,73 @@ def test_reverse_involution():
 def test_reverse_requires_bounded_window():
     with pytest.raises(ImproperWindow):
         reverse(Linear1D(1.0, 1.0), TimeWindow.all_time())
+
+
+# -- the fields of a re-timed path -----------------------------------------------
+
+def _by(v_parallel, factor):
+    return None if v_parallel is None else v_parallel * factor
+
+
+#: Each kind under t -> lambda t and under t -> s - t, written out field by
+#: field as (reparametrized(path, lam), reversed(path, s)).
+_RETIMED = {
+    Constant1D: (
+        lambda p, lam: Constant1D(p.h, _by(p.v_parallel, lam)),
+        lambda p, s: Constant1D(p.h, _by(p.v_parallel, -1.0)),
+    ),
+    Linear1D: (
+        lambda p, lam: Linear1D(p.h, p.v * lam, _by(p.v_parallel, lam)),
+        lambda p, s: Linear1D(p.h + p.v * s, -p.v, _by(p.v_parallel, -1.0)),
+    ),
+    Harmonic1D: (
+        lambda p, lam: Harmonic1D(p.h, p.amplitude, p.omega_cm * lam, p.phase0,
+                                  _by(p.v_parallel, lam)),
+        lambda p, s: Harmonic1D(p.h, p.amplitude, -p.omega_cm, p.omega_cm * s + p.phase0,
+                                _by(p.v_parallel, -1.0)),
+    ),
+    SampledPolyline1D: (
+        lambda p, lam: SampledPolyline1D(tuple(t / lam for t in p.times), p.values,
+                                         _by(p.v_parallel, lam)),
+        lambda p, s: SampledPolyline1D(tuple(s - t for t in reversed(p.times)),
+                                       tuple(reversed(p.values)), _by(p.v_parallel, -1.0)),
+    ),
+    StraightLine3D: (
+        lambda p, lam: StraightLine3D(p.r0, tuple(lam * c for c in p.v)),
+        lambda p, s: StraightLine3D(tuple(r + v * s for r, v in zip(p.r0, p.v)),
+                                    tuple(-c for c in p.v)),
+    ),
+    SampledPolyline3D: (
+        lambda p, lam: SampledPolyline3D(tuple(t / lam for t in p.times), p.points),
+        lambda p, s: SampledPolyline3D(tuple(s - t for t in reversed(p.times)),
+                                       tuple(reversed(p.points))),
+    ),
+}
+
+#: Every kind, the extra paths of ``test_reverse_involution``, and a line
+#: with zero coordinates, as criterion 7's Sagnac path has.
+_RETIMED_PATHS = ALL_KINDS + (
+    Linear1D(1.0, 2.0),
+    Harmonic1D(2.0, 0.5, 3.0, 0.1),
+    SampledPolyline1D((-1.0, 0.5, 2.0), (1.0, 2.0, 1.5)),
+    StraightLine3D((0.0, 3e-7, 0.0), (100.0, 0.0, 0.0)),
+)
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 10.0])
+def test_reparametrize_gives_each_kinds_fields_bit_for_bit(lam):
+    for tr in _RETIMED_PATHS:
+        # repr round-trips every float, and tells 0.0 from -0.0
+        assert repr(reparametrize(tr, lam)) == repr(_RETIMED[type(tr)][0](tr, lam))
+
+
+@pytest.mark.parametrize("t0, t1", [(-1.0, 2.0), (0.0, 20.0), (-20.0, 20.0), (-1.5e-7, 1.5e-7)])
+def test_reverse_gives_each_kinds_fields_bit_for_bit(t0, t1):
+    # (0, 20) and (-20, 20) send a sample time to s - t = 0.0, which must
+    # not come back as -0.0; the last window is criterion 7's Sagnac window
+    for tr in _RETIMED_PATHS:
+        expected = _RETIMED[type(tr)][1](tr, t0 + t1)
+        assert repr(reverse(tr, TimeWindow(t0, t1))) == repr(expected)
 
 
 # -- validation ------------------------------------------------------------------
