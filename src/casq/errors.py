@@ -98,7 +98,8 @@ class BadParameterPath(ValidationError):
 # -- numerical family --------------------------------------------------------
 
 class NonConvergent(NumericalError):
-    """Adaptive integration hit the subdivision cap before the tolerance."""
+    """An integral missed its tolerance (an adaptive one by spending its
+    subdivision budget first)."""
 
 
 class NonFiniteEvaluation(NumericalError):

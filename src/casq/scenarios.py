@@ -35,7 +35,6 @@ from .errors import (
     NonFiniteEvaluation,
     ParseError,
     ValidationError,
-    show_warning,
 )
 from .schema import (
     check_keys,
@@ -429,7 +428,7 @@ def run_scenario(sc: Scenario) -> Report:
         raise NonFiniteEvaluation(f"{op}: {bad[0]}")
     if not res.converged:
         raise NonConvergent(
-            f"{op}: subdivision budget exhausted before the tolerance "
+            f"{op}: missed its tolerance "
             f"(value={res.value!r}, error_estimate={res.error_estimate!r})"
         )
     return Report(sc.kind, sc.species.name, op, res, time.perf_counter() - t0)
@@ -486,21 +485,18 @@ def _with_value(data, path: str, value: float, source: str):
         node = child
 
 
-def _init_worker() -> None:
-    # a worker writes its warnings straight to the user's stderr (workers
-    # forked by the CLI inherit this hook; spawned workers, and workers of
-    # callers outside the CLI, do not)
-    warnings.showwarning = show_warning
-
-
-def _sweep_one(args) -> SweepRow:
+def _sweep_one(args) -> tuple[SweepRow, list[tuple]]:
+    """A row, and its warnings as ``warnings.warn_explicit``'s first four arguments."""
     scenario_data, param, value, species_db = args
-    try:
-        data = _with_value(scenario_data, param, value, "<sweep>")
-        sc = parse_scenario_dict(data, species_db, source="<sweep>")
-        return SweepRow(param, value, run_scenario(sc))
-    except CasqError as exc:
-        return SweepRow(param, value, None, f"{type(exc).__name__}: {exc}")
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")
+        try:
+            data = _with_value(scenario_data, param, value, "<sweep>")
+            sc = parse_scenario_dict(data, species_db, source="<sweep>")
+            row = SweepRow(param, value, run_scenario(sc))
+        except CasqError as exc:
+            row = SweepRow(param, value, None, f"{type(exc).__name__}: {exc}")
+    return row, [(w.message, w.category, w.filename, w.lineno) for w in raised]
 
 
 def sweep(
@@ -513,7 +509,8 @@ def sweep(
     """Run one scenario for each parameter value; rows come back ordered by
     value (NaN values last, in their given order) regardless of execution
     order, and per-row failures are recorded in the row rather than aborting
-    the sweep.
+    the sweep. Each row's warnings are shown here, in row order and once per
+    message per sweep under the default filter, at every worker count.
 
     ``jobs`` is clamped to the CPU count and to the number of values; 1 or
     less runs the rows in this process. Workers are forked on Linux, so they
@@ -534,18 +531,26 @@ def sweep(
     tasks = [(scenario_data, param, float(values[i]), species_db) for i in order]
     jobs = min(jobs, os.cpu_count() or 1, len(values))
     if jobs <= 1:
-        return [_sweep_one(t) for t in tasks]
-    # forked workers inherit the kind's compute modules instead of each
-    # compiling them again; an unknown kind loads nothing (its rows fail to parse)
-    kind = scenario_data.get("kind") if isinstance(scenario_data, dict) else None
-    if kind in SCENARIO_KINDS:
-        _module(_KINDS[kind][1])
-    # imported here: serial sweeps and every other command skip its import cost
-    from multiprocessing import get_context
+        # all rows first: each row's catch_warnings clears every registry on exit
+        done = [_sweep_one(t) for t in tasks]
+    else:
+        # forked workers inherit the kind's compute modules instead of each
+        # compiling them again; an unknown kind loads nothing (its rows fail to parse)
+        kind = scenario_data.get("kind") if isinstance(scenario_data, dict) else None
+        if kind in SCENARIO_KINDS:
+            _module(_KINDS[kind][1])
+        # imported here: serial sweeps and every other command skip its import cost
+        from multiprocessing import get_context
 
-    method = "fork" if sys.platform == "linux" else "spawn"
-    with get_context(method).Pool(processes=jobs, initializer=_init_worker) as pool:
-        return pool.map(_sweep_one, tasks)
+        method = "fork" if sys.platform == "linux" else "spawn"
+        with get_context(method).Pool(processes=jobs) as pool:
+            done = pool.map(_sweep_one, tasks)
+    # the module warnings.warn names, for filters by module; a module of None drops a warning
+    module = {getattr(m, "__file__", None): n for n, m in list(sys.modules.items())}.get
+    registry = {}
+    for message, category, file, lineno in (w for _, raised in done for w in raised):
+        warnings.warn_explicit(message, category, file, lineno, module(file, file), registry)
+    return [row for row, _ in done]
 
 
 # -- emission ------------------------------------------------------------------

@@ -267,8 +267,10 @@ def test_sagnac_path_is_checked_at_its_closest_approach(tmp_path_factory, path, 
     # ends with exit 2 exactly when d is 0 or below the radius
     traj, window = _path_and_window(path)
     d = traj.closest_approach(window)
-    # no sampled point of the path comes closer than d
-    times = [window.t_start + (window.t_end - window.t_start) * i / 1000 for i in range(1001)]
+    # no sampled point of the path comes closer than d; the last probe is
+    # t_end itself, since t_start + (t_end - t_start) may round past it
+    times = [window.t_start + (window.t_end - window.t_start) * i / 1000 for i in range(1000)]
+    times.append(window.t_end)
     assert min(math.hypot(*traj.position(t)) for t in times) >= d * (1.0 - 1e-12)
     particle = {"alpha0_F_m2": 1e-32, "omega_s_rad_per_s": 8e15,
                 "omega_rad_per_s": [0.0, 0.0, 1e5], "radius_m": ratio * d}

@@ -183,6 +183,32 @@ def test_non_finite_and_malformed_numbers_rejected(data):
         parse_scenario_dict(data, DB)
 
 
+_PATH = {"kind": "constant", "h_m": 1e-6}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({**minimal_quasi_static(),
+          "path": {"kind": "sampled", "points_t_s_z_m": [[0.0, 1e-6], [1e-9]]}},
+         "<scenario>.path.points_t_s_z_m: expected a list of [t, z] pairs"),
+        (_sampled_sagnac([[0.0, [0.0, 3e-7, 0.0]], 1e-9]),
+         "<scenario>.trajectory.points_t_s_r_m: expected a list of [t, [x,y,z]] pairs"),
+        ({**minimal_quasi_static(), "path": [_PATH]}, "<scenario>.path: expected an object"),
+        ({**minimal_quasi_static(), "path": {"kind": "spiral"}},
+         "<scenario>.path.kind: expected one of constant/linear/harmonic/sampled, got 'spiral'"),
+        ({"kind": "Nonlocal", "species": "two-level-demo", "paths": [_PATH],
+          "window": {"t_start_s": 0.0, "t_end_s": 1e-7}},
+         "<scenario>.paths: expected a list of exactly two paths"),
+    ],
+    ids=["sampled-1d-pair", "sampled-3d-pair", "path-object", "path-kind", "two-paths"],
+)
+def test_path_reader_refusals(data, message):
+    with pytest.raises(ParseError) as err:
+        parse_scenario_dict(data, DB)
+    assert str(err.value) == message
+
+
 def test_wrong_unit_suffix_flagged():
     data = straightline_scenario(3e-7)
     data["y_um"] = data.pop("y_m")
@@ -253,6 +279,34 @@ def test_sweep_parallel_matches_serial():
         assert a.report.to_dict() == b.report.to_dict()
 
 
+def test_sweep_shows_its_rows_warnings_in_row_order_at_every_worker_count(monkeypatch):
+    # rows 2e-7, 2e-7, 3e-7 and 5e-7: the repeated row's message shows once,
+    # in this process, whether the rows ran here or in two workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shown = []
+    for jobs in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            sweep(_bundled("sagnac_numeric.json"), "trajectory.r0_m.1",
+                  [5e-7, 2e-7, 3e-7, 2e-7], DB, jobs=jobs)
+        shown.append([(w.category, str(w.message)) for w in caught])
+    assert shown[0] == shown[1]
+    assert {category for category, _ in shown[0]} == {NearFieldValidityWarning}
+    assert [float(message.split()[2]) for _, message in shown[0]] == [2e-7, 3e-7, 5e-7]
+
+
+def test_sweep_warnings_match_filters_by_module(monkeypatch):
+    # a row's warning keeps the module that raised it, so a filter by module
+    # (as in PYTHONWARNINGS=ignore:::casq.scenarios) silences it at every worker count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for jobs in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", module=r"casq\.scenarios\Z")
+            sweep(_bundled("sagnac_numeric.json"), "trajectory.r0_m.1", [2e-7, 3e-7], DB, jobs=jobs)
+        assert caught == [], jobs
+
+
 @pytest.mark.parametrize(
     "jobs, n_values, expected",
     [(100000, 6, 4), (3, 6, 3), (8, 2, 2), (8, 1, None), (0, 6, None), (-5, 6, None)],
@@ -266,7 +320,7 @@ def test_sweep_worker_count_clamped(monkeypatch, jobs, n_values, expected):
 
     def get_context(method):
         # records the start method and worker count, then runs the rows serially
-        def pool(processes, initializer):
+        def pool(processes):
             calls.append((method, processes))
             return contextlib.nullcontext(SimpleNamespace(map=lambda fn, tasks: list(map(fn, tasks))))
 
@@ -687,7 +741,7 @@ def test_cli_warnings_print_as_one_line(tmp_path, capsys):
     run = _casq("run", _scenario_path("sagnac_numeric.json"))
     assert run.returncode == 0, run.stderr
     assert NEAR_FIELD_LINE.match(run.stderr) and run.stderr.count("\n") == 1
-    # sweep workers print theirs the same way, one line per row
+    # a sweep prints its rows' warnings the same way, one line per row
     out = tmp_path / "sweep.csv"
     sw = _casq("sweep", _scenario_path("sagnac_numeric.json"), "--param", "trajectory.r0_m.1",
                "--values", "3e-7,4e-7,5e-7", "--jobs", "2", "--out", str(out))
@@ -861,7 +915,7 @@ def test_parallel_sweep_loads_its_kinds_modules_before_the_pool():
         at_pool = []
 
         def get_context(method):
-            def pool(processes, initializer):
+            def pool(processes):
                 at_pool.extend(m for m in sys.modules if m.startswith("casq."))
                 return contextlib.nullcontext(
                     SimpleNamespace(map=lambda fn, tasks: list(map(fn, tasks))))
@@ -1046,6 +1100,18 @@ def test_cli_nonconvergent_bounded_exit_3(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "value=" in proc.stderr and "error_estimate=" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_cli_dce_numeric_that_misses_its_tolerance_names_no_subdivision(tmp_path, capsys):
+    # DceNumeric integrates by an exact rule whose estimate is 50 eps of its
+    # value, and never subdivides: a tighter tolerance used to be reported
+    # as a spent subdivision budget
+    data = _bundled("dce_numeric.json")
+    data["quadrature"] = {"rel_tol": 1e-15, "abs_tol": 0}
+    code, out = _main_run(tmp_path, capsys, data)
+    assert code == 3 and out.out == ""
+    assert re.fullmatch(r"numerical error: dce\.dce_rate_numeric: missed its tolerance "
+                        r"\(value=[-+.e0-9]+, error_estimate=[-+.e0-9]+\)\n", out.err), out.err
 
 
 def test_sweep_records_nonconvergent_row():
