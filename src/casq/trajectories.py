@@ -33,7 +33,9 @@ returns the same geometric path at the new pace, exact on the analytic
 kinds, which is what the geometric-phase invariance tests lean on.
 :func:`validate_positive_between` checks the points a 1D kind's
 ``_lowest(t0, t1)`` names as candidates for its minimum over [t0, t1], and
-``_fastest()`` its greatest |dz/dt| over all time. A 3D kind gives its exact
+``_fastest()`` its greatest |dz/dt| over all time. ``_period()`` is the
+period of a path's motion: 2 pi / |omega| for a harmonic path, 0.0 for a
+constant one (any period will do), None for every other kind. A 3D kind gives its exact
 ``closest_approach(window)`` to the origin and the ``improper_time_scale()``
 of an all-time line integral.
 """
@@ -99,6 +101,9 @@ class _Analytic:
     def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
         return ()
 
+    def _period(self) -> float | None:
+        return None
+
 
 class _Sampled:
     """A piecewise-linear kind through strictly increasing sample times.
@@ -156,6 +161,9 @@ class _Sampled:
     def breakpoints(self, t0: float, t1: float) -> tuple[float, ...]:
         return self.times[self._inside(t0, t1)]
 
+    def _period(self) -> float | None:
+        return None
+
     def _retimed_samples(self, a: float, b: float, samples: tuple) -> tuple[tuple, tuple]:
         """Sample times and ``samples``, in time order, under t -> a + b t: each
         t goes to (t - a) / b, written t / b - a / b to be exactly t / b for
@@ -190,6 +198,9 @@ class Constant1D(_Analytic, Value):
 
     def _fastest(self) -> float:
         return 0.0
+
+    def _period(self) -> float:
+        return 0.0  # any period
 
 
 class Linear1D(_Analytic, Value):
@@ -272,6 +283,9 @@ class Harmonic1D(_Analytic, Value):
 
     def _fastest(self) -> float:
         return abs(self.amplitude * self.omega_cm)
+
+    def _period(self) -> float:
+        return 2.0 * math.pi / abs(self.omega_cm)
 
 
 class SampledPolyline1D(_Sampled, Value):

@@ -478,3 +478,166 @@ def test_sampled_paths_put_their_samples_on_panel_edges(monkeypatch):
     t = 1e-9 - 0.5 * light_delay(1.2e-6)
     coarse_grained_potential(TWO_LEVEL, p1, t)
     assert seen == [[1e-9]]
+
+
+# -- whole periods of a periodic path integrate once -------------------------------
+
+OMEGA_CM = 2.0 * math.pi * 1e9
+PERIOD = 2.0 * math.pi / OMEGA_CM
+#: the benchmark's total-phase tolerances, at which the motional phase converges
+LOOSE = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-18)
+
+
+def _window_parts(monkeypatch):
+    """Record each window part the window integrator hands the engine, with
+    its spec and result; the delay averages call the engine from mirror_phases."""
+    import casq.quadrature as quadrature
+
+    engine = quadrature.integrate_adaptive
+    parts = []
+
+    def spy(f, a, b, spec=None, breaks=()):
+        res = engine(f, a, b, spec, breaks)
+        parts.append(((a, b), spec, res))
+        return res
+
+    monkeypatch.setattr(quadrature, "integrate_adaptive", spy)
+    return parts
+
+
+def _unsplit(monkeypatch, phase, *args):
+    """``phase(*args)`` with its window integral one direct integrate_adaptive."""
+    import casq.mirror_phases as mp
+    from casq.quadrature import integrate_adaptive
+
+    def direct(f, window, spec=None, *paths):
+        return integrate_adaptive(f, window.t_start, window.t_end, spec)
+
+    with monkeypatch.context() as m:
+        m.setattr(mp, "integrate_over_window", direct)
+        return phase(*args)
+
+
+def _phase_case(kind, t_end):
+    w = TimeWindow(0.0, t_end)
+    if kind == "quasi_static":
+        scen = MirrorScenario(TWO_LEVEL, (Harmonic1D(1e-6, 6e-7, OMEGA_CM),), w)
+        return quasi_static_phase, (scen, 0, TIGHT)
+    if kind == "motional":
+        scen = MirrorScenario(TWO_LEVEL, (Harmonic1D(8e-7, 1e-7, OMEGA_CM, 0.4),), w)
+        return motional_phase_mirror, (scen, 0, LOOSE)
+    # two paths at one omega, a quarter period apart: a loop in (z1, z2) whose
+    # every period adds the same nonzero phase
+    paths = (Harmonic1D(1e-6, 2e-7, OMEGA_CM), Harmonic1D(1.3e-6, 2e-7, OMEGA_CM, 0.5 * math.pi))
+    return nonlocal_phase, (MirrorScenario(TWO_LEVEL, paths, w), TIGHT)
+
+
+@pytest.mark.parametrize("n", [2, 3, 150])
+@pytest.mark.parametrize("kind", ["quasi_static", "motional", "nonlocal"])
+def test_whole_periods_agree_with_the_unsplit_integral(monkeypatch, kind, n):
+    phase, args = _phase_case(kind, n * PERIOD)
+    ref = _unsplit(monkeypatch, phase, *args)
+    parts = _window_parts(monkeypatch)
+    res = phase(*args)
+    # one period, then nothing: the window is whole periods
+    assert [span for span, _, _ in parts if span[0] != span[1]] == [(0.0, PERIOD)]
+    assert res.converged and ref.converged
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+    assert res.breakdown.keys() == ref.breakdown.keys()
+    if n == 150:
+        assert res.evaluations < ref.evaluations / 20
+
+
+@pytest.mark.parametrize("step", [-math.inf, math.inf], ids=["ulp_short", "ulp_long"])
+def test_a_window_one_ulp_off_whole_periods_integrates_one_period(monkeypatch, step):
+    phase, args = _phase_case("quasi_static", math.nextafter(3 * PERIOD, step))
+    ref = _unsplit(monkeypatch, phase, *args)
+    parts = _window_parts(monkeypatch)
+    res = phase(*args)
+    # neither a second period nor a sliver of either sign
+    assert [span for span, _, _ in parts if span[0] != span[1]] == [(0.0, PERIOD)]
+    assert res.converged
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
+def test_a_window_past_whole_periods_adds_its_remainder(monkeypatch):
+    phase, args = _phase_case("nonlocal", 2.5 * PERIOD)
+    ref = _unsplit(monkeypatch, phase, *args)
+    parts = _window_parts(monkeypatch)
+    res = phase(*args)
+    assert [span for span, _, _ in parts] == [(0.0, PERIOD), (2.0 * PERIOD, 2.5 * PERIOD)]
+    assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+
+
+@pytest.mark.parametrize("paths, split", [
+    ((Harmonic1D(1e-6, 2e-7, OMEGA_CM), Linear1D(1.3e-6, 1.0)), False),
+    ((Harmonic1D(1e-6, 2e-7, OMEGA_CM), Harmonic1D(1.3e-6, 2e-7, 2.0 * OMEGA_CM)), False),
+    ((Harmonic1D(1e-6, 2e-7, OMEGA_CM), Harmonic1D(1.3e-6, 2e-7, OMEGA_CM, 1.0)), True),
+    # a path reversed over the window runs at -omega, with the same period
+    ((Harmonic1D(1e-6, 2e-7, OMEGA_CM), Harmonic1D(1.3e-6, 2e-7, -OMEGA_CM, 1.0)), True),
+], ids=["harmonic_linear", "two_omegas", "one_omega", "one_period_reversed"])
+def test_paths_split_only_on_a_common_period(monkeypatch, paths, split):
+    t_end = 4 * PERIOD
+    parts = _window_parts(monkeypatch)
+    nonlocal_phase(MirrorScenario(TWO_LEVEL, paths, TimeWindow(0.0, t_end)), TIGHT)
+    assert parts[0][0] == ((0.0, PERIOD) if split else (0.0, t_end))
+    # a period runs at abs_tol / N and the same rel_tol
+    assert parts[0][1] == (TIGHT.replace(abs_tol=TIGHT.abs_tol / 4) if split else TIGHT)
+
+
+@pytest.mark.parametrize("case", [
+    ("quasi_static", 1.5 * PERIOD),
+    ("quasi_static", 1.9999 * PERIOD),
+    ("nonlocal", 1.5 * PERIOD),
+    ("constant", 10 * PERIOD),
+])
+def test_windows_that_do_not_split_give_todays_bits(monkeypatch, case):
+    kind, t_end = case
+    if kind == "constant":
+        scen = MirrorScenario(TWO_LEVEL, (Constant1D(1e-6),), TimeWindow(0.0, t_end))
+        phase, args = quasi_static_phase, (scen, 0, TIGHT)
+    else:
+        phase, args = _phase_case(kind, t_end)
+    ref = _unsplit(monkeypatch, phase, *args)
+    parts = _window_parts(monkeypatch)
+    res = phase(*args)
+    assert [span for span, _, _ in parts] == [(0.0, t_end)]
+    assert (res.value, res.error_estimate, res.evaluations, res.converged) == (
+        ref.value, ref.error_estimate, ref.evaluations, ref.converged)
+
+
+def _harmonic_beside_constant(t_end):
+    # each period of z1' / (z1 + h2)^3 integrates to about 0, the half period after them not
+    paths = (Harmonic1D(1e-6, 3e-7, OMEGA_CM, 0.3), Constant1D(1.2e-6))
+    return MirrorScenario(TWO_LEVEL, paths, TimeWindow(0.0, t_end))
+
+
+def test_a_split_that_misses_the_windows_target_runs_unsplit(monkeypatch):
+    # both parts converge, but 2 x the period's estimate, set by its round-off
+    # floor, is above rel_tol times the window's value
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
+    t_end = 2.5 * PERIOD
+    parts = _window_parts(monkeypatch)
+    res = nonlocal_phase(_harmonic_beside_constant(t_end), spec)
+    assert [span for span, _, _ in parts] == [(0.0, PERIOD), (2.0 * PERIOD, t_end), (0.0, t_end)]
+    (_, _, one), (_, _, rest), (_, _, whole) = parts
+    assert one.converged and rest.converged
+    assert 2 * one.error_estimate + rest.error_estimate > spec.rel_tol * abs(2 * one.value + rest.value)
+    assert (res.value, res.error_estimate, res.converged) == (
+        whole.value, whole.error_estimate, whole.converged)
+    # the work done: the split, then the unsplit run
+    assert res.evaluations == one.evaluations + rest.evaluations + whole.evaluations
+
+
+def test_a_split_that_meets_the_windows_target_reports_converged(monkeypatch):
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-20)
+    t_end = 2.5 * PERIOD
+    parts = _window_parts(monkeypatch)
+    res = nonlocal_phase(_harmonic_beside_constant(t_end), spec)
+    assert [span for span, _, _ in parts] == [(0.0, PERIOD), (2.0 * PERIOD, t_end)]
+    (_, _, one), (_, _, rest) = parts
+    assert res.value == 2 * one.value + rest.value
+    assert res.error_estimate == 2 * one.error_estimate + rest.error_estimate
+    assert res.evaluations == one.evaluations + rest.evaluations
+    assert res.converged
+    assert res.error_estimate <= max(spec.abs_tol, spec.rel_tol * abs(res.value))

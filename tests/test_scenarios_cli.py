@@ -337,6 +337,41 @@ def test_sweep_worker_count_clamped(monkeypatch, jobs, n_values, expected):
     assert calls == ([] if expected is None else [(method, expected)])
 
 
+def test_spawned_sweep_workers_match_one_job():
+    # spawn, the start method off Linux, forced in a fresh interpreter (whose
+    # exit ends the pool's resource tracker): workers start from a fresh
+    # import and must give the rows, bytes and warnings of one job
+    code = textwrap.dedent("""\
+        import json, multiprocessing, os, warnings
+        from importlib.resources import files
+        from casq.scenarios import emit, sweep
+        from casq.species import default_species_db
+
+        real = multiprocessing.get_context
+        asked = []
+        multiprocessing.get_context = lambda method: asked.append(method) or real("spawn")
+        os.cpu_count = lambda: 2
+        data = json.loads(files("casq.data").joinpath("scenarios/sagnac_numeric.json").read_text())
+        out = []
+        for jobs in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default")
+                rows = sweep(data, "trajectory.r0_m.1", [5e-7, 0.0, 2e-7, 3e-7],
+                             default_species_db(), jobs=jobs)
+            out.append({"rows": [[r.param_value, r.error, r.report is None] for r in rows],
+                        "json": emit(rows, "json"), "csv": emit(rows, "csv"),
+                        "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]})
+        print(json.dumps([asked, out]))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    asked, (serial, spawned) = json.loads(proc.stdout)
+    assert asked == ["fork" if sys.platform == "linux" else "spawn"]
+    assert [report_missing for _, _, report_missing in serial["rows"]] == [True, False, False, False]
+    assert serial["warnings"] != []
+    assert spawned == serial
+
+
 def test_sweep_bad_path():
     with pytest.raises(BadParameterPath):
         sweep(straightline_scenario(3e-7), "nope.deeper", [1.0], DB)
@@ -966,7 +1001,8 @@ def _main_run(tmp_path, capsys, data):
 
 
 def _harmonic_quasi_static(rel_tol):
-    # 250 whole periods at a tolerance the default budget cannot reach
+    # 250 whole periods; a rel_tol below the round-off floor (about 2.2e-14)
+    # is one no budget reaches, split into whole periods or not
     return {
         "kind": "QuasiStatic",
         "species": "two-level-demo",
@@ -1096,7 +1132,7 @@ def test_cli_sweep_records_overflow_row(tmp_path, capsys):
 
 
 def test_cli_nonconvergent_bounded_exit_3(tmp_path):
-    proc = _casq("run", _write_json(tmp_path, _harmonic_quasi_static(1e-12)))
+    proc = _casq("run", _write_json(tmp_path, _harmonic_quasi_static(1e-15)))
     assert proc.returncode == 3, proc.stderr
     assert "value=" in proc.stderr and "error_estimate=" in proc.stderr
     assert "Traceback" not in proc.stderr and proc.stdout == ""
@@ -1115,7 +1151,7 @@ def test_cli_dce_numeric_that_misses_its_tolerance_names_no_subdivision(tmp_path
 
 
 def test_sweep_records_nonconvergent_row():
-    rows = sweep(_harmonic_quasi_static(1e-8), "quadrature.rel_tol", [1e-12, 1e-8], DB)
+    rows = sweep(_harmonic_quasi_static(1e-8), "quadrature.rel_tol", [1e-15, 1e-8], DB)
     assert rows[0].report is None and rows[0].error.startswith("NonConvergent: ")
     assert rows[1].report is not None and rows[1].report.result.converged
 

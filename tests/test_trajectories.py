@@ -321,6 +321,19 @@ def test_reverse_gives_each_kinds_fields_bit_for_bit(t0, t1):
         assert repr(reverse(tr, TimeWindow(t0, t1))) == repr(expected)
 
 
+def test_each_kind_answers_its_period():
+    # 0.0 is any period (a constant path), None none; a reversed harmonic
+    # path runs at -omega and keeps its period
+    expected = {Constant1D: 0.0, Harmonic1D: 2.0 * math.pi / 5.0}
+    for tr in ALL_KINDS:
+        assert tr._period() == expected.get(type(tr)), type(tr).__name__
+    back = reverse(Harmonic1D(1.0, 0.3, 5.0, 0.7), TimeWindow(0.0, 1.0))
+    assert back.omega_cm == -5.0 and back._period() == 2.0 * math.pi / 5.0
+    period = back._period()
+    for t in (-3.0, 0.0, 0.4, 7.5):
+        assert back.position(t + period) == pytest.approx(back.position(t), abs=1e-14)
+
+
 # -- validation ------------------------------------------------------------------
 
 def test_window_validation():
