@@ -391,7 +391,8 @@ def integrate_over_window(
     t0, t1 = window.t_start, window.t_end
 
     def part(a: float, b: float, part_spec: QuadratureSpec | None) -> IntegralResult:
-        return integrate_adaptive(f, a, b, part_spec, [t for p in paths for t in p.breakpoints(a, b)])
+        breaks = [t for p in paths for t in p.breakpoints(a, b)]
+        return integrate_adaptive(f, a, b, part_spec, breaks)
 
     periods = {p._period() for p in paths} - {0.0}  # 0.0: a constant path fits any period
     split = None

@@ -35,9 +35,9 @@ kinds, which is what the geometric-phase invariance tests lean on.
 ``_lowest(t0, t1)`` names as candidates for its minimum over [t0, t1], and
 ``_fastest()`` its greatest |dz/dt| over all time. ``_period()`` is the
 period of a path's motion: 2 pi / |omega| for a harmonic path, 0.0 for a
-constant one (any period will do), None for every other kind. A 3D kind gives its exact
-``closest_approach(window)`` to the origin and the ``improper_time_scale()``
-of an all-time line integral.
+constant one (any period will do), None for every other kind. A 3D kind
+gives its exact ``closest_approach(window)`` to the origin and the
+``improper_time_scale()`` of an all-time line integral.
 """
 
 from __future__ import annotations
